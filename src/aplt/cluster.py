@@ -7,6 +7,15 @@ Euclidean on unit-normalized features and centroids are re-normalized after
 every update, which keeps the clustering geometry aligned with the
 dot-product prototype classifier.
 
+Nearest-centroid search (``_nearest``) runs over row blocks. Each block is
+screened with one GEMM, ||c||^2 - 2 f.c; rows whose runner-up lies within
+the rounding-error bound of their best are decided again with the exact
+per-pair difference sum, and the returned squared distance is always the
+exact difference sum for the chosen centroid. The outputs therefore
+equal, bit for bit, an argmin over the full (n, C, e) difference tensor, and
+do not depend on BLAS rounding or thread count, while memory stays at one
+block's (rows, C, e) tensor (``_BLOCK_BYTES``).
+
 Filtering keeps an unlabeled sample only while its distance to the assigned
 centroid stays within a per-class adaptive threshold: the class-local mean
 distance, rescaled by the global mean over the largest local mean.
@@ -26,6 +35,12 @@ from .errors import InvalidParameterError, MissingLabeledClassError
 LOGGER = logging.getLogger(__name__)
 
 _NORM_FLOOR = 1e-12
+
+# Budget for one row block's (rows, C, e) float64 recheck tensor.
+_BLOCK_BYTES = 4 << 20
+
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -97,6 +112,47 @@ class PrototypeBank:
 
 def _unit_rows(a: np.ndarray) -> np.ndarray:
     return a / np.maximum(np.linalg.norm(a, axis=1, keepdims=True), _NORM_FLOOR)
+
+
+def _nearest(F: np.ndarray, centroids: np.ndarray):
+    """Nearest centroid of every row of F and the squared distance to it.
+
+    Equal, bit for bit, to ``d2 = einsum("ijk,ijk->ij", diff, diff)`` over
+    ``diff = F[:, None] - centroids[None]`` followed by ``d2.argmin(axis=1)``
+    and the gathered ``d2`` values (ties go to the lowest index).
+
+    The screen drops ||f||^2, which is constant along a row. The screen and
+    the exact sum each differ from their true values by at most about
+    (e+2)·eps·(||f||^2 + ||c||^2) (Higham §3.1, any summation order), so
+    ``slack`` below has a 4x margin, plus a term for underflow. A row whose
+    runner-up screen value lies more than 2·slack above its best has a
+    unique exact nearest centroid, the screened one. Every other row,
+    including any with non-finite values, is decided by the exact sum.
+    """
+    n, e = F.shape
+    C = centroids.shape[0]
+    assign = np.empty(n, dtype=np.int64)
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    f_sq = np.einsum("ij,ij->i", F, F)
+    slack = 8.0 * (e + 2) * (_EPS * (f_sq + c_sq.max()) + _TINY)
+    minus_2c = -2.0 * centroids
+    rows = max(1, _BLOCK_BYTES // (8 * C * e))
+    for start in range(0, n, rows):
+        block = F[start:start + rows]
+        r = np.arange(block.shape[0])
+        approx = block @ minus_2c.T
+        approx += c_sq
+        best = approx.argmin(axis=1)
+        best_val = approx[r, best]
+        approx[r, best] = np.inf
+        gap = approx.min(axis=1) - best_val
+        near = np.flatnonzero(~(gap > 2.0 * slack[start:start + rows]))
+        if near.size:
+            diff = block[near][:, None, :] - centroids[None, :, :]
+            best[near] = np.einsum("ijk,ijk->ij", diff, diff).argmin(axis=1)
+        assign[start:start + rows] = best
+    D = F - centroids[assign]
+    return assign, np.einsum("ij,ij->i", D, D)
 
 
 def extract_all_features(m: nn.EncoderModel, ds, cfg: ClusterConfig,
@@ -171,9 +227,7 @@ def ss_kmeans(F_l: np.ndarray, F_u: np.ndarray, F_sl: np.ndarray,
     for _ in range(cfg.max_iters):
         iterations += 1
         if n_u:
-            diff = F_u[:, None, :] - centroids[None, :, :]
-            d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            assign = d2.argmin(axis=1)
+            assign, _ = _nearest(F_u, centroids)
         sums = anchor_sums.copy()
         counts = anchor_counts.astype(np.float64)
         if n_u:
@@ -192,10 +246,8 @@ def ss_kmeans(F_l: np.ndarray, F_u: np.ndarray, F_sl: np.ndarray,
             break
 
     if n_u:
-        diff = F_u[:, None, :] - centroids[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        assign = d2.argmin(axis=1)
-        distances = np.sqrt(d2[np.arange(n_u), assign])
+        assign, d2 = _nearest(F_u, centroids)
+        distances = np.sqrt(d2)
     else:
         distances = np.zeros(0)
     final_obj = _constrained_objective(F_l, F_sl, labels, F_u, assign, centroids, C)
@@ -309,22 +361,19 @@ def pure_kmeans(F_l: np.ndarray, F_u: np.ndarray, labels: np.ndarray, C: int,
     iterations = 0
     for _ in range(cfg.max_iters):
         iterations += 1
-        diff = X[:, None, :] - centers[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        assign = d2.argmin(axis=1)
+        assign, d2 = _nearest(X, centers)
         new_centers = np.empty_like(centers)
         for k in range(C):
             members = X[assign == k]
             if members.shape[0] == 0:
-                far = np.sqrt(d2[np.arange(n), assign]).argmax()
+                far = np.sqrt(d2).argmax()
                 new_centers[k] = X[far]
             else:
                 new_centers[k] = members.mean(axis=0)
         new_centers = _unit_rows(new_centers)
 
-        diff = X[:, None, :] - new_centers[None, :, :]
-        d2n = np.einsum("ijk,ijk->ij", diff, diff)
-        obj = float(d2n[np.arange(n), assign].sum())
+        D = X - new_centers[assign]
+        obj = float(np.einsum("ij,ij->i", D, D).sum())
         if trace and obj > trace[-1] + 1e-9:
             monotonic = False
         trace.append(obj)
@@ -334,14 +383,12 @@ def pure_kmeans(F_l: np.ndarray, F_u: np.ndarray, labels: np.ndarray, C: int,
         if shift < cfg.tol:
             break
 
-    diff = X[:, None, :] - centers[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    assign = d2.argmin(axis=1)
+    assign, d2 = _nearest(X, centers)
 
     cluster_to_class = _majority_map(assign[:n_l], labels, C)
     u_assign = cluster_to_class[assign[n_l:]]
-    u_dist = np.sqrt(d2[np.arange(n_l, n), assign[n_l:]])
-    final_obj = float(d2[np.arange(n), assign].sum())
+    u_dist = np.sqrt(d2[n_l:])
+    final_obj = float(d2.sum())
     return ClusterResult(centroids=centers[_inverse_or_identity(cluster_to_class, C)],
                          assignments=u_assign, distances=u_dist,
                          iterations_run=iterations, objective=final_obj,

@@ -26,7 +26,7 @@ from . import fixmatch as fm_mod
 from . import nn
 from . import proto as proto_mod
 from .data import FeatureDataset, validate_for_training
-from .errors import ApltError, InvalidParameterError, NonFiniteError
+from .errors import ApltError, ConfigError, InvalidParameterError, NonFiniteError
 
 MODES = ("aplt", "fixmatch", "labeled_only")
 
@@ -121,6 +121,10 @@ class _Trainer:
     def __init__(self, ds: FeatureDataset, cfg, mode: str):
         if mode not in MODES:
             raise InvalidParameterError(f"unknown mode {mode!r}")
+        if mode == "aplt" and not cfg.model.feature_norm:
+            raise ConfigError("model.feature_norm=false cannot be used with the "
+                              "offline phase (train --mode aplt, compare, ablate): "
+                              "clustering compares features with unit-norm centroids")
         validate_for_training(ds)
         self.cfg = cfg
         self.mode = mode

@@ -94,6 +94,29 @@ class TestTrain:
         assert (tmp_path / "root" / "nested" / "run" / "metrics.ndjson").exists()
 
 
+class TestFeatureNormGeometry:
+    UNNORMALIZED = ["--set", "model.feature_norm=false"]
+
+    @pytest.mark.parametrize("command", [["train", "--mode", "aplt"], ["compare"],
+                                         ["ablate"]])
+    def test_offline_phase_rejected_exit_one(self, tmp_path, dataset_csv, capsys,
+                                             command):
+        out = tmp_path / "run"
+        rc = cli.main([*command, "--data", str(dataset_csv), "--out", str(out),
+                       *self.UNNORMALIZED, *FAST])
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "config error: model.feature_norm=false cannot be used" in err
+
+    def test_fixmatch_only_allowed(self, tmp_path, dataset_csv):
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--mode", "fixmatch", "--data", str(dataset_csv),
+                       "--out", str(out), *self.UNNORMALIZED, *FAST])
+        assert rc == 0
+        assert (out / "metrics.ndjson").exists()
+
+
 class TestEval:
     def test_eval_reports_both_accuracies(self, tmp_path, dataset_csv, capsys):
         out = tmp_path / "run"

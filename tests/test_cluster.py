@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,122 @@ def random_instance(rng, n_l=6, n_u=8, C=2, e=3):
     F_l = unit_rows(rng.normal(size=(n_l, e)))
     F_u = unit_rows(rng.normal(size=(n_u, e)))
     return F_l, F_u, labels
+
+
+def reference_nearest(F, centroids):
+    """Full-tensor nearest centroid: einsum, argmin, gather."""
+    diff = F[:, None, :] - centroids[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    assign = d2.argmin(axis=1)
+    return assign, d2[np.arange(F.shape[0]), assign]
+
+
+def assert_same_result(a, b):
+    for name in ("centroids", "assignments", "distances", "objective_trace"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.iterations_run == b.iterations_run
+    assert a.objective == b.objective
+    assert a.monotonic == b.monotonic
+
+
+class TestNearest:
+    def check(self, F, centroids):
+        assign, d2 = cluster._nearest(F, centroids)
+        ref_assign, ref_d2 = reference_nearest(F, centroids)
+        assert np.array_equal(assign, ref_assign)
+        assert np.array_equal(d2, ref_d2)
+        return assign, d2
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_shapes_and_scales_match_full_tensor(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        e = int(rng.integers(1, 65))
+        C = int(rng.integers(1, 121))
+        n = int(rng.integers(1, 200))
+        F = rng.normal(size=(n, e)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+        centroids = rng.normal(size=(C, e)) * 10.0 ** rng.uniform(-3, 3)
+        if seed % 2:
+            F, centroids = unit_rows(F), unit_rows(centroids)
+        self.check(F, centroids)
+
+    def test_equidistant_row_takes_lower_index(self):
+        centroids = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 5.0]])
+        F = np.array([[0.0, 0.0], [0.0, 1.0]])
+        assign, d2 = self.check(F, centroids)
+        assert assign.tolist() == [0, 0]
+        assert d2.tolist() == [1.0, 2.0]
+        assign, _ = self.check(F, centroids[[1, 0, 2]])
+        assert assign.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rows_on_a_bisector_match_full_tensor(self, seed):
+        # equidistant from two centroids in exact arithmetic, so rounding
+        # decides; the screen alone often decides differently
+        rng = np.random.default_rng(700 + seed)
+        e = int(rng.integers(2, 40))
+        C = int(rng.integers(2, 30))
+        centroids = rng.normal(size=(C, e)) * 10.0 ** rng.uniform(-3, 3)
+        a = rng.integers(0, C, size=200)
+        b = (a + rng.integers(1, C, size=200)) % C
+        u = centroids[a] - centroids[b]
+        noise = rng.normal(size=(200, e)) * 0.1 * np.abs(centroids).mean()
+        along = np.einsum("ij,ij->i", noise, u) / np.einsum("ij,ij->i", u, u)
+        noise -= along[:, None] * u
+        self.check((centroids[a] + centroids[b]) / 2 + noise, centroids)
+
+    def test_duplicate_centroids_and_rows_on_a_centroid(self):
+        rng = np.random.default_rng(11)
+        base = unit_rows(rng.normal(size=(5, 8)))
+        centroids = base[[0, 1, 1, 2, 3, 3, 4]]
+        F = np.concatenate([base, base + 1e-9 * rng.normal(size=base.shape),
+                            unit_rows(rng.normal(size=(50, 8)))])
+        assign, d2 = self.check(F, centroids)
+        assert assign[:5].tolist() == [0, 1, 3, 4, 6]
+        assert d2[:5].tolist() == [0.0] * 5
+
+    def test_all_tie_input_matches_full_tensor(self, monkeypatch):
+        # every centroid is the same point, so every row goes to the recheck
+        centroids = np.tile(unit_rows(np.ones((1, 6))), (9, 1))
+        F = np.random.default_rng(2).normal(size=(300, 6))
+        for budget in (cluster._BLOCK_BYTES, 1000):
+            monkeypatch.setattr(cluster, "_BLOCK_BYTES", budget)
+            assign, _ = self.check(F, centroids)
+            assert not assign.any()
+
+    @pytest.mark.parametrize("budget", [1, 1 << 12])
+    def test_kmeans_independent_of_block_budget(self, monkeypatch, budget):
+        rng = np.random.default_rng(41)
+        F_l, F_u, labels = random_instance(rng, n_l=30, n_u=400, C=6, e=8)
+        F_sl = unit_rows(rng.normal(size=(60, 8)))
+        ss = cluster.ss_kmeans(F_l, F_u, F_sl, labels, CFG)
+        km = cluster.pure_kmeans(F_l, F_u, labels, 6, CFG)
+        monkeypatch.setattr(cluster, "_BLOCK_BYTES", budget)
+        assert_same_result(cluster.ss_kmeans(F_l, F_u, F_sl, labels, CFG), ss)
+        assert_same_result(cluster.pure_kmeans(F_l, F_u, labels, 6, CFG), km)
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_kmeans_peak_memory_is_bounded(ties):
+    """Clustering never allocates the (n, C, e) difference tensor: at this
+    shape it alone would take 488 MiB."""
+    n_u, C, e = 20000, 100, 32
+    rng = np.random.default_rng(6)
+    labels = np.arange(C)
+    if ties:  # every class anchored at one point, every row on it
+        F_l = np.tile(unit_rows(np.ones((1, e))), (C, 1))
+        F_u = np.tile(F_l[:1], (n_u, 1))
+    else:
+        F_l = unit_rows(rng.normal(size=(C, e)))
+        F_u = unit_rows(rng.normal(size=(n_u, e)))
+    cfg = cluster.ClusterConfig(max_iters=2)
+    tracemalloc.start()
+    try:
+        cluster.ss_kmeans(F_l, F_u, np.zeros((0, e)), labels, cfg)
+        cluster.pure_kmeans(F_l, F_u, labels, C, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 class TestExtractAllFeatures:
