@@ -53,6 +53,9 @@ class ClusterConfig:
     # "filtered": prototypes average anchors + threshold survivors.
     # "all": average anchors + every assigned unlabeled sample.
     prototype_members: str = "filtered"
+    # "sskm": k-means anchored on the labeled samples; "km": plain k-means
+    # (the SSL+KM ablation row).
+    method: str = "sskm"
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -61,6 +64,8 @@ class ClusterConfig:
             raise InvalidParameterError("aug_copies must be >= 0")
         if self.prototype_members not in ("filtered", "all"):
             raise InvalidParameterError("prototype_members must be 'filtered' or 'all'")
+        if self.method not in ("sskm", "km"):
+            raise InvalidParameterError("method must be 'sskm' or 'km'")
 
 
 @dataclass
@@ -155,8 +160,8 @@ def _nearest(F: np.ndarray, centroids: np.ndarray):
     return assign, np.einsum("ij,ij->i", D, D)
 
 
-def extract_all_features(m: nn.EncoderModel, ds, cfg: ClusterConfig,
-                         rng: np.random.Generator,
+def extract_all_features(m: nn.EncoderModel, X_l: np.ndarray, X_u: np.ndarray,
+                         cfg: ClusterConfig, rng: np.random.Generator,
                          aug: augment.AugmentConfig | None = None):
     """Features for labeled, unlabeled, and augmented-labeled samples.
 
@@ -166,17 +171,11 @@ def extract_all_features(m: nn.EncoderModel, ds, cfg: ClusterConfig,
     """
     if aug is None:
         aug = augment.AugmentConfig()
-    labeled = ds.labeled_indices()
-    unlabeled = ds.unlabeled_indices()
-    F_l = nn.forward_features(m, ds.features[labeled])
-    if unlabeled.size:
-        F_u = nn.forward_features(m, ds.features[unlabeled])
-    else:
-        F_u = np.zeros((0, m.feature_dim))
+    F_l = nn.forward_features(m, X_l)
+    F_u = nn.forward_features(m, X_u)
     copies = cfg.aug_copies if cfg.use_labeled_aug else 0
     if copies > 0:
-        blocks = [augment.strong(ds.features[labeled], aug, rng)
-                  for _ in range(copies)]
+        blocks = [augment.strong(X_l, aug, rng) for _ in range(copies)]
         F_sl = nn.forward_features(m, np.concatenate(blocks, axis=0))
     else:
         F_sl = np.zeros((0, m.feature_dim))

@@ -1,9 +1,11 @@
 """Run configuration: JSON file + ``--set section.key=value`` overrides.
 
-Every key is validated against the schema below; unknown keys are rejected
-so a typo cannot silently fall back to a default. The fully resolved config
-is dumped next to the run outputs, and a run is reproducible from that dump
-alone.
+The schema is ``RunConfig`` and its frozen section dataclasses: each key
+takes its default and its JSON type from there and its range check from
+the section's ``__post_init__``. Unknown keys and values of the wrong type
+are rejected, so a typo cannot silently fall back to a default or crash a
+run later. The fully resolved config is dumped next to the run outputs, and
+a run is reproducible from that dump alone.
 """
 
 from __future__ import annotations
@@ -43,54 +45,42 @@ class OptimizerConfig:
 
 
 @dataclass(frozen=True)
+class EvalConfig:
+    test_fraction: float = 0.2
+
+    def __post_init__(self):
+        if not (0.0 <= self.test_fraction < 1.0):
+            raise InvalidParameterError("test_fraction must lie in [0, 1)")
+
+
+@dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
     mode: str = "aplt"
     dataset: dict | None = None          # {"csv": path} or {"synthetic": {...}}
+    eval: EvalConfig = EvalConfig()
     split: SplitSpec = SplitSpec(labeled_ratio=0.1, seed=0)
     model: ModelConfig = ModelConfig()
     optimizer: OptimizerConfig = OptimizerConfig()
     augment: AugmentConfig = AugmentConfig()
     fixmatch: FixMatchConfig = FixMatchConfig()
     cluster: ClusterConfig = ClusterConfig()
-    cluster_method: str = "sskm"
     margin: MarginConfig = MarginConfig()
-    margin_view: str = "strong"
     schedule: PhaseSchedule = PhaseSchedule()
-    test_fraction: float = 0.2
 
-
-# JSON section -> (dataclass, {json key: field name}) for renamed keys
-_SECTIONS = {
-    "split": (SplitSpec, {}),
-    "model": (ModelConfig, {}),
-    "optimizer": (OptimizerConfig, {}),
-    "augment": (AugmentConfig, {}),
-    "fixmatch": (FixMatchConfig, {}),
-    "cluster": (ClusterConfig, {"method": None}),     # handled separately
-    "margin": (MarginConfig, {"lambda": "lam", "view": None}),
-    "schedule": (PhaseSchedule, {}),
-}
 
 _SYNTH_KEYS = {"classes", "dim", "per_class", "overlap", "seed"}
 
-DEFAULT_CONFIG = {
-    "seed": 0,
-    "mode": "aplt",
-    "dataset": None,
-    "eval": {"test_fraction": 0.2},
-    "split": {"labeled_ratio": 0.1, "seed": 0, "stratified": True},
-    "model": {"hidden": 64, "embed": 32, "feature_norm": True},
-    "optimizer": {"base_lr": 0.002, "momentum": 0.9, "weight_decay": 0.0005},
-    "augment": {"weak_sigma": 0.05, "strong_sigma": 0.2, "strong_mask_prob": 0.1},
-    "fixmatch": {"tau": 0.95, "batch_size": 64},
-    "cluster": {"max_iters": 100, "tol": 1e-6, "aug_copies": 3,
-                "use_labeled_aug": True, "use_adaptive_threshold": True,
-                "prototype_members": "filtered", "method": "sskm"},
-    "margin": {"temperature": 0.1, "lambda": 1.0, "view": "strong"},
-    "schedule": {"warmup_epochs": 15, "main_epochs": 40,
-                 "offline_every": 10, "sync_mode": False},
-}
+# JSON value types a key accepts, by the type of its default
+_ACCEPTS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _defaults() -> dict:
+    """RunConfig's defaults as a fresh JSON-shaped dict. The JSON key of
+    MarginConfig.lam is "lambda", which is a Python keyword."""
+    out = asdict(RunConfig())
+    out["margin"]["lambda"] = out["margin"].pop("lam")
+    return out
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -99,11 +89,22 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key: {where}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{where} must be an object, got {value!r}")
             out[key] = _merge(base[key], value, where)
         else:
             out[key] = value
     return out
+
+
+def _check_types(node: dict, default: dict, path: str = "") -> None:
+    for key, value in node.items():
+        where, want = f"{path}{key}", default[key]
+        if isinstance(want, dict):
+            _check_types(value, want, where + ".")
+        elif want is not None and type(value) not in _ACCEPTS[type(want)]:
+            raise ConfigError(f"{where} must be {type(want).__name__}, got {value!r}")
 
 
 def _parse_override(expr: str):
@@ -148,46 +149,28 @@ def _check_dataset(section) -> dict | None:
 
 def resolve(file_config: dict | None = None, overrides: list[str] | None = None) -> tuple[RunConfig, dict]:
     """Defaults <- file <- CLI overrides; returns (typed config, resolved dict)."""
-    resolved = DEFAULT_CONFIG
+    base = _defaults()
+    resolved = base
     if file_config is not None:
         if not isinstance(file_config, dict):
             raise ConfigError("config file must hold a JSON object")
         resolved = _merge(resolved, file_config)
     for expr in overrides or []:
         resolved = _merge(resolved, _parse_override(expr))
-
+    _check_types(resolved, base)
     if resolved["mode"] not in ("aplt", "fixmatch"):
         raise ConfigError(f"mode must be aplt or fixmatch, got {resolved['mode']!r}")
-    if resolved["cluster"]["method"] not in ("sskm", "km"):
-        raise ConfigError("cluster.method must be sskm or km")
-    if resolved["margin"]["view"] not in ("strong", "weak"):
-        raise ConfigError("margin.view must be strong or weak")
-    tf = resolved["eval"]["test_fraction"]
-    if not (0.0 <= tf < 1.0):
-        raise ConfigError("eval.test_fraction must lie in [0, 1)")
 
-    kwargs = {}
-    try:
-        for section, (cls, renames) in _SECTIONS.items():
-            payload = {}
-            for key, value in resolved[section].items():
-                if key in renames:
-                    if renames[key] is None:
-                        continue
-                    payload[renames[key]] = value
-                else:
-                    payload[key] = value
-            kwargs[section] = cls(**payload)
-    except (TypeError, InvalidParameterError) as exc:
-        raise ConfigError(f"bad {section} section: {exc}") from None
-    if not isinstance(resolved["seed"], int):
-        raise ConfigError("seed must be an integer")
-
+    sections = {}
+    for name, value in resolved.items():
+        if isinstance(base[name], dict):
+            payload = {("lam" if k == "lambda" else k): v for k, v in value.items()}
+            try:
+                sections[name] = type(getattr(RunConfig, name))(**payload)
+            except InvalidParameterError as exc:
+                raise ConfigError(f"bad {name} section: {exc}") from None
     cfg = RunConfig(seed=resolved["seed"], mode=resolved["mode"],
-                    dataset=_check_dataset(resolved["dataset"]),
-                    cluster_method=resolved["cluster"]["method"],
-                    margin_view=resolved["margin"]["view"],
-                    test_fraction=float(tf), **kwargs)
+                    dataset=_check_dataset(resolved["dataset"]), **sections)
     return cfg, resolved
 
 

@@ -57,16 +57,6 @@ class FeatureDataset:
     def unlabeled_indices(self) -> np.ndarray:
         return np.flatnonzero(~self.labeled_mask)
 
-    def subset(self, indices: np.ndarray) -> "FeatureDataset":
-        """Row-selected view copy (used to carve train/test partitions)."""
-        idx = np.asarray(indices)
-        return FeatureDataset(
-            features=self.features[idx].copy(),
-            true_labels=self.true_labels[idx].copy(),
-            labeled_mask=self.labeled_mask[idx].copy(),
-            num_classes=self.num_classes,
-        )
-
 
 @dataclass(frozen=True)
 class SplitSpec:

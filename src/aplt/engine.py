@@ -135,7 +135,7 @@ class _Trainer:
         self.rng_cluster = np.random.default_rng(k_cluster)
 
         unl = ds.unlabeled_indices()
-        n_test = int(np.floor(cfg.test_fraction * ds.n + 0.5))
+        n_test = int(np.floor(cfg.eval.test_fraction * ds.n + 0.5))
         if n_test >= unl.size:
             raise InvalidParameterError(
                 "test split would leave no unlabeled training samples")
@@ -153,20 +153,12 @@ class _Trainer:
         self.X_test = ds.features[test_idx]
         self.y_test = ds.true_labels[test_idx]
         self.C = ds.num_classes
-        self.train_ds = FeatureDataset(
-            features=np.concatenate([self.X_l, self.X_u], axis=0),
-            true_labels=np.concatenate([self.y_l, self.u_true]),
-            labeled_mask=np.concatenate([np.ones(len(lab), dtype=bool),
-                                         np.zeros(len(train_unl), dtype=bool)]),
-            num_classes=self.C,
-        )
 
         self.model = nn.EncoderModel.init(
             ds.dim, cfg.model.hidden, cfg.model.embed, self.C,
             np.random.default_rng(k_model), feature_norm=cfg.model.feature_norm)
         self.opt = nn.OptimizerState(momentum=cfg.optimizer.momentum,
-                                     weight_decay=cfg.optimizer.weight_decay,
-                                     base_lr=cfg.optimizer.base_lr)
+                                     weight_decay=cfg.optimizer.weight_decay)
         self.bank = None
         self.pseudo = None
         self._bank_digest = None
@@ -177,8 +169,8 @@ class _Trainer:
     def offline_phase(self, epoch: int) -> None:
         ccfg: cluster_mod.ClusterConfig = self.cfg.cluster
         F_l, F_u, F_sl = cluster_mod.extract_all_features(
-            self.model, self.train_ds, ccfg, self.rng_cluster, aug=self.cfg.augment)
-        if self.cfg.cluster_method == "km":
+            self.model, self.X_l, self.X_u, ccfg, self.rng_cluster, aug=self.cfg.augment)
+        if ccfg.method == "km":
             result = cluster_mod.pure_kmeans(F_l, F_u, self.y_l, self.C, ccfg)
         else:
             result = cluster_mod.ss_kmeans(F_l, F_u, F_sl, self.y_l, ccfg,
@@ -228,7 +220,7 @@ class _Trainer:
         total = sched.total_epochs
         offline_at = set(sched.offline_epochs()) if self.mode == "aplt" else set()
         lam = cfg.margin.lam
-        view_fn = aug_mod.strong if cfg.margin_view == "strong" else aug_mod.weak
+        view_fn = aug_mod.strong if cfg.margin.view == "strong" else aug_mod.weak
 
         for epoch in range(total):
             lr = nn.cosine_lr(epoch, total, cfg.optimizer.base_lr)
@@ -237,23 +229,18 @@ class _Trainer:
 
             sums = {"logits": 0.0, "margin": 0.0, "total": 0.0}
             pass_count = 0
-            passed_total = 0
             passed_correct = 0
             steps = 0
             for chunk in self._epoch_chunks():
-                step_logits, step_margin = self._train_step(chunk, lr, lam, view_fn)
+                step_logits, step_margin, uns = self._train_step(chunk, lr, lam, view_fn)
                 sums["logits"] += step_logits
                 sums["margin"] += step_margin
                 sums["total"] += step_logits + lam * step_margin
                 steps += 1
-                if self._last_unsup is not None:
-                    passed = self._last_unsup.passed
-                    pass_count += int(passed.sum())
-                    if passed.any():
-                        truth = self.u_true[chunk[passed]]
-                        passed_correct += int(
-                            (self._last_unsup.pseudo_labels[passed] == truth).sum())
-                        passed_total += int(passed.sum())
+                if uns is not None and uns.pass_count:
+                    pass_count += uns.pass_count
+                    truth = self.u_true[chunk[uns.passed]]
+                    passed_correct += int((uns.pseudo_labels[uns.passed] == truth).sum())
 
             if self.bank is not None and self.bank.digest() != self._bank_digest:
                 raise ApltError("prototype bank mutated during online training")
@@ -272,8 +259,8 @@ class _Trainer:
                 "pass_count": pass_count,
                 "fixmatch_pass_frac": (pass_count / max(self.X_u.shape[0], 1)
                                        if self.mode != "labeled_only" else None),
-                "fixmatch_pseudo_acc": (passed_correct / passed_total
-                                        if passed_total else None),
+                "fixmatch_pseudo_acc": (passed_correct / pass_count
+                                        if pass_count else None),
                 "offline_coverage": last_ev["coverage"] if last_ev else None,
                 "offline_pseudo_acc": last_ev["pseudo_label_acc"] if last_ev else None,
                 "test_acc_proto": _float_or_none(proto_acc),
@@ -304,23 +291,18 @@ class _Trainer:
         return [order[i:i + B] for i in range(0, order.size, B)]
 
     def _train_step(self, chunk, lr, lam, view_fn):
+        """One optimizer step. Returns the logit-path loss, the margin loss
+        and the unlabeled consistency term (None in labeled_only mode)."""
         m, cfg = self.model, self.cfg
-        self._last_unsup = None
         lidx = self._labeled_batch(chunk.size)
-        if self.mode == "labeled_only":
-            sup = fm_mod.supervised_loss(m, self.X_l[lidx], self.y_l[lidx],
-                                         cfg.fixmatch, cfg.augment, self.rng_train)
-            self._finite_or_die(sup.value, "supervised loss")
-            nn.sgd_step(m, self.opt, sup.grads, lr)
-            return sup.value, 0.0
-
-        sup = fm_mod.supervised_loss(m, self.X_l[lidx], self.y_l[lidx],
-                                     cfg.fixmatch, cfg.augment, self.rng_train)
-        uns = fm_mod.unlabeled_loss(m, self.X_u[chunk], cfg.fixmatch,
-                                    cfg.augment, self.rng_train)
-        fm_total = fm_mod.warmup_objective(sup, uns)
-        self._last_unsup = uns
-        grads = dict(fm_total.grads)
+        total = fm_mod.supervised_loss(m, self.X_l[lidx], self.y_l[lidx],
+                                       cfg.augment, self.rng_train)
+        uns = None
+        if self.mode != "labeled_only":
+            uns = fm_mod.unlabeled_loss(m, self.X_u[chunk], cfg.fixmatch,
+                                        cfg.augment, self.rng_train)
+            total = fm_mod.warmup_objective(total, uns)
+        grads = dict(total.grads)
         margin_value = 0.0
         if self.bank is not None:
             xl_v = view_fn(self.X_l[lidx], cfg.augment, self.rng_train)
@@ -331,12 +313,12 @@ class _Trainer:
                                                  cfg.margin)
             munsup = proto_mod.margin_loss_unlabeled(self.bank, F_uv, chunk,
                                                      self.pseudo, cfg.margin)
-            margin_value = proto_mod.total_margin(msup, munsup).value
+            margin_value = msup.value + munsup.value
             nn.add_grads(grads, nn.backward(m, xl_v, d_feats=msup.d_feats), lam)
             nn.add_grads(grads, nn.backward(m, xu_v, d_feats=munsup.d_feats), lam)
-        self._finite_or_die(fm_total.value + lam * margin_value, "total loss")
+        self._finite_or_die(total.value + lam * margin_value, "total loss")
         nn.sgd_step(m, self.opt, grads, lr)
-        return fm_total.value, margin_value
+        return total.value, margin_value, uns
 
     def _finite_or_die(self, value, what):
         if not np.isfinite(value):
@@ -350,22 +332,16 @@ def run(ds: FeatureDataset, cfg, mode: str | None = None) -> RunResult:
     return _Trainer(ds, cfg, mode or cfg.mode).run()
 
 
-def run_baseline_fixmatch(ds: FeatureDataset, cfg) -> RunResult:
-    """Full-budget thresholded-consistency baseline (no offline phase)."""
-    return _Trainer(ds, cfg, "fixmatch").run()
-
-
 def _row_config(cfg, row: str):
     """Config toggles for one ablation grid row."""
-    cluster_cfg = replace(cfg.cluster,
-                          use_labeled_aug="+LA" in row,
-                          use_adaptive_threshold="+SAT" in row)
     return replace(
         cfg,
         mode="fixmatch" if row == "SSL" else "aplt",
-        cluster=cluster_cfg,
-        cluster_method="km" if row == "SSL+KM" else "sskm",
-        margin_view="weak" if "(W)" in row else "strong",
+        cluster=replace(cfg.cluster,
+                        method="km" if row == "SSL+KM" else "sskm",
+                        use_labeled_aug="+LA" in row,
+                        use_adaptive_threshold="+SAT" in row),
+        margin=replace(cfg.margin, view="weak" if "(W)" in row else "strong"),
     )
 
 

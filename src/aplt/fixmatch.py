@@ -48,7 +48,7 @@ class BatchLoss:
 
 
 def supervised_loss(m: nn.EncoderModel, x: np.ndarray, y: np.ndarray,
-                    cfg: FixMatchConfig, aug: augment.AugmentConfig,
+                    aug: augment.AugmentConfig,
                     rng: np.random.Generator) -> BatchLoss:
     """Mean cross-entropy of the weak view against ground-truth labels."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))

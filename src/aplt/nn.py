@@ -80,10 +80,8 @@ class EncoderModel:
 class OptimizerState:
     momentum: float = 0.9
     weight_decay: float = 0.0005
-    base_lr: float = 0.002
     buffers: dict = field(default_factory=dict)
     step_count: int = 0
-    epoch: int = 0
 
 
 def _check_input(m: EncoderModel, x: np.ndarray) -> np.ndarray:

@@ -25,12 +25,15 @@ _P_FLOOR = 1e-300
 class MarginConfig:
     temperature: float = 0.1
     lam: float = 1.0
+    view: str = "strong"        # augmentation of the batches the margin terms see
 
     def __post_init__(self):
         if self.temperature <= 0:
             raise InvalidParameterError("temperature must be positive")
         if self.lam < 0:
             raise InvalidParameterError("lambda must be nonnegative")
+        if self.view not in ("strong", "weak"):
+            raise InvalidParameterError("view must be 'strong' or 'weak'")
 
 
 @dataclass
@@ -93,16 +96,3 @@ def margin_loss_unlabeled(bank: PrototypeBank, F: np.ndarray,
     delta[~kept] = 0.0
     d_feats = delta @ bank.rho / (B * cfg.temperature)
     return MarginLoss(value=value, pass_count=int(kept.sum()), d_feats=d_feats)
-
-
-@dataclass
-class TotalMargin:
-    value: float
-    sup: MarginLoss
-    unsup: MarginLoss
-
-
-def total_margin(sup: MarginLoss, unsup: MarginLoss) -> TotalMargin:
-    """Scalar sum; per-batch feature gradients stay with their components so
-    the caller can route each through the encoder with the right inputs."""
-    return TotalMargin(value=sup.value + unsup.value, sup=sup, unsup=unsup)

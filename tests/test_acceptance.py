@@ -1,11 +1,13 @@
 """Acceptance suite: one test per criterion, one PASS line printed by each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines. The benchmark criteria (6, 7) use the calibrated hard preset:
-C=12, d=32, 100 samples per class, overlap 0.25, 10% labeled. Calibration
-notes: at this overlap a labeled-only run lands mid-band between chance and
-separable (5-seed mean 0.48); the nearest-mean oracle on the raw generator
-at overlap 0.35 measured 0.851.
+lines. The benchmark criteria (6, 7) use the hard preset: C=12, d=32, 100
+samples per class, overlap 0.25, 10% labeled. With the default base_lr
+0.002 a labeled-only run lands mid-band between chance and separable
+(5-seed mean 0.48), and criterion 6 checks that band. The band measures the
+optimizer budget, not how hard the data are: labeled-only scores 0.460 at
+base_lr 0.002 and 0.825 at 0.5 (seeds 0-2). The nearest-mean oracle on the
+raw generator at overlap 0.35 measured 0.851.
 """
 
 import time
@@ -69,7 +71,7 @@ def _combined_case(seed):
 
 def _combined_loss_and_grads(m, xl, y, xu, bank, pseudo, fm_cfg, m_cfg):
     rng = np.random.default_rng(0)  # inert: augmentations are disabled
-    sup = fixmatch.supervised_loss(m, xl, y, fm_cfg, NO_AUG, rng)
+    sup = fixmatch.supervised_loss(m, xl, y, NO_AUG, rng)
     uns = fixmatch.unlabeled_loss(m, xu, fm_cfg, NO_AUG, rng)
     logits_total = fixmatch.warmup_objective(sup, uns)
     F_l = nn.forward_features(m, xl)
@@ -260,7 +262,7 @@ def benchmark_runs():
         cfg = default_config(seed)
         out["labeled_only"].append(
             engine.run(ds, cfg, mode="labeled_only").metrics.final["test_acc_param"])
-        rf = engine.run_baseline_fixmatch(ds, cfg)
+        rf = engine.run(ds, cfg, mode="fixmatch")
         out["fixmatch"].append(rf.metrics.final["test_acc_param"])
         acc = rf.metrics.epochs[-1]["fixmatch_pseudo_acc"]
         out["fixmatch_pseudo"].append(0.0 if acc is None else acc)

@@ -177,6 +177,12 @@ class TestAblate:
         assert len(rows) == 1 + 7
 
 
+# values whose JSON type does not match their key's default; each must be
+# a config error (exit 1), not a TypeError from deep inside a run
+BAD_TYPES = ["fixmatch.batch_size=8.5", "model.hidden=8.5", "cluster.max_iters=2.5",
+             "schedule.warmup_epochs=1.5", "cluster=5", "eval=3"]
+
+
 class TestConfigResolution:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key: bogus"):
@@ -196,7 +202,7 @@ class TestConfigResolution:
                                        "margin.view=weak",
                                        "fixmatch.tau=0.9"])
         assert cfg.schedule.sync_mode is True
-        assert cfg.margin_view == "weak"
+        assert cfg.margin.view == "weak"
         assert cfg.fixmatch.tau == 0.9
 
     def test_dataset_section_shape_enforced(self):
@@ -216,6 +222,53 @@ class TestConfigResolution:
             config.resolve({"mode": "sideways"})
         with pytest.raises(ConfigError):
             config.resolve({"eval": {"test_fraction": 1.0}})
+
+    @pytest.mark.parametrize("override", BAD_TYPES + [
+        "seed=true", "seed=1.0", "mode=1", "schedule.sync_mode=1",
+        "optimizer.base_lr=true", "margin.view=3", "cluster.method=null"])
+    def test_wrong_type_rejected(self, override):
+        with pytest.raises(ConfigError, match="must be"):
+            config.resolve(None, [override])
+
+    def test_section_replaced_by_scalar_in_file_rejected(self):
+        with pytest.raises(ConfigError, match="margin must be an object"):
+            config.resolve({"margin": 0.5})
+
+    def test_int_accepted_for_float_and_kept_as_given(self):
+        cfg, resolved = config.resolve(None, ["optimizer.base_lr=1",
+                                              "margin.lambda=0"])
+        assert cfg.optimizer.base_lr == 1 and cfg.margin.lam == 0
+        assert resolved["optimizer"]["base_lr"] == 1
+        assert type(resolved["optimizer"]["base_lr"]) is int
+
+    @pytest.mark.parametrize("override", BAD_TYPES)
+    def test_wrong_type_exits_one_without_outputs(self, tmp_path, dataset_csv,
+                                                  capsys, override):
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--data", str(dataset_csv), "--out", str(out),
+                       "--set", override])
+        assert rc == 1
+        assert not out.exists()
+        assert "config error:" in capsys.readouterr().err
+
+    def test_resolved_dict_is_fresh_every_call(self):
+        _, first = config.resolve()
+        first["seed"] = 7
+        first["margin"]["lambda"] = 9.0
+        _, overridden = config.resolve(None, ["seed=1"])
+        overridden["cluster"]["max_iters"] = 1
+        _, again = config.resolve()
+        assert again["seed"] == 0
+        assert again["margin"]["lambda"] == 1.0
+        assert again["cluster"]["max_iters"] == 100
+
+    def test_defaults_come_from_the_dataclasses(self):
+        cfg, resolved = config.resolve()
+        assert cfg == config.RunConfig()
+        assert resolved["margin"]["lambda"] == cfg.margin.lam
+        assert "lam" not in resolved["margin"]
+        assert resolved["cluster"]["method"] == "sskm"
+        assert resolved["eval"] == {"test_fraction": 0.2}
 
     def test_run_reproducible_from_resolved_dump(self, tmp_path, dataset_csv):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -144,30 +144,31 @@ class TestExtractAllFeatures:
         ds = data.apply_split(ds, data.SplitSpec(labeled_ratio=0.5, seed=0))
         m = nn.EncoderModel.init(4, 8, 3, 2, np.random.default_rng(1))
         cfg = cluster.ClusterConfig(aug_copies=K, use_labeled_aug=use_la)
-        return ds, m, cfg
+        X = ds.features
+        return X[ds.labeled_mask], X[~ds.labeled_mask], m, cfg
 
     def test_no_copies_gives_empty_augmented_set(self):
-        ds, m, cfg = self.make(K=0)
-        _, _, F_sl = cluster.extract_all_features(m, ds, cfg, np.random.default_rng(2))
+        X_l, X_u, m, cfg = self.make(K=0)
+        _, _, F_sl = cluster.extract_all_features(m, X_l, X_u, cfg, np.random.default_rng(2))
         assert F_sl.shape[0] == 0
 
     def test_flag_off_gives_empty_augmented_set(self):
-        ds, m, cfg = self.make(K=3, use_la=False)
-        _, _, F_sl = cluster.extract_all_features(m, ds, cfg, np.random.default_rng(2))
+        X_l, X_u, m, cfg = self.make(K=3, use_la=False)
+        _, _, F_sl = cluster.extract_all_features(m, X_l, X_u, cfg, np.random.default_rng(2))
         assert F_sl.shape[0] == 0
 
     def test_copy_count(self):
-        ds, m, cfg = self.make(K=3)
-        F_l, F_u, F_sl = cluster.extract_all_features(m, ds, cfg,
+        X_l, X_u, m, cfg = self.make(K=3)
+        F_l, F_u, F_sl = cluster.extract_all_features(m, X_l, X_u, cfg,
                                                       np.random.default_rng(2))
         assert F_l.shape[0] == 10
         assert F_u.shape[0] == 10
         assert F_sl.shape[0] == 30
 
     def test_identical_rng_identical_copies(self):
-        ds, m, cfg = self.make(K=2)
-        a = cluster.extract_all_features(m, ds, cfg, np.random.default_rng(7))[2]
-        b = cluster.extract_all_features(m, ds, cfg, np.random.default_rng(7))[2]
+        X_l, X_u, m, cfg = self.make(K=2)
+        a = cluster.extract_all_features(m, X_l, X_u, cfg, np.random.default_rng(7))[2]
+        b = cluster.extract_all_features(m, X_l, X_u, cfg, np.random.default_rng(7))[2]
         assert np.array_equal(a, b)
 
 

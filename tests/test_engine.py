@@ -59,7 +59,7 @@ class TestRun:
                              "margin.lambda=0.0")
         cfg_b = small_config("schedule.warmup_epochs=8", "schedule.main_epochs=0")
         res_a = engine.run(ds, cfg_a, mode="aplt")
-        res_b = engine.run_baseline_fixmatch(ds, cfg_b)
+        res_b = engine.run(ds, cfg_b, mode="fixmatch")
         for name in nn.PARAM_NAMES:
             assert np.array_equal(getattr(res_a.model, name),
                                   getattr(res_b.model, name))
@@ -141,6 +141,20 @@ class TestRun:
         assert kinds[-1] == "final"
 
 
+class TestPrototypeMembers:
+    @pytest.mark.parametrize("members", ["filtered", "all"])
+    def test_last_bank_counts_its_members(self, members):
+        ds = small_dataset()
+        res = engine.run(ds, small_config(f"cluster.prototype_members={members}"))
+        n_labeled = int(ds.labeled_mask.sum())
+        n_unlabeled_train = ds.n - n_labeled - res.test_indices.size
+        assert res.pseudo.n_unlabeled == n_unlabeled_train
+        # the threshold drops some rows, so the two settings differ
+        assert res.pseudo.indices.size < n_unlabeled_train
+        expected = n_unlabeled_train if members == "all" else res.pseudo.indices.size
+        assert res.bank.counts.sum() == n_labeled + expected
+
+
 class TestEvaluate:
     def test_prototypes_at_class_means_are_perfect_on_separable_data(self):
         rng = np.random.default_rng(0)
@@ -192,7 +206,7 @@ class TestAblationGrid:
         records = engine.run_ablation_grid(ds, cfg)
         assert [r["row"] for r in records] == list(engine.ABLATION_ROWS)
         assert len(records) == 7
-        baseline = engine.run_baseline_fixmatch(ds, cfg)
+        baseline = engine.run(ds, cfg, mode="fixmatch")
         ssl = next(r for r in records if r["row"] == "SSL")
         assert ssl["accuracy"] == baseline.metrics.final["test_acc"]
         assert ssl["seed"] == 4
@@ -206,7 +220,7 @@ class TestAblationGrid:
     def test_km_row_uses_plain_clustering(self):
         ds = small_dataset()
         cfg = engine._row_config(small_config(), "SSL+KM")
-        assert cfg.cluster_method == "km"
+        assert cfg.cluster.method == "km"
         assert cfg.mode == "aplt"
         res = engine.run(ds, cfg)
         assert res.bank is not None
@@ -214,8 +228,8 @@ class TestAblationGrid:
     def test_view_toggle(self):
         weak_cfg = engine._row_config(small_config(), "SSL+SSKM(W)")
         strong_cfg = engine._row_config(small_config(), "SSL+SSKM(S)")
-        assert weak_cfg.margin_view == "weak"
-        assert strong_cfg.margin_view == "strong"
+        assert weak_cfg.margin.view == "weak"
+        assert strong_cfg.margin.view == "strong"
         full = engine._row_config(small_config(), "SSL+SSKM(S)+LA+SAT")
         assert full.cluster.use_labeled_aug
         assert full.cluster.use_adaptive_threshold
@@ -227,8 +241,8 @@ class TestAblationGrid:
 class TestBaselineFixmatch:
     def test_same_seed_reproducible(self):
         ds = small_dataset()
-        a = engine.run_baseline_fixmatch(ds, small_config(seed=9))
-        b = engine.run_baseline_fixmatch(ds, small_config(seed=9))
+        a = engine.run(ds, small_config(seed=9), mode="fixmatch")
+        b = engine.run(ds, small_config(seed=9), mode="fixmatch")
         for name in nn.PARAM_NAMES:
             assert np.array_equal(getattr(a.model, name), getattr(b.model, name))
 
@@ -237,7 +251,7 @@ class TestBaselineFixmatch:
         ds = data.generate_synthetic(12, 32, 100, overlap=0.10, seed=0)
         ds = data.apply_split(ds, data.SplitSpec(labeled_ratio=0.1, seed=0))
         cfg, _ = config.resolve(None, ["seed=0"])
-        res = engine.run_baseline_fixmatch(ds, cfg)
+        res = engine.run(ds, cfg, mode="fixmatch")
         assert res.metrics.final["test_acc_param"] >= 0.95
 
 

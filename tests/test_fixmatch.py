@@ -18,14 +18,14 @@ class TestSupervisedLoss:
         m = confident_model(3)
         x = np.eye(3)  # sample i sits on coordinate i
         y = np.arange(3)
-        out = fixmatch.supervised_loss(m, x, y, FM, NO_AUG, rng())
+        out = fixmatch.supervised_loss(m, x, y, NO_AUG, rng())
         assert out.value == 0.0
 
     def test_uniform_predictor_gives_log_C(self):
         m = identity_encoder(12, hw=np.zeros((12, 12)))
         x = np.random.default_rng(1).normal(size=(8, 12))
         y = np.random.default_rng(2).integers(0, 12, size=8)
-        out = fixmatch.supervised_loss(m, x, y, FM, NO_AUG, rng())
+        out = fixmatch.supervised_loss(m, x, y, NO_AUG, rng())
         assert out.value == pytest.approx(np.log(12), abs=1e-12)
         assert out.value == pytest.approx(2.4849, abs=1e-4)
 
@@ -33,16 +33,16 @@ class TestSupervisedLoss:
         m = identity_encoder(3)
         x = np.random.default_rng(3).normal(size=(4, 3))
         y = np.array([0, 1, 2, 0])
-        once = fixmatch.supervised_loss(m, x, y, FM, NO_AUG, rng())
+        once = fixmatch.supervised_loss(m, x, y, NO_AUG, rng())
         twice = fixmatch.supervised_loss(m, np.vstack([x, x]), np.tile(y, 2),
-                                         FM, NO_AUG, rng())
+                                         NO_AUG, rng())
         assert twice.value == pytest.approx(once.value, abs=1e-12)
 
     def test_empty_batch_rejected(self):
         m = identity_encoder(2)
         with pytest.raises(EmptyBatchError):
             fixmatch.supervised_loss(m, np.zeros((0, 2)), np.zeros(0, dtype=int),
-                                     FM, NO_AUG, rng())
+                                     NO_AUG, rng())
 
 
 class TestUnlabeledLoss:
@@ -114,7 +114,7 @@ class TestWarmupObjective:
     def test_zero_unsup_equals_supervised(self):
         m = identity_encoder(2)
         sup = fixmatch.supervised_loss(m, np.array([[1.0, 0.0]]), np.array([0]),
-                                       FM, NO_AUG, rng())
+                                       NO_AUG, rng())
         unsup = fixmatch.unlabeled_loss(m, np.array([[0.1, 0.0]]), FM, NO_AUG, rng())
         assert unsup.value == 0.0
         total = fixmatch.warmup_objective(sup, unsup)
@@ -136,7 +136,7 @@ class TestWarmupObjective:
         cfg = fixmatch.FixMatchConfig(tau=0.5)
 
         def total_loss(model):
-            sup = fixmatch.supervised_loss(model, xl, y, cfg, NO_AUG, rng())
+            sup = fixmatch.supervised_loss(model, xl, y, NO_AUG, rng())
             unsup = fixmatch.unlabeled_loss(model, xu, cfg, NO_AUG, rng())
             return fixmatch.warmup_objective(sup, unsup)
 

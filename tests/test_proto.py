@@ -121,13 +121,6 @@ class TestMarginLossUnlabeled:
 
 
 class TestTotalMargin:
-    def test_values_add(self):
-        a = proto.MarginLoss(value=0.3, pass_count=2, d_feats=np.ones((2, 2)))
-        b = proto.MarginLoss(value=0.0, pass_count=0, d_feats=np.zeros((3, 2)))
-        assert proto.total_margin(a, b).value == pytest.approx(0.3)
-        c = proto.MarginLoss(value=0.2, pass_count=1, d_feats=np.ones((3, 2)))
-        assert proto.total_margin(a, c).value == pytest.approx(0.5)
-
     def test_gradient_additivity_by_finite_differences(self):
         rng = np.random.default_rng(11)
         bank = make_bank(rng.normal(size=(3, 4)))
@@ -138,20 +131,20 @@ class TestTotalMargin:
         pool = np.array([0, 4])
 
         def total(Fl, Fu):
-            s = proto.margin_loss_labeled(bank, Fl, y, T1)
-            u = proto.margin_loss_unlabeled(bank, Fu, pool, pseudo, T1)
-            return proto.total_margin(s, u)
+            return (proto.margin_loss_labeled(bank, Fl, y, T1).value
+                    + proto.margin_loss_unlabeled(bank, Fu, pool, pseudo, T1).value)
 
-        out = total(F_l, F_u)
+        sup = proto.margin_loss_labeled(bank, F_l, y, T1)
+        unsup = proto.margin_loss_unlabeled(bank, F_u, pool, pseudo, T1)
         step = 1e-6
         Fp = F_l.copy(); Fp[1, 2] += step
         Fm = F_l.copy(); Fm[1, 2] -= step
-        fd = (total(Fp, F_u).value - total(Fm, F_u).value) / (2 * step)
-        assert out.sup.d_feats[1, 2] == pytest.approx(fd, rel=1e-4)
+        fd = (total(Fp, F_u) - total(Fm, F_u)) / (2 * step)
+        assert sup.d_feats[1, 2] == pytest.approx(fd, rel=1e-4)
         Fp = F_u.copy(); Fp[0, 1] += step
         Fm = F_u.copy(); Fm[0, 1] -= step
-        fd = (total(F_l, Fp).value - total(F_l, Fm).value) / (2 * step)
-        assert out.unsup.d_feats[0, 1] == pytest.approx(fd, rel=1e-4)
+        fd = (total(F_l, Fp) - total(F_l, Fm)) / (2 * step)
+        assert unsup.d_feats[0, 1] == pytest.approx(fd, rel=1e-4)
 
 
 def test_bank_digest_tracks_content():
