@@ -44,6 +44,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _seed_list(raw: str) -> list[int]:
+    try:
+        return [int(s) for s in raw.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {raw!r}") from None
+
+
 def _out_dir(raw: str) -> Path:
     path = Path(raw)
     root = os.environ.get(OUT_ROOT_ENV)
@@ -58,7 +66,7 @@ def _load_dataset(cfg: config_mod.RunConfig, data_flag: str | None):
         raise ConfigError("no dataset: pass --data or set the dataset section")
     if "csv" in source:
         path = source["csv"]
-        if not Path(path).exists():
+        if not Path(path).is_file():
             raise ConfigError(f"dataset file not found: {path}")
         ds = data_mod.load_csv(path)
     else:
@@ -140,9 +148,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if not Path(args.checkpoint).exists():
-        raise ConfigError(f"checkpoint not found: {args.checkpoint}")
-    if not Path(args.data).exists():
+    if not Path(args.checkpoint).is_file():
+        raise ConfigError(f"checkpoint file not found: {args.checkpoint}")
+    if not Path(args.data).is_file():
         raise ConfigError(f"dataset file not found: {args.data}")
     model, bank, _ = nn.load_checkpoint(args.checkpoint)
     ds = data_mod.load_csv(args.data, num_classes=model.num_classes)
@@ -195,8 +203,7 @@ def cmd_compare(args) -> int:
 def cmd_ablate(args) -> int:
     cfg, resolved = _resolve_from_args(args)
     ds = _load_dataset(cfg, args.data)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.seed]
-    records = engine.run_ablation_grid(ds, cfg, seeds=seeds)
+    records = engine.run_ablation_grid(ds, cfg, seeds=args.seeds)
     out = _out_dir(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.json").write_text(
@@ -246,7 +253,8 @@ def build_parser() -> _Parser:
         if name == "train":
             p.add_argument("--mode", choices=["aplt", "fixmatch"])
         if name == "ablate":
-            p.add_argument("--seeds", help="comma-separated training seeds")
+            p.add_argument("--seeds", type=_seed_list,
+                           help="comma-separated training seeds")
             p.add_argument("--force", action="store_true",
                            help="overwrite the ablation table instead of appending")
         p.set_defaults(func=func)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -182,20 +182,54 @@ def extract_all_features(m: nn.EncoderModel, X_l: np.ndarray, X_u: np.ndarray,
     return F_l, F_u, F_sl
 
 
-def _anchor_sums(F_l, F_sl, labels, C):
-    """Per-class feature sums and counts over anchors (labeled + copies)."""
-    e = F_l.shape[1]
+def _class_sums(C: int, e: int, *blocks):
+    """Per-class feature sums and member counts over (features, labels)
+    blocks, adding rows in block order."""
     sums = np.zeros((C, e))
     counts = np.zeros(C, dtype=np.int64)
-    np.add.at(sums, labels, F_l)
-    np.add.at(counts, labels, 1)
-    if F_sl.shape[0]:
-        if F_sl.shape[0] % labels.shape[0]:
-            raise InvalidParameterError("F_sl rows must tile the labeled set")
-        sl_labels = np.tile(labels, F_sl.shape[0] // labels.shape[0])
-        np.add.at(sums, sl_labels, F_sl)
-        np.add.at(counts, sl_labels, 1)
+    for F, y in blocks:
+        y = np.asarray(y, dtype=np.int64)
+        np.add.at(sums, y, F)
+        counts += np.bincount(y, minlength=C)
     return sums, counts
+
+
+def _copy_labels(F_sl: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Labels of the copy-major stacked labeled copies in F_sl."""
+    if F_sl.shape[0] % labels.shape[0]:
+        raise InvalidParameterError("F_sl rows must tile the labeled set")
+    return np.tile(labels, F_sl.shape[0] // labels.shape[0])
+
+
+def _lloyd(F: np.ndarray, centers: np.ndarray, update, objective,
+           cfg: ClusterConfig) -> ClusterResult:
+    """Lloyd rounds over the rows of F, starting from ``centers``.
+
+    Each round assigns every row to its nearest centre, then asks
+    ``update(assign, d2)`` for the next centres and traces
+    ``objective(assign, centers)`` on them; a rise of more than 1e-9 over
+    the previous round clears ``monotonic``. Stops when the largest centre
+    movement falls below ``tol`` or after ``max_iters`` rounds, and returns
+    the final nearest-centre assignment of every row of F.
+    """
+    trace: list[float] = []
+    monotonic = True
+    for iterations in range(1, cfg.max_iters + 1):
+        assign, d2 = _nearest(F, centers)
+        new_centers = update(assign, d2)
+        obj = objective(assign, new_centers)
+        if trace and obj > trace[-1] + 1e-9:
+            monotonic = False
+        trace.append(obj)
+        shift = np.linalg.norm(new_centers - centers, axis=1).max()
+        centers = new_centers
+        if shift < cfg.tol:
+            break
+    assign, d2 = _nearest(F, centers)
+    return ClusterResult(centroids=centers, assignments=assign,
+                         distances=np.sqrt(d2), iterations_run=iterations,
+                         objective=objective(assign, centers),
+                         objective_trace=trace, monotonic=monotonic)
 
 
 def ss_kmeans(F_l: np.ndarray, F_u: np.ndarray, F_sl: np.ndarray,
@@ -206,8 +240,8 @@ def ss_kmeans(F_l: np.ndarray, F_u: np.ndarray, F_sl: np.ndarray,
     Centroids start at the per-class anchor means; each round assigns every
     unlabeled feature to its nearest centroid, then recomputes each centroid
     as the mean of its anchors plus its assigned unlabeled members,
-    re-normalized to unit length. Stops when the largest centroid movement
-    falls below ``tol`` or after ``max_iters`` rounds.
+    re-normalized to unit length. The objective is the sum of squared
+    distances with labeled memberships fixed.
     """
     labels = np.asarray(labels, dtype=np.int64)
     C = num_classes if num_classes is not None else (int(labels.max()) + 1 if labels.size else 0)
@@ -215,56 +249,23 @@ def ss_kmeans(F_l: np.ndarray, F_u: np.ndarray, F_sl: np.ndarray,
     if C == 0 or not present.all():
         raise MissingLabeledClassError("every class needs a labeled anchor")
 
-    anchor_sums, anchor_counts = _anchor_sums(F_l, F_sl, labels, C)
-    centroids = _unit_rows(anchor_sums / anchor_counts[:, None])
+    sl_labels = _copy_labels(F_sl, labels)
+    anchor_sums, anchor_counts = _class_sums(C, F_l.shape[1], (F_l, labels),
+                                             (F_sl, sl_labels))
 
-    n_u = F_u.shape[0]
-    assign = np.zeros(n_u, dtype=np.int64)
-    trace: list[float] = []
-    monotonic = True
-    iterations = 0
-    for _ in range(cfg.max_iters):
-        iterations += 1
-        if n_u:
-            assign, _ = _nearest(F_u, centroids)
+    def update(assign, d2):
         sums = anchor_sums.copy()
-        counts = anchor_counts.astype(np.float64)
-        if n_u:
-            np.add.at(sums, assign, F_u)
-            counts += np.bincount(assign, minlength=C)
-        new_centroids = _unit_rows(sums / counts[:, None])
+        np.add.at(sums, assign, F_u)
+        counts = anchor_counts + np.bincount(assign, minlength=C)
+        return _unit_rows(sums / counts[:, None])
 
-        obj = _constrained_objective(F_l, F_sl, labels, F_u, assign, new_centroids, C)
-        if trace and obj > trace[-1] + 1e-9:
-            monotonic = False
-        trace.append(obj)
+    def objective(assign, centroids):
+        return (float(((F_l - centroids[labels]) ** 2).sum())
+                + float(((F_sl - centroids[sl_labels]) ** 2).sum())
+                + float(((F_u - centroids[assign]) ** 2).sum()))
 
-        shift = np.linalg.norm(new_centroids - centroids, axis=1).max()
-        centroids = new_centroids
-        if shift < cfg.tol:
-            break
-
-    if n_u:
-        assign, d2 = _nearest(F_u, centroids)
-        distances = np.sqrt(d2)
-    else:
-        distances = np.zeros(0)
-    final_obj = _constrained_objective(F_l, F_sl, labels, F_u, assign, centroids, C)
-    return ClusterResult(centroids=centroids, assignments=assign,
-                         distances=distances, iterations_run=iterations,
-                         objective=final_obj, objective_trace=trace,
-                         monotonic=monotonic)
-
-
-def _constrained_objective(F_l, F_sl, labels, F_u, assign, centroids, C):
-    """Sum of squared distances with labeled memberships fixed."""
-    obj = float(((F_l - centroids[labels]) ** 2).sum())
-    if F_sl.shape[0]:
-        sl_labels = np.tile(labels, F_sl.shape[0] // labels.shape[0])
-        obj += float(((F_sl - centroids[sl_labels]) ** 2).sum())
-    if F_u.shape[0]:
-        obj += float(((F_u - centroids[assign]) ** 2).sum())
-    return obj
+    return _lloyd(F_u, _unit_rows(anchor_sums / anchor_counts[:, None]),
+                  update, objective, cfg)
 
 
 def adaptive_thresholds(result: ClusterResult, C: int):
@@ -311,19 +312,12 @@ def filter_pseudo_labels(result: ClusterResult, thresholds, cfg: ClusterConfig) 
 
 
 def build_prototypes(F_l: np.ndarray, labels: np.ndarray, F_su: np.ndarray,
-                     pseudo: PseudoLabelSet, build_epoch: int = -1) -> PrototypeBank:
+                     su_labels: np.ndarray, C: int,
+                     build_epoch: int = -1) -> PrototypeBank:
     """One unit-norm prototype per class: mean of labeled features with that
-    ground-truth label plus kept unlabeled features with that pseudo-label."""
-    labels = np.asarray(labels, dtype=np.int64)
-    C = pseudo.tau_adapt.shape[0]
-    e = F_l.shape[1]
-    sums = np.zeros((C, e))
-    counts = np.zeros(C, dtype=np.int64)
-    np.add.at(sums, labels, F_l)
-    np.add.at(counts, labels, 1)
-    if F_su.shape[0]:
-        np.add.at(sums, pseudo.labels, F_su)
-        np.add.at(counts, pseudo.labels, 1)
+    ground-truth label plus the unlabeled features F_su whose su_labels
+    entry is that class."""
+    sums, counts = _class_sums(C, F_l.shape[1], (F_l, labels), (F_su, su_labels))
     if (counts == 0).any():
         raise MissingLabeledClassError("a class ended up with no prototype members")
     rho = _unit_rows(sums / counts[:, None])
@@ -342,8 +336,7 @@ def pure_kmeans(F_l: np.ndarray, F_u: np.ndarray, labels: np.ndarray, C: int,
     """
     X = np.concatenate([F_l, F_u], axis=0)
     n_l = F_l.shape[0]
-    n = X.shape[0]
-    if n < C:
+    if X.shape[0] < C:
         raise InvalidParameterError("fewer samples than clusters")
 
     centers = np.empty((C, X.shape[1]))
@@ -354,44 +347,22 @@ def pure_kmeans(F_l: np.ndarray, F_u: np.ndarray, labels: np.ndarray, C: int,
         centers[k] = X[mind.argmax()]
         mind = np.minimum(mind, np.linalg.norm(X - centers[k], axis=1))
 
-    assign = np.zeros(n, dtype=np.int64)
-    trace: list[float] = []
-    monotonic = True
-    iterations = 0
-    for _ in range(cfg.max_iters):
-        iterations += 1
-        assign, d2 = _nearest(X, centers)
-        new_centers = np.empty_like(centers)
-        for k in range(C):
-            members = X[assign == k]
-            if members.shape[0] == 0:
-                far = np.sqrt(d2).argmax()
-                new_centers[k] = X[far]
-            else:
-                new_centers[k] = members.mean(axis=0)
-        new_centers = _unit_rows(new_centers)
+    def update(assign, d2):
+        sums, counts = _class_sums(C, X.shape[1], (X, assign))
+        new_centers = sums / np.maximum(counts, 1)[:, None]
+        new_centers[counts == 0] = X[np.sqrt(d2).argmax()]
+        return _unit_rows(new_centers)
 
-        D = X - new_centers[assign]
-        obj = float(np.einsum("ij,ij->i", D, D).sum())
-        if trace and obj > trace[-1] + 1e-9:
-            monotonic = False
-        trace.append(obj)
+    def objective(assign, centers):
+        D = X - centers[assign]
+        return float(np.einsum("ij,ij->i", D, D).sum())
 
-        shift = np.linalg.norm(new_centers - centers, axis=1).max()
-        centers = new_centers
-        if shift < cfg.tol:
-            break
-
-    assign, d2 = _nearest(X, centers)
-
-    cluster_to_class = _majority_map(assign[:n_l], labels, C)
-    u_assign = cluster_to_class[assign[n_l:]]
-    u_dist = np.sqrt(d2[n_l:])
-    final_obj = float(d2.sum())
-    return ClusterResult(centroids=centers[_inverse_or_identity(cluster_to_class, C)],
-                         assignments=u_assign, distances=u_dist,
-                         iterations_run=iterations, objective=final_obj,
-                         objective_trace=trace, monotonic=monotonic)
+    result = _lloyd(X, centers, update, objective, cfg)
+    cluster_to_class = _majority_map(result.assignments[:n_l], labels, C)
+    return replace(result,
+                   centroids=result.centroids[_inverse_or_identity(cluster_to_class, C)],
+                   assignments=cluster_to_class[result.assignments[n_l:]],
+                   distances=result.distances[n_l:])
 
 
 def _majority_map(cluster_of_labeled: np.ndarray, labels: np.ndarray, C: int) -> np.ndarray:

@@ -69,7 +69,8 @@ class RunConfig:
     schedule: PhaseSchedule = PhaseSchedule()
 
 
-_SYNTH_KEYS = {"classes", "dim", "per_class", "overlap", "seed"}
+# dataset.synthetic has no defaults; this template gives each key's type
+_SYNTH_TYPES = {"classes": 0, "dim": 0, "per_class": 0, "overlap": 0.0, "seed": 0}
 
 # JSON value types a key accepts, by the type of its default
 _ACCEPTS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
@@ -99,6 +100,9 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
 
 
 def _check_types(node: dict, default: dict, path: str = "") -> None:
+    if not isinstance(node, dict) or set(node) != set(default):
+        raise ConfigError(f"{path.rstrip('.')} must be an object with exactly the "
+                          f"keys {sorted(default)}, got {node!r}")
     for key, value in node.items():
         where, want = f"{path}{key}", default[key]
         if isinstance(want, dict):
@@ -136,14 +140,8 @@ def _check_dataset(section) -> dict | None:
             raise ConfigError("dataset.csv must be a path string")
         return {"csv": section["csv"]}
     if keys == {"synthetic"}:
-        synth = section["synthetic"]
-        unknown = set(synth) - _SYNTH_KEYS
-        if unknown:
-            raise ConfigError(f"unknown dataset.synthetic keys: {sorted(unknown)}")
-        missing = _SYNTH_KEYS - set(synth)
-        if missing:
-            raise ConfigError(f"dataset.synthetic missing keys: {sorted(missing)}")
-        return {"synthetic": dict(synth)}
+        _check_types(section["synthetic"], _SYNTH_TYPES, "dataset.synthetic.")
+        return {"synthetic": dict(section["synthetic"])}
     raise ConfigError("dataset must contain exactly one of: csv, synthetic")
 
 

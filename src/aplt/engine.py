@@ -60,10 +60,8 @@ class PhaseSchedule:
 
     def offline_epochs(self) -> list[int]:
         """Epochs at whose start the offline phase runs."""
-        if self.sync_mode:
-            return list(range(self.warmup_epochs, self.total_epochs))
-        return [e for e in range(self.warmup_epochs, self.total_epochs)
-                if (e - self.warmup_epochs) % self.offline_every == 0]
+        step = 1 if self.sync_mode else self.offline_every
+        return list(range(self.warmup_epochs, self.total_epochs, step))
 
 
 @dataclass
@@ -177,14 +175,10 @@ class _Trainer:
                                            num_classes=self.C)
         thresholds = cluster_mod.adaptive_thresholds(result, self.C)
         pseudo = cluster_mod.filter_pseudo_labels(result, thresholds, ccfg)
-        if ccfg.prototype_members == "all":
-            members = replace(pseudo,
-                              indices=np.arange(result.assignments.shape[0]),
-                              labels=result.assignments, coverage=1.0)
-        else:
-            members = pseudo
-        bank = cluster_mod.build_prototypes(F_l, self.y_l, F_u[members.indices],
-                                            members, build_epoch=epoch)
+        F_su, su_labels = ((F_u, result.assignments) if ccfg.prototype_members == "all"
+                           else (F_u[pseudo.indices], pseudo.labels))
+        bank = cluster_mod.build_prototypes(F_l, self.y_l, F_su, su_labels, self.C,
+                                            build_epoch=epoch)
         self.bank = bank
         self.pseudo = pseudo
         self._bank_digest = bank.digest()

@@ -10,7 +10,8 @@ class InvalidParameterError(ApltError, ValueError):
 
 
 class DataFormatError(ApltError, ValueError):
-    """A dataset file could not be parsed; message names the offending row."""
+    """A dataset or checkpoint file could not be parsed; the message names
+    the offending row or file."""
 
 
 class DimensionMismatchError(ApltError, ValueError):

@@ -47,22 +47,31 @@ class BatchLoss:
     passed: np.ndarray | None = None
 
 
+def _masked_ce(m: nn.EncoderModel, x: np.ndarray, targets: np.ndarray,
+               kept: np.ndarray):
+    """Cross-entropy of the head's prediction on x against targets, and its
+    parameter gradients. Rows where ``kept`` is False contribute zero loss
+    and zero gradient but stay in the batch-size denominator."""
+    B = x.shape[0]
+    rows = np.arange(B)
+    probs = nn.forward_logits(m, x)
+    py = np.maximum(probs[rows, targets], _P_FLOOR)
+    value = float((kept * -np.log(py)).sum() / B)
+    d_probs = np.zeros_like(probs)
+    d_probs[rows, targets] = np.where(kept, -1.0 / (B * py), 0.0)
+    return value, nn.backward(m, x, d_probs=d_probs)
+
+
 def supervised_loss(m: nn.EncoderModel, x: np.ndarray, y: np.ndarray,
                     aug: augment.AugmentConfig,
                     rng: np.random.Generator) -> BatchLoss:
     """Mean cross-entropy of the weak view against ground-truth labels."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.int64)
     B = x.shape[0]
     if B == 0:
         raise EmptyBatchError("supervised_loss on empty batch")
-    xw = augment.weak(x, aug, rng)
-    probs = nn.forward_logits(m, xw)
-    py = np.maximum(probs[np.arange(B), y], _P_FLOOR)
-    value = float(-np.log(py).mean())
-    d_probs = np.zeros_like(probs)
-    d_probs[np.arange(B), y] = -1.0 / (B * py)
-    grads = nn.backward(m, xw, d_probs=d_probs)
+    value, grads = _masked_ce(m, augment.weak(x, aug, rng),
+                              np.asarray(y, dtype=np.int64), np.ones(B, dtype=bool))
     return BatchLoss(value=value, pass_count=B, grads=grads)
 
 
@@ -76,20 +85,12 @@ def unlabeled_loss(m: nn.EncoderModel, x: np.ndarray, cfg: FixMatchConfig,
     size, masked-out rows included.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    B = x.shape[0]
-    if B == 0:
+    if x.shape[0] == 0:
         raise EmptyBatchError("unlabeled_loss on empty batch")
     q = nn.forward_logits(m, augment.weak(x, aug, rng))  # label source, no grad
     passed = q.max(axis=1) >= cfg.tau
     qhat = q.argmax(axis=1)
-
-    xs = augment.strong(x, aug, rng)
-    probs = nn.forward_logits(m, xs)
-    py = np.maximum(probs[np.arange(B), qhat], _P_FLOOR)
-    value = float((passed * -np.log(py)).sum() / B)
-    d_probs = np.zeros_like(probs)
-    d_probs[np.arange(B), qhat] = np.where(passed, -1.0 / (B * py), 0.0)
-    grads = nn.backward(m, xs, d_probs=d_probs)
+    value, grads = _masked_ce(m, augment.strong(x, aug, rng), qhat, passed)
     return BatchLoss(value=value, pass_count=int(passed.sum()), grads=grads,
                      pseudo_labels=qhat, passed=passed)
 

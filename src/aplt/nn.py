@@ -21,11 +21,12 @@ archives holding shapes and raw float64 values, so round-trips are exact.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ApltError, DimensionMismatchError, NonFiniteError
+from .errors import ApltError, DataFormatError, DimensionMismatchError, NonFiniteError
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "hw", "hb")
 
@@ -70,10 +71,6 @@ class EncoderModel:
 
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
-
-    def copy(self) -> "EncoderModel":
-        return EncoderModel(*(getattr(self, n).copy() for n in PARAM_NAMES),
-                            feature_norm=self.feature_norm)
 
 
 @dataclass
@@ -174,10 +171,6 @@ def backward(m: EncoderModel, x: np.ndarray,
     return grads
 
 
-def zero_grads(m: EncoderModel) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(getattr(m, name)) for name in PARAM_NAMES}
-
-
 def add_grads(acc: dict, other: dict, scale: float = 1.0) -> dict:
     for name in PARAM_NAMES:
         acc[name] = acc[name] + scale * other[name]
@@ -225,13 +218,24 @@ def save_checkpoint(path, m: EncoderModel, bank=None, extra: dict | None = None)
 
 
 def load_checkpoint(path):
-    """Returns (model, bank_or_None, extra_dict)."""
+    """Returns (model, bank_or_None, extra_dict). A file that is not an npz
+    archive, has no readable meta or carries another format tag raises
+    DataFormatError naming the path."""
     from .cluster import PrototypeBank
 
-    with np.load(path) as z:
-        meta = json.loads(bytes(z["meta"]).decode())
-        if meta.get("format") != "aplt-checkpoint-v1":
-            raise ApltError("not an aplt checkpoint")
+    try:
+        z = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataFormatError(f"{path}: not an npz archive ({exc})") from None
+    if not isinstance(z, np.lib.npyio.NpzFile):
+        raise DataFormatError(f"{path}: not an npz archive")
+    with z:
+        try:
+            meta = json.loads(bytes(z["meta"]).decode())
+        except (KeyError, ValueError) as exc:
+            raise DataFormatError(f"{path}: no readable checkpoint meta ({exc})") from None
+        if not isinstance(meta, dict) or meta.get("format") != "aplt-checkpoint-v1":
+            raise DataFormatError(f"{path}: not an aplt-checkpoint-v1 file")
         m = EncoderModel(*(z[name] for name in PARAM_NAMES),
                          feature_norm=meta["feature_norm"])
         bank = None

@@ -56,43 +56,41 @@ def predict(bank: PrototypeBank, F: np.ndarray) -> np.ndarray:
     return _scores(bank, F).argmax(axis=1)
 
 
+def _margin(bank: PrototypeBank, F: np.ndarray, targets: np.ndarray,
+            kept: np.ndarray, cfg: MarginConfig) -> MarginLoss:
+    """Softmax cross-entropy over prototype similarities. Rows where
+    ``kept`` is False contribute zero loss and zero gradient but stay in
+    the batch-size denominator."""
+    B = F.shape[0]
+    rows = np.arange(B)
+    p = softmax(_scores(bank, F) / cfg.temperature)
+    py = np.maximum(p[rows, targets], _P_FLOOR)
+    value = float((kept * -np.log(py)).sum() / B)
+    p[rows, targets] -= 1.0
+    p[~kept] = 0.0
+    d_feats = p @ bank.rho / (B * cfg.temperature)
+    return MarginLoss(value=value, pass_count=int(kept.sum()), d_feats=d_feats)
+
+
 def margin_loss_labeled(bank: PrototypeBank, F: np.ndarray, labels: np.ndarray,
                         cfg: MarginConfig) -> MarginLoss:
-    """Softmax cross-entropy over prototype similarities, ground-truth targets."""
+    """Margin cross-entropy against ground-truth targets, every row kept."""
     F = np.atleast_2d(np.asarray(F, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.int64)
     B = F.shape[0]
     if B == 0:
         raise EmptyBatchError("margin_loss_labeled on empty batch")
-    p = softmax(_scores(bank, F) / cfg.temperature)
-    py = np.maximum(p[np.arange(B), labels], _P_FLOOR)
-    value = float(-np.log(py).mean())
-    delta = p.copy()
-    delta[np.arange(B), labels] -= 1.0
-    d_feats = delta @ bank.rho / (B * cfg.temperature)
-    return MarginLoss(value=value, pass_count=B, d_feats=d_feats)
+    return _margin(bank, F, np.asarray(labels, dtype=np.int64),
+                   np.ones(B, dtype=bool), cfg)
 
 
 def margin_loss_unlabeled(bank: PrototypeBank, F: np.ndarray,
                           pool_indices: np.ndarray, pseudo: PseudoLabelSet,
                           cfg: MarginConfig) -> MarginLoss:
-    """Same form with offline pseudo-labels; discarded samples contribute
-    zero loss and zero gradient but stay in the denominator."""
+    """Same form with offline pseudo-labels; rows whose pseudo-label was
+    discarded are masked out."""
     F = np.atleast_2d(np.asarray(F, dtype=np.float64))
-    B = F.shape[0]
-    if B == 0:
-        return MarginLoss(value=0.0, pass_count=0, d_feats=np.zeros_like(F))
-    lookup = pseudo.label_lookup()
-    targets = lookup[np.asarray(pool_indices, dtype=np.int64)]
+    targets = pseudo.label_lookup()[np.asarray(pool_indices, dtype=np.int64)]
     kept = targets >= 0
-    if not kept.any():
+    if not kept.any():  # also an empty batch
         return MarginLoss(value=0.0, pass_count=0, d_feats=np.zeros_like(F))
-    p = softmax(_scores(bank, F) / cfg.temperature)
-    safe_targets = np.where(kept, targets, 0)
-    py = np.maximum(p[np.arange(B), safe_targets], _P_FLOOR)
-    value = float((kept * -np.log(py)).sum() / B)
-    delta = p.copy()
-    delta[np.arange(B), safe_targets] -= 1.0
-    delta[~kept] = 0.0
-    d_feats = delta @ bank.rho / (B * cfg.temperature)
-    return MarginLoss(value=value, pass_count=int(kept.sum()), d_feats=d_feats)
+    return _margin(bank, F, np.where(kept, targets, 0), kept, cfg)

@@ -205,10 +205,7 @@ def test_criterion_4_prototype_correctness():
         kept = np.flatnonzero(rng.random(n_u) < 0.5)
         pl = rng.integers(0, C, size=kept.size)
         F_u = rng.normal(size=(n_u, e)) if n_u else np.zeros((0, e))
-        pseudo = cluster.PseudoLabelSet(
-            indices=kept, labels=pl, tau_adapt=np.zeros(C), tau_global=0.0,
-            tau_local=np.zeros(C), coverage=0.0, n_unlabeled=n_u)
-        bank = cluster.build_prototypes(F_l, labels, F_u[kept], pseudo)
+        bank = cluster.build_prototypes(F_l, labels, F_u[kept], pl, C)
         for c in range(C):
             members = [F_l[i] for i in range(n_l) if labels[i] == c]
             members += [F_u[kept[j]] for j in range(kept.size) if pl[j] == c]

@@ -79,6 +79,20 @@ class TestTrain:
         assert not out.exists()
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["eval", "--checkpoint", "{dir}", "--data", "{csv}"],
+        ["eval", "--checkpoint", "{ckpt}", "--data", "{dir}"],
+        ["train", "--data", "{dir}", "--out", "{out}"]])
+    def test_directory_as_input_file_exits_one(self, tmp_path, dataset_csv, capsys,
+                                               command):
+        ckpt = tmp_path / "ckpt.npz"
+        nn.save_checkpoint(ckpt, nn.EncoderModel.init(4, 3, 2, 3, np.random.default_rng(0)))
+        names = {"dir": tmp_path, "csv": dataset_csv, "ckpt": ckpt, "out": tmp_path / "run"}
+        rc = cli.main([arg.format(**names) for arg in command])
+        assert rc == 1
+        assert "file not found: " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_bad_config_key_exits_one(self, tmp_path, dataset_csv):
         out = tmp_path / "run"
         rc = cli.main(["train", "--data", str(dataset_csv), "--out", str(out),
@@ -117,6 +131,31 @@ class TestFeatureNormGeometry:
         assert (out / "metrics.ndjson").exists()
 
 
+def _npz_with_meta(meta: bytes):
+    def write(path):
+        with open(path, "wb") as fh:
+            np.savez(fh, meta=np.frombuffer(meta, dtype=np.uint8))
+    return write
+
+
+def _npz_without_meta(path):
+    with open(path, "wb") as fh:
+        np.savez(fh, w1=np.zeros(3))
+
+
+# files that are not aplt checkpoints: (name, writer, expected message)
+BAD_CHECKPOINTS = [
+    ("notes.txt", lambda p: p.write_text("not a checkpoint\n"), "not an npz archive"),
+    ("empty.npz", lambda p: p.write_bytes(b""), "not an npz archive"),
+    ("truncated.npz", lambda p: p.write_bytes(b"PK\x03\x04junk"), "not an npz archive"),
+    ("array.npy", lambda p: np.save(p, np.arange(3)), "not an npz archive"),
+    ("nometa.npz", _npz_without_meta, "no readable checkpoint meta"),
+    ("badmeta.npz", _npz_with_meta(b"{not json"), "no readable checkpoint meta"),
+    ("othertag.npz", _npz_with_meta(b'{"format": "other"}'), "not an aplt-checkpoint-v1 file"),
+    ("listmeta.npz", _npz_with_meta(b"[1]"), "not an aplt-checkpoint-v1 file"),
+]
+
+
 class TestEval:
     def test_eval_reports_both_accuracies(self, tmp_path, dataset_csv, capsys):
         out = tmp_path / "run"
@@ -129,6 +168,17 @@ class TestEval:
         assert 0.0 <= report["test_acc_proto"] <= 1.0
         assert 0.0 <= report["test_acc_param"] <= 1.0
         assert report["n"] == 60
+
+    @pytest.mark.parametrize("name,payload,message", BAD_CHECKPOINTS)
+    def test_not_a_checkpoint_exits_one(self, tmp_path, dataset_csv, capsys,
+                                        name, payload, message):
+        path = tmp_path / name
+        payload(path)
+        rc = cli.main(["eval", "--checkpoint", str(path), "--data", str(dataset_csv)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"config error: {path}: {message}" in err
+        assert "Traceback" not in err
 
 
 class TestCompare:
@@ -176,11 +226,38 @@ class TestAblate:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 7
 
+    @pytest.mark.parametrize("seeds", ["0,a", "0,,1", "1.5"])
+    def test_bad_seed_list_is_usage_error(self, tmp_path, dataset_csv, capsys, seeds):
+        out = tmp_path / "abl"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ablate", "--data", str(dataset_csv), "--out", str(out),
+                      "--seeds", seeds])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"argument --seeds: expected comma-separated integers, got {seeds!r}" in err
+        assert not out.exists()
+
 
 # values whose JSON type does not match their key's default; each must be
 # a config error (exit 1), not a TypeError from deep inside a run
 BAD_TYPES = ["fixmatch.batch_size=8.5", "model.hidden=8.5", "cluster.max_iters=2.5",
              "schedule.warmup_epochs=1.5", "cluster=5", "eval=3"]
+
+
+SYNTH = {"classes": 3, "dim": 4, "per_class": 10, "overlap": 0.1, "seed": 0}
+
+# dataset.synthetic sections that must be config errors
+BAD_SYNTHETIC = [
+    ({**SYNTH, "classes": 2.5}, "dataset.synthetic.classes must be int"),
+    ({**SYNTH, "per_class": "10"}, "dataset.synthetic.per_class must be int"),
+    ({**SYNTH, "dim": True}, "dataset.synthetic.dim must be int"),
+    ({**SYNTH, "seed": None}, "dataset.synthetic.seed must be int"),
+    ({**SYNTH, "overlap": True}, "dataset.synthetic.overlap must be float"),
+    (5, "dataset.synthetic must be an object"),
+    ({**SYNTH, "bogus": 1}, "exactly the keys"),
+    ({k: v for k, v in SYNTH.items() if k != "seed"}, "exactly the keys"),
+]
 
 
 class TestConfigResolution:
@@ -214,6 +291,20 @@ class TestConfigResolution:
             "classes": 3, "dim": 4, "per_class": 10, "overlap": 0.1,
             "seed": 0}}})
         assert "synthetic" in cfg.dataset
+
+    @pytest.mark.parametrize("synthetic,message", BAD_SYNTHETIC)
+    def test_synthetic_values_type_checked(self, synthetic, message):
+        with pytest.raises(ConfigError, match=message):
+            config.resolve({"dataset": {"synthetic": synthetic}})
+
+    def test_bad_synthetic_exits_one_without_outputs(self, tmp_path, capsys):
+        cfg_file = tmp_path / "synth.json"
+        cfg_file.write_text(json.dumps({"dataset": {"synthetic": {**SYNTH, "classes": 2.5}}}))
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--config", str(cfg_file), "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert "config error: dataset.synthetic.classes must be int" in capsys.readouterr().err
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):

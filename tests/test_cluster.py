@@ -312,18 +312,35 @@ class TestFilterPseudoLabels:
             assert (i in kept_set) == within
 
 
-class TestBuildPrototypes:
-    def empty_pseudo(self, C, n_unlabeled=0):
-        return cluster.PseudoLabelSet(
-            indices=np.zeros(0, dtype=int), labels=np.zeros(0, dtype=int),
-            tau_adapt=np.zeros(C), tau_global=0.0, tau_local=np.zeros(C),
-            coverage=0.0, n_unlabeled=n_unlabeled)
+class TestClassSums:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_mean_equals_per_class_loop_bit_for_bit(self, seed):
+        # the per-class members.mean(axis=0) loop the sums replace
+        rng = np.random.default_rng(seed)
+        C, e = int(rng.integers(1, 8)), int(rng.integers(2, 40))
+        X = rng.normal(size=(int(rng.integers(1, 300)), e))
+        y = rng.integers(0, C, size=X.shape[0])
+        sums, counts = cluster._class_sums(C, e, (X, y))
+        for k in range(C):
+            members = X[y == k]
+            assert counts[k] == members.shape[0]
+            if members.shape[0]:
+                assert np.array_equal(sums[k] / counts[k], members.mean(axis=0))
 
+    def test_blocks_add_in_order(self):
+        a, b = np.array([[1.0, 2.0]]), np.array([[3.0, 5.0], [7.0, 11.0]])
+        sums, counts = cluster._class_sums(2, 2, (a, [1]), (b, [1, 0]),
+                                           (np.zeros((0, 2)), np.zeros(0)))
+        assert sums.tolist() == [[7.0, 11.0], [4.0, 7.0]]
+        assert counts.tolist() == [1, 2]
+
+
+class TestBuildPrototypes:
     def test_single_member_is_its_normalized_feature(self):
         F_l = np.array([[3.0, 0.0], [0.0, 0.2]])
         labels = np.array([0, 1])
         bank = cluster.build_prototypes(F_l, labels, np.zeros((0, 2)),
-                                        self.empty_pseudo(2))
+                                        np.zeros(0, dtype=int), 2)
         assert np.abs(bank.rho[0] - [1.0, 0.0]).max() < 1e-12
         assert np.abs(bank.rho[1] - [0.0, 1.0]).max() < 1e-12
         assert bank.counts.tolist() == [1, 1]
@@ -332,19 +349,16 @@ class TestBuildPrototypes:
         F_l = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         labels = np.array([0, 0, 1])
         bank = cluster.build_prototypes(F_l, labels, np.zeros((0, 2)),
-                                        self.empty_pseudo(2))
+                                        np.zeros(0, dtype=int), 2)
         assert np.abs(bank.rho[0] - [1 / np.sqrt(2), 1 / np.sqrt(2)]).max() < 1e-12
 
     def test_mean_fixed_point(self):
         F_l = np.array([[1.0, 0.0], [0.0, 1.0]])
         labels = np.array([0, 1])
         bank = cluster.build_prototypes(F_l, labels, np.zeros((0, 2)),
-                                        self.empty_pseudo(2))
-        pseudo = cluster.PseudoLabelSet(
-            indices=np.array([0]), labels=np.array([0]),
-            tau_adapt=np.zeros(2), tau_global=0.0, tau_local=np.zeros(2),
-            coverage=1.0, n_unlabeled=1)
-        again = cluster.build_prototypes(F_l, labels, bank.rho[:1].copy(), pseudo)
+                                        np.zeros(0, dtype=int), 2)
+        again = cluster.build_prototypes(F_l, labels, bank.rho[:1].copy(),
+                                         np.array([0]), 2)
         assert np.abs(again.rho[0] - bank.rho[0]).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
@@ -357,10 +371,7 @@ class TestBuildPrototypes:
         F_u = unit_rows(rng.normal(size=(n_u, e)))
         kept = np.flatnonzero(rng.random(n_u) < 0.6)
         pl = rng.integers(0, C, size=kept.size)
-        pseudo = cluster.PseudoLabelSet(
-            indices=kept, labels=pl, tau_adapt=np.zeros(C), tau_global=0.0,
-            tau_local=np.zeros(C), coverage=kept.size / n_u, n_unlabeled=n_u)
-        bank = cluster.build_prototypes(F_l, labels, F_u[kept], pseudo)
+        bank = cluster.build_prototypes(F_l, labels, F_u[kept], pl, C)
         for c in range(C):
             members = [F_l[i] for i in range(n_l) if labels[i] == c]
             members += [F_u[kept[j]] for j in range(kept.size) if pl[j] == c]

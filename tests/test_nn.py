@@ -10,6 +10,10 @@ def random_model(rng, d=5, h=7, e=4, C=3, feature_norm=True):
     return nn.EncoderModel.init(d, h, e, C, rng, feature_norm=feature_norm)
 
 
+def zero_grads(m):
+    return {name: np.zeros_like(value) for name, value in m.params().items()}
+
+
 def numeric_gradient(loss_fn, m, step=1e-4):
     """Central finite differences over every parameter of the model."""
     grads = {}
@@ -159,7 +163,7 @@ class TestSgdStep:
         m = random_model(rng)
         before = {k: v.copy() for k, v in m.params().items()}
         state = nn.OptimizerState(weight_decay=0.0)
-        nn.sgd_step(m, state, nn.zero_grads(m), lr=0.5)
+        nn.sgd_step(m, state, zero_grads(m), lr=0.5)
         for name in nn.PARAM_NAMES:
             assert np.array_equal(getattr(m, name), before[name])
 
@@ -167,7 +171,7 @@ class TestSgdStep:
         m = identity_encoder(1)
         m.hb = np.array([1.0])
         state = nn.OptimizerState(weight_decay=0.0)
-        grads = nn.zero_grads(m)
+        grads = zero_grads(m)
         grads["hb"] = np.array([1.0])
         nn.sgd_step(m, state, grads, lr=0.1)
         assert state.buffers["hb"][0] == pytest.approx(1.0)
@@ -181,12 +185,12 @@ class TestSgdStep:
         m = identity_encoder(1)
         m.hb = np.array([2.0])
         state = nn.OptimizerState(weight_decay=0.1)
-        nn.sgd_step(m, state, nn.zero_grads(m), lr=1.0)
+        nn.sgd_step(m, state, zero_grads(m), lr=1.0)
         assert m.hb[0] == pytest.approx(2.0 - 0.1 * 2.0)
 
     def test_nonfinite_gradient_aborts(self):
         m = identity_encoder(2)
-        grads = nn.zero_grads(m)
+        grads = zero_grads(m)
         grads["w1"][0, 0] = np.nan
         with pytest.raises(NonFiniteError):
             nn.sgd_step(m, nn.OptimizerState(), grads, lr=0.1)
