@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,8 @@ import numpy as np
 from . import config as config_mod
 from . import data as data_mod
 from . import engine, nn
-from .errors import ApltError, ConfigError, DataFormatError, InvalidParameterError
+from .errors import (ApltError, ConfigError, DataFormatError, DimensionMismatchError,
+                     InvalidParameterError, MissingLabeledClassError)
 
 OUT_ROOT_ENV = "APLT_OUT_ROOT"
 
@@ -60,17 +62,23 @@ def _out_dir(raw: str) -> Path:
     return path
 
 
-def _load_dataset(cfg: config_mod.RunConfig, data_flag: str | None):
-    source = {"csv": data_flag} if data_flag else cfg.dataset
-    if source is None:
+def _read_csv(path, num_classes: int | None = None) -> data_mod.FeatureDataset:
+    """A dataset CSV; a row of the wrong width is a bad input file (exit 1)."""
+    if not Path(path).is_file():
+        raise ConfigError(f"dataset file not found: {path}")
+    try:
+        return data_mod.load_csv(path, num_classes=num_classes)
+    except DimensionMismatchError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
+def _load_dataset(cfg: config_mod.RunConfig):
+    if cfg.dataset is None:
         raise ConfigError("no dataset: pass --data or set the dataset section")
-    if "csv" in source:
-        path = source["csv"]
-        if not Path(path).is_file():
-            raise ConfigError(f"dataset file not found: {path}")
-        ds = data_mod.load_csv(path)
+    if "csv" in cfg.dataset:
+        ds = _read_csv(cfg.dataset["csv"])
     else:
-        s = source["synthetic"]
+        s = cfg.dataset["synthetic"]
         ds = data_mod.generate_synthetic(s["classes"], s["dim"], s["per_class"],
                                          s["overlap"], s["seed"])
     if ds.labeled_mask.all():
@@ -79,19 +87,29 @@ def _load_dataset(cfg: config_mod.RunConfig, data_flag: str | None):
 
 
 def _resolve_from_args(args) -> tuple[config_mod.RunConfig, dict]:
+    """Config file <- --set <- --mode/--seed; --data replaces the dataset
+    section, so the resolved dump names the CSV the run read."""
     file_cfg = config_mod.load_file(args.config) if args.config else None
     overrides = list(args.set or [])
     if getattr(args, "mode", None):
         overrides.append(f"mode={args.mode}")
     if getattr(args, "seed", None) is not None:
         overrides.append(f"seed={args.seed}")
-    return config_mod.resolve(file_cfg, overrides)
+    cfg, resolved = config_mod.resolve(file_cfg, overrides)
+    if args.data is not None:
+        resolved["dataset"] = {"csv": args.data}
+        cfg = replace(cfg, dataset=resolved["dataset"])
+    return cfg, resolved
 
 
-def _write_run_outputs(out: Path, resolved: dict, result: engine.RunResult):
+def _write_resolved(out: Path, resolved: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.json").write_text(
         json.dumps(resolved, indent=2, sort_keys=True) + "\n")
+
+
+def _write_run_outputs(out: Path, resolved: dict, result: engine.RunResult):
+    _write_resolved(out, resolved)
     (out / "metrics.ndjson").write_text(result.metrics.to_ndjson())
     nn.save_checkpoint(out / "checkpoint.npz", result.model, bank=result.bank,
                        extra={"final": result.metrics.final})
@@ -137,7 +155,7 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, resolved = _resolve_from_args(args)
-    ds = _load_dataset(cfg, args.data)
+    ds = _load_dataset(cfg)
     result = engine.run(ds, cfg)
     _write_run_outputs(_out_dir(args.out), resolved, result)
     final = result.metrics.final
@@ -150,10 +168,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if not Path(args.checkpoint).is_file():
         raise ConfigError(f"checkpoint file not found: {args.checkpoint}")
-    if not Path(args.data).is_file():
-        raise ConfigError(f"dataset file not found: {args.data}")
     model, bank, _ = nn.load_checkpoint(args.checkpoint)
-    ds = data_mod.load_csv(args.data, num_classes=model.num_classes)
+    ds = _read_csv(args.data, num_classes=model.num_classes)
+    if ds.dim != model.input_dim:
+        raise DataFormatError(f"{args.data}: {ds.dim} feature columns, but "
+                              f"{args.checkpoint} expects {model.input_dim}")
     proto_acc, param_acc = engine.evaluate(model, bank, ds.features, ds.true_labels)
     print(json.dumps({"n": ds.n, "test_acc_proto": proto_acc,
                       "test_acc_param": param_acc}, sort_keys=True))
@@ -162,14 +181,12 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg, resolved = _resolve_from_args(args)
-    ds = _load_dataset(cfg, args.data)
+    ds = _load_dataset(cfg)
     out = _out_dir(args.out)
 
     results = {"fixmatch": engine.run(ds, cfg, mode="fixmatch"),
                "aplt": engine.run(ds, cfg, mode="aplt")}
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "resolved_config.json").write_text(
-        json.dumps(resolved, indent=2, sort_keys=True) + "\n")
+    _write_resolved(out, resolved)
     rows_path = out / "trajectory.csv"
     with open(rows_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -202,12 +219,10 @@ def cmd_compare(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg, resolved = _resolve_from_args(args)
-    ds = _load_dataset(cfg, args.data)
+    ds = _load_dataset(cfg)
     records = engine.run_ablation_grid(ds, cfg, seeds=args.seeds)
     out = _out_dir(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "resolved_config.json").write_text(
-        json.dumps(resolved, indent=2, sort_keys=True) + "\n")
+    _write_resolved(out, resolved)
     table = out / "ablation.csv"
     fields = ["row", "seed", "accuracy", "coverage", "pseudo_label_acc"]
     fresh = args.force or not table.exists()
@@ -245,7 +260,9 @@ def build_parser() -> _Parser:
                        ("ablate", cmd_ablate)):
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file (defaults used if omitted)")
-        p.add_argument("--data", help="dataset CSV (overrides config dataset.csv)")
+        p.add_argument("--data", help="dataset CSV; replaces the config's dataset "
+                       "section and is recorded in resolved_config.json as "
+                       '{"csv": DATA}')
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="override a config value")
@@ -270,7 +287,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidParameterError, DataFormatError) as exc:
+    except (ConfigError, InvalidParameterError, DataFormatError,
+            MissingLabeledClassError) as exc:
         # bad arguments, bad config, bad input files: usage errors
         print(f"config error: {exc}", file=sys.stderr)
         return 1

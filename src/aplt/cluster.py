@@ -48,11 +48,7 @@ class ClusterConfig:
     max_iters: int = 100
     tol: float = 1e-6
     aug_copies: int = 3
-    use_labeled_aug: bool = True
     use_adaptive_threshold: bool = True
-    # "filtered": prototypes average anchors + threshold survivors.
-    # "all": average anchors + every assigned unlabeled sample.
-    prototype_members: str = "filtered"
     # "sskm": k-means anchored on the labeled samples; "km": plain k-means
     # (the SSL+KM ablation row).
     method: str = "sskm"
@@ -62,8 +58,6 @@ class ClusterConfig:
             raise InvalidParameterError("max_iters must be >= 1")
         if self.aug_copies < 0:
             raise InvalidParameterError("aug_copies must be >= 0")
-        if self.prototype_members not in ("filtered", "all"):
-            raise InvalidParameterError("prototype_members must be 'filtered' or 'all'")
         if self.method not in ("sskm", "km"):
             raise InvalidParameterError("method must be 'sskm' or 'km'")
 
@@ -166,16 +160,15 @@ def extract_all_features(m: nn.EncoderModel, X_l: np.ndarray, X_u: np.ndarray,
     """Features for labeled, unlabeled, and augmented-labeled samples.
 
     F_sl holds ``aug_copies`` strong-augmented copies of every labeled sample
-    (empty when labeled-augmentation is off), stacked copy-major so its
-    labels are np.tile(labels, copies).
+    (empty when ``aug_copies`` is 0), stacked copy-major so its labels are
+    np.tile(labels, aug_copies).
     """
     if aug is None:
         aug = augment.AugmentConfig()
     F_l = nn.forward_features(m, X_l)
     F_u = nn.forward_features(m, X_u)
-    copies = cfg.aug_copies if cfg.use_labeled_aug else 0
-    if copies > 0:
-        blocks = [augment.strong(X_l, aug, rng) for _ in range(copies)]
+    if cfg.aug_copies > 0:
+        blocks = [augment.strong(X_l, aug, rng) for _ in range(cfg.aug_copies)]
         F_sl = nn.forward_features(m, np.concatenate(blocks, axis=0))
     else:
         F_sl = np.zeros((0, m.feature_dim))

@@ -26,7 +26,6 @@ from .proto import MarginConfig
 class ModelConfig:
     hidden: int = 64
     embed: int = 32
-    feature_norm: bool = True
 
     def __post_init__(self):
         if self.hidden < 1 or self.embed < 1:

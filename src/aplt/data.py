@@ -62,7 +62,6 @@ class FeatureDataset:
 class SplitSpec:
     labeled_ratio: float
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.labeled_ratio < 1.0):
@@ -118,23 +117,12 @@ def apply_split(ds: FeatureDataset, spec: SplitSpec) -> FeatureDataset:
     rng = np.random.default_rng(spec.seed)
     mask = np.zeros(ds.n, dtype=bool)
 
-    if spec.stratified:
-        for c in range(ds.num_classes):
-            members = np.flatnonzero(ds.true_labels == c)
-            if members.size == 0:
-                raise MissingLabeledClassError(f"class {c} has no samples to label")
-            take = min(_per_class_quota(spec.labeled_ratio, members.size), members.size)
-            mask[rng.choice(members, size=take, replace=False)] = True
-    else:
-        take = max(1, int(np.floor(spec.labeled_ratio * ds.n + 0.5)))
-        mask[rng.choice(ds.n, size=min(take, ds.n), replace=False)] = True
-        for c in range(ds.num_classes):
-            members = np.flatnonzero(ds.true_labels == c)
-            if members.size == 0:
-                raise MissingLabeledClassError(f"class {c} has no samples to label")
-            if not mask[members].any():
-                mask[rng.choice(members)] = True
-
+    for c in range(ds.num_classes):
+        members = np.flatnonzero(ds.true_labels == c)
+        if members.size == 0:
+            raise MissingLabeledClassError(f"class {c} has no samples to label")
+        take = min(_per_class_quota(spec.labeled_ratio, members.size), members.size)
+        mask[rng.choice(members, size=take, replace=False)] = True
     if not (~mask).any():
         raise InvalidParameterError("split left no unlabeled samples")
     return replace(ds, labeled_mask=mask)

@@ -26,7 +26,7 @@ from . import fixmatch as fm_mod
 from . import nn
 from . import proto as proto_mod
 from .data import FeatureDataset, validate_for_training
-from .errors import ApltError, ConfigError, InvalidParameterError, NonFiniteError
+from .errors import ApltError, InvalidParameterError, NonFiniteError
 
 MODES = ("aplt", "fixmatch", "labeled_only")
 
@@ -119,10 +119,6 @@ class _Trainer:
     def __init__(self, ds: FeatureDataset, cfg, mode: str):
         if mode not in MODES:
             raise InvalidParameterError(f"unknown mode {mode!r}")
-        if mode == "aplt" and not cfg.model.feature_norm:
-            raise ConfigError("model.feature_norm=false cannot be used with the "
-                              "offline phase (train --mode aplt, compare, ablate): "
-                              "clustering compares features with unit-norm centroids")
         validate_for_training(ds)
         self.cfg = cfg
         self.mode = mode
@@ -154,7 +150,7 @@ class _Trainer:
 
         self.model = nn.EncoderModel.init(
             ds.dim, cfg.model.hidden, cfg.model.embed, self.C,
-            np.random.default_rng(k_model), feature_norm=cfg.model.feature_norm)
+            np.random.default_rng(k_model))
         self.opt = nn.OptimizerState(momentum=cfg.optimizer.momentum,
                                      weight_decay=cfg.optimizer.weight_decay)
         self.bank = None
@@ -175,10 +171,8 @@ class _Trainer:
                                            num_classes=self.C)
         thresholds = cluster_mod.adaptive_thresholds(result, self.C)
         pseudo = cluster_mod.filter_pseudo_labels(result, thresholds, ccfg)
-        F_su, su_labels = ((F_u, result.assignments) if ccfg.prototype_members == "all"
-                           else (F_u[pseudo.indices], pseudo.labels))
-        bank = cluster_mod.build_prototypes(F_l, self.y_l, F_su, su_labels, self.C,
-                                            build_epoch=epoch)
+        bank = cluster_mod.build_prototypes(F_l, self.y_l, F_u[pseudo.indices],
+                                            pseudo.labels, self.C, build_epoch=epoch)
         self.bank = bank
         self.pseudo = pseudo
         self._bank_digest = bank.digest()
@@ -333,7 +327,7 @@ def _row_config(cfg, row: str):
         mode="fixmatch" if row == "SSL" else "aplt",
         cluster=replace(cfg.cluster,
                         method="km" if row == "SSL+KM" else "sskm",
-                        use_labeled_aug="+LA" in row,
+                        aug_copies=cfg.cluster.aug_copies if "+LA" in row else 0,
                         use_adaptive_threshold="+SAT" in row),
         margin=replace(cfg.margin, view="weak" if "(W)" in row else "strong"),
     )

@@ -219,8 +219,9 @@ def save_checkpoint(path, m: EncoderModel, bank=None, extra: dict | None = None)
 
 def load_checkpoint(path):
     """Returns (model, bank_or_None, extra_dict). A file that is not an npz
-    archive, has no readable meta or carries another format tag raises
-    DataFormatError naming the path."""
+    archive, has no readable meta, carries another format tag or lacks a
+    parameter array or the feature_norm flag raises DataFormatError naming
+    the path."""
     from .cluster import PrototypeBank
 
     try:
@@ -236,6 +237,11 @@ def load_checkpoint(path):
             raise DataFormatError(f"{path}: no readable checkpoint meta ({exc})") from None
         if not isinstance(meta, dict) or meta.get("format") != "aplt-checkpoint-v1":
             raise DataFormatError(f"{path}: not an aplt-checkpoint-v1 file")
+        missing = [name for name in PARAM_NAMES if name not in z.files]
+        if "feature_norm" not in meta:
+            missing.append("meta.feature_norm")
+        if missing:
+            raise DataFormatError(f"{path}: incomplete checkpoint, missing {', '.join(missing)}")
         m = EncoderModel(*(z[name] for name in PARAM_NAMES),
                          feature_norm=meta["feature_norm"])
         bank = None

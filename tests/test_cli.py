@@ -93,6 +93,20 @@ class TestTrain:
         assert "file not found: " in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("rows,message", [
+        ("0,0,1,1.0,2.0\n1,1,1,1.0\n", "row 3: expected 2 feature columns, got 1"),
+        ("0,0,1,1.0,2.0\n1,1,0,1.0,2.0\n2,0,0,0.5,0.5\n",
+         "classes [1] have no labeled sample")], ids=["wrong_width", "unlabeled_class"])
+    def test_bad_csv_exits_one_without_outputs(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,label,labeled,f0,f1\n" + rows)
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--data", str(path), "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "config error: " in err and message in err
+
     def test_bad_config_key_exits_one(self, tmp_path, dataset_csv):
         out = tmp_path / "run"
         rc = cli.main(["train", "--data", str(dataset_csv), "--out", str(out),
@@ -109,26 +123,26 @@ class TestTrain:
 
 
 class TestFeatureNormGeometry:
-    UNNORMALIZED = ["--set", "model.feature_norm=false"]
+    """Every run clusters unit-norm features against unit-norm centroids, so
+    model.feature_norm is not a config key and every command rejects it."""
+
+    def check_rejected(self, tmp_path, dataset_csv, capsys, command):
+        out = tmp_path / "run"
+        rc = cli.main([*command, "--data", str(dataset_csv), "--out", str(out),
+                       "--set", "model.feature_norm=false", *FAST])
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "config error: unknown config key: model.feature_norm" in err
 
     @pytest.mark.parametrize("command", [["train", "--mode", "aplt"], ["compare"],
                                          ["ablate"]])
     def test_offline_phase_rejected_exit_one(self, tmp_path, dataset_csv, capsys,
                                              command):
-        out = tmp_path / "run"
-        rc = cli.main([*command, "--data", str(dataset_csv), "--out", str(out),
-                       *self.UNNORMALIZED, *FAST])
-        assert rc == 1
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert "config error: model.feature_norm=false cannot be used" in err
+        self.check_rejected(tmp_path, dataset_csv, capsys, command)
 
-    def test_fixmatch_only_allowed(self, tmp_path, dataset_csv):
-        out = tmp_path / "run"
-        rc = cli.main(["train", "--mode", "fixmatch", "--data", str(dataset_csv),
-                       "--out", str(out), *self.UNNORMALIZED, *FAST])
-        assert rc == 0
-        assert (out / "metrics.ndjson").exists()
+    def test_fixmatch_rejected_too(self, tmp_path, dataset_csv, capsys):
+        self.check_rejected(tmp_path, dataset_csv, capsys, ["train", "--mode", "fixmatch"])
 
 
 def _npz_with_meta(meta: bytes):
@@ -143,6 +157,20 @@ def _npz_without_meta(path):
         np.savez(fh, w1=np.zeros(3))
 
 
+def _checkpoint_without(key):
+    """A real checkpoint with one parameter array or meta key left out."""
+    def write(path):
+        nn.save_checkpoint(path, nn.EncoderModel.init(4, 3, 2, 3, np.random.default_rng(0)))
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files if k != key}
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        meta.pop(key, None)
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+    return write
+
+
 # files that are not aplt checkpoints: (name, writer, expected message)
 BAD_CHECKPOINTS = [
     ("notes.txt", lambda p: p.write_text("not a checkpoint\n"), "not an npz archive"),
@@ -153,6 +181,9 @@ BAD_CHECKPOINTS = [
     ("badmeta.npz", _npz_with_meta(b"{not json"), "no readable checkpoint meta"),
     ("othertag.npz", _npz_with_meta(b'{"format": "other"}'), "not an aplt-checkpoint-v1 file"),
     ("listmeta.npz", _npz_with_meta(b"[1]"), "not an aplt-checkpoint-v1 file"),
+    ("now1.npz", _checkpoint_without("w1"), "incomplete checkpoint, missing w1"),
+    ("nonorm.npz", _checkpoint_without("feature_norm"),
+     "incomplete checkpoint, missing meta.feature_norm"),
 ]
 
 
@@ -179,6 +210,15 @@ class TestEval:
         err = capsys.readouterr().err
         assert f"config error: {path}: {message}" in err
         assert "Traceback" not in err
+
+    def test_data_width_differs_from_checkpoint_exits_one(self, tmp_path, dataset_csv,
+                                                         capsys):
+        ckpt = tmp_path / "ckpt.npz"
+        nn.save_checkpoint(ckpt, nn.EncoderModel.init(5, 3, 2, 3, np.random.default_rng(0)))
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset_csv)])
+        assert rc == 1
+        assert (f"config error: {dataset_csv}: 4 feature columns, but {ckpt} expects 5"
+                in capsys.readouterr().err)
 
 
 class TestCompare:
@@ -268,6 +308,13 @@ class TestConfigResolution:
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ConfigError, match="margin.bogus"):
             config.resolve({"margin": {"bogus": 1}})
+
+    @pytest.mark.parametrize("override", [
+        "model.feature_norm=false", "cluster.prototype_members=all",
+        "split.stratified=false", "cluster.use_labeled_aug=false"])
+    def test_removed_knobs_are_unknown_keys(self, override):
+        with pytest.raises(ConfigError, match="unknown config key: " + override.split("=")[0]):
+            config.resolve(None, [override])
 
     def test_lambda_maps_to_margin_config(self):
         cfg, resolved = config.resolve({"margin": {"lambda": 0.25}})
@@ -363,11 +410,15 @@ class TestConfigResolution:
 
     def test_run_reproducible_from_resolved_dump(self, tmp_path, dataset_csv):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        cli.main(["train", "--data", str(dataset_csv), "--out", str(out1), *FAST])
+        synth_file = tmp_path / "synth.json"
+        synth_file.write_text(json.dumps({"dataset": {"synthetic": SYNTH}}))
+        # --data replaces the file's dataset section and is recorded in the dump
+        assert cli.main(["train", "--config", str(synth_file), "--data", str(dataset_csv),
+                         "--out", str(out1), *FAST]) == 0
         resolved = json.loads((out1 / "resolved_config.json").read_text())
+        assert resolved["dataset"] == {"csv": str(dataset_csv)}
         cfg_file = tmp_path / "replay.json"
         cfg_file.write_text(json.dumps(resolved))
-        cli.main(["train", "--config", str(cfg_file), "--data", str(dataset_csv),
-                  "--out", str(out2)])
+        assert cli.main(["train", "--config", str(cfg_file), "--out", str(out2)]) == 0
         assert (out1 / "metrics.ndjson").read_bytes() == \
             (out2 / "metrics.ndjson").read_bytes()

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aplt import augment, cluster, data, nn
+from aplt import augment, cluster, config, data, engine, nn
 from aplt.errors import InvalidParameterError, MissingLabeledClassError
 from oracle_lloyd import anchored_lloyd, plain_lloyd
 
@@ -139,11 +139,11 @@ def test_kmeans_peak_memory_is_bounded(ties):
 
 
 class TestExtractAllFeatures:
-    def make(self, K, use_la=True):
+    def make(self, K):
         ds = data.generate_synthetic(2, 4, 10, 0.1, seed=0)
         ds = data.apply_split(ds, data.SplitSpec(labeled_ratio=0.5, seed=0))
         m = nn.EncoderModel.init(4, 8, 3, 2, np.random.default_rng(1))
-        cfg = cluster.ClusterConfig(aug_copies=K, use_labeled_aug=use_la)
+        cfg = cluster.ClusterConfig(aug_copies=K)
         X = ds.features
         return X[ds.labeled_mask], X[~ds.labeled_mask], m, cfg
 
@@ -153,7 +153,9 @@ class TestExtractAllFeatures:
         assert F_sl.shape[0] == 0
 
     def test_flag_off_gives_empty_augmented_set(self):
-        X_l, X_u, m, cfg = self.make(K=3, use_la=False)
+        # an ablation row without +LA clusters with no augmented copies
+        X_l, X_u, m, _ = self.make(K=3)
+        cfg = engine._row_config(config.RunConfig(), "SSL+SSKM(S)+SAT").cluster
         _, _, F_sl = cluster.extract_all_features(m, X_l, X_u, cfg, np.random.default_rng(2))
         assert F_sl.shape[0] == 0
 

@@ -82,13 +82,6 @@ class TestApplySplit:
         b = data.apply_split(ds, spec)
         assert np.array_equal(a.labeled_mask, b.labeled_mask)
 
-    def test_unstratified_still_covers_classes(self):
-        ds = data.generate_synthetic(6, 4, 20, 0.2, seed=0)
-        spec = data.SplitSpec(labeled_ratio=0.1, seed=3, stratified=False)
-        split = data.apply_split(ds, spec)
-        counts = np.bincount(split.true_labels[split.labeled_mask], minlength=6)
-        assert (counts >= 1).all()
-
     def test_requires_fully_labeled_input(self):
         ds = data.generate_synthetic(2, 2, 10, 0.1, seed=0)
         split = data.apply_split(ds, data.SplitSpec(labeled_ratio=0.5, seed=0))

@@ -142,17 +142,15 @@ class TestRun:
 
 
 class TestPrototypeMembers:
-    @pytest.mark.parametrize("members", ["filtered", "all"])
-    def test_last_bank_counts_its_members(self, members):
+    def test_last_bank_counts_its_members(self):
         ds = small_dataset()
-        res = engine.run(ds, small_config(f"cluster.prototype_members={members}"))
+        res = engine.run(ds, small_config())
         n_labeled = int(ds.labeled_mask.sum())
         n_unlabeled_train = ds.n - n_labeled - res.test_indices.size
         assert res.pseudo.n_unlabeled == n_unlabeled_train
-        # the threshold drops some rows, so the two settings differ
+        # the threshold drops some rows, and the bank counts only survivors
         assert res.pseudo.indices.size < n_unlabeled_train
-        expected = n_unlabeled_train if members == "all" else res.pseudo.indices.size
-        assert res.bank.counts.sum() == n_labeled + expected
+        assert res.bank.counts.sum() == n_labeled + res.pseudo.indices.size
 
 
 class TestEvaluate:
@@ -231,10 +229,10 @@ class TestAblationGrid:
         assert weak_cfg.margin.view == "weak"
         assert strong_cfg.margin.view == "strong"
         full = engine._row_config(small_config(), "SSL+SSKM(S)+LA+SAT")
-        assert full.cluster.use_labeled_aug
+        assert full.cluster.aug_copies == 3
         assert full.cluster.use_adaptive_threshold
         bare = engine._row_config(small_config(), "SSL+SSKM(S)")
-        assert not bare.cluster.use_labeled_aug
+        assert bare.cluster.aug_copies == 0
         assert not bare.cluster.use_adaptive_threshold
 
 

@@ -3,7 +3,7 @@
 Usage:
     PYTHONPATH=src python tools/gate_outputs.py OUTDIR > hashes.txt
 
-Generates the ``hard12`` preset at 10% labels into OUTDIR, runs 40 outputs'
+Generates the ``hard12`` preset at 10% labels into OUTDIR, runs 38 outputs'
 worth of train, labeled-only, ablate and compare runs on it, and prints one
 ``run output sha256`` line per output. A pure refactor must leave every line
 unchanged, so the whole check is a ``diff`` of the printouts made from the
@@ -22,9 +22,8 @@ from pathlib import Path
 from aplt import cli, config, data, engine
 
 # one aplt train run per variant, default seed
-VARIANTS = ("cluster.method=km", "margin.view=weak",
-            "cluster.prototype_members=all", "schedule.sync_mode=true",
-            "cluster.use_labeled_aug=false")
+VARIANTS = ("cluster.method=km", "margin.view=weak", "schedule.sync_mode=true",
+            "cluster.aug_copies=0")
 
 SEEDS = range(5)
 
