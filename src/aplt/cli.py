@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import logging
 import os
 import sys
 from dataclasses import replace
@@ -37,6 +38,24 @@ PRESETS = {
     "easy12": {"classes": 12, "dim": 32, "per_class": 100, "overlap": 0.10, "seed": 1},
     "hard12": {"classes": 12, "dim": 32, "per_class": 100, "overlap": 0.25, "seed": 1},
 }
+
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes to whatever ``sys.stderr`` is when a record is emitted, so a
+    caller's ``redirect_stderr`` catches the warnings too."""
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, _):
+        pass
+
+
+# one instance: addHandler ignores a handler the logger already has
+_LOG_HANDLER = _StderrHandler()
+_LOG_HANDLER.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,8 +203,10 @@ def cmd_compare(args) -> int:
     ds = _load_dataset(cfg)
     out = _out_dir(args.out)
 
-    results = {"fixmatch": engine.run(ds, cfg, mode="fixmatch"),
-               "aplt": engine.run(ds, cfg, mode="aplt")}
+    # both methods share one warm-up and differ only after it
+    warm = engine.warm_up(ds, cfg)
+    methods = ("fixmatch", "aplt")
+    results = dict(zip(methods, engine.finish_all([warm.branch(cfg, m) for m in methods])))
     _write_resolved(out, resolved)
     rows_path = out / "trajectory.csv"
     with open(rows_path, "w", newline="") as fh:
@@ -194,8 +215,8 @@ def cmd_compare(args) -> int:
         # most recent offline-event stats for aplt (blank before first event)
         writer.writerow(["method", "epoch", "pseudo_label_acc", "coverage",
                          "test_acc", "loss_total"])
-        for method, res in results.items():
-            for rec in res.metrics.epochs:
+        for method, metrics in results.items():
+            for rec in metrics.epochs:
                 if method == "fixmatch":
                     pseudo_acc = rec["fixmatch_pseudo_acc"]
                     coverage = rec["fixmatch_pass_frac"]
@@ -209,11 +230,11 @@ def cmd_compare(args) -> int:
                                  "" if coverage is None else coverage,
                                  "" if acc is None else acc,
                                  rec["loss_total"]])
-        for method, res in results.items():
-            (out / f"metrics_{method}.ndjson").write_text(res.metrics.to_ndjson())
+        for method, metrics in results.items():
+            (out / f"metrics_{method}.ndjson").write_text(metrics.to_ndjson())
     print(f"wrote {rows_path}")
-    for method, res in results.items():
-        print(f"{method}: final test_acc={res.metrics.final['test_acc']}")
+    for method, metrics in results.items():
+        print(f"{method}: final test_acc={metrics.final['test_acc']}")
     return 0
 
 
@@ -284,6 +305,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    logging.getLogger("aplt").addHandler(_LOG_HANDLER)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -7,6 +7,11 @@ enforces by re-hashing the bank every epoch. Online steps always optimize
 the thresholded-consistency objective and, once a bank exists, add the
 prototype margin terms scaled by lambda.
 
+Nothing before the first offline event reads the clustering or margin
+settings, so runs that differ only there share their warm-up: the ablation
+grid and ``compare`` train it once and branch a copy per continuation, and
+finish the continuations on a pool of worker processes.
+
 Per-epoch and per-event records go into RunMetrics; serialization is
 timestamp-free so identical configs and seeds produce byte-identical logs.
 True labels of unlabeled samples are touched only by evaluation metrics,
@@ -15,7 +20,9 @@ never by anything that feeds a loss or the optimizer.
 
 from __future__ import annotations
 
+import copy
 import json
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -122,7 +129,6 @@ class _Trainer:
         validate_for_training(ds)
         self.cfg = cfg
         self.mode = mode
-        self.sched: PhaseSchedule = cfg.schedule
         seq = np.random.SeedSequence(cfg.seed)
         k_model, k_split, k_train, k_cluster = seq.spawn(4)
         self.rng_train = np.random.default_rng(k_train)
@@ -157,6 +163,7 @@ class _Trainer:
         self.pseudo = None
         self._bank_digest = None
         self.metrics = RunMetrics()
+        self.epoch = 0                               # the next epoch train() runs
 
     # -- offline phase ------------------------------------------------------
 
@@ -202,15 +209,16 @@ class _Trainer:
         n = self.X_l.shape[0]
         return self.rng_train.choice(n, size=size, replace=n < size)
 
-    def run(self) -> RunResult:
+    def train(self, until: int) -> None:
+        """Trains epochs [self.epoch, until), offline events included."""
         cfg = self.cfg
-        sched = self.sched
+        sched = cfg.schedule
         total = sched.total_epochs
         offline_at = set(sched.offline_epochs()) if self.mode == "aplt" else set()
         lam = cfg.margin.lam
         view_fn = aug_mod.strong if cfg.margin.view == "strong" else aug_mod.weak
 
-        for epoch in range(total):
+        for epoch in range(self.epoch, until):
             lr = nn.cosine_lr(epoch, total, cfg.optimizer.base_lr)
             if epoch in offline_at:
                 self.offline_phase(epoch)
@@ -256,11 +264,39 @@ class _Trainer:
                 "bank_digest": self._bank_digest,
                 "pseudo_digest": self.pseudo.digest() if self.pseudo else None,
             })
+            self.epoch = epoch + 1
 
+    def branch(self, cfg, mode: str | None = None) -> "_Trainer":
+        """A copy of this run that goes on under ``cfg`` and ``mode``.
+
+        Only a warm-up can be shared: this run may not have gone past
+        warm-up, and ``cfg`` may differ from its config only in what warm-up
+        never reads (the cluster and margin sections and the mode). labeled_only trains
+        warm-up differently, so it branches only from itself. The copied
+        epoch records are relabeled with the new mode."""
+        mode = mode or cfg.mode
+        same_warmup = replace(cfg, mode=self.cfg.mode, cluster=self.cfg.cluster,
+                              margin=self.cfg.margin) == self.cfg
+        if (self.epoch > self.cfg.schedule.warmup_epochs or not same_warmup
+                or (mode == "labeled_only") != (self.mode == "labeled_only")):
+            raise InvalidParameterError(f"cannot branch a {mode} run from this {self.mode} run")
+        # the data splits are read-only, so every branch shares them
+        shared = (self.X_l, self.y_l, self.X_u, self.u_true, self.X_test, self.y_test,
+                  self.test_idx)
+        twin = copy.deepcopy(self, memo={id(a): a for a in shared})
+        twin.cfg, twin.mode = cfg, mode
+        for rec in twin.metrics.epochs:
+            rec["mode"] = mode
+        return twin
+
+    def finish(self) -> RunResult:
+        """Trains the remaining epochs and scores the final model."""
+        total = self.cfg.schedule.total_epochs
+        self.train(total)
         proto_acc, param_acc = evaluate(self.model, self.bank, self.X_test, self.y_test)
         self.metrics.final = {
             "mode": self.mode,
-            "seed": int(cfg.seed),
+            "seed": int(self.cfg.seed),
             "epochs": total,
             "offline_events": len(self.metrics.events),
             "test_acc_proto": _float_or_none(proto_acc),
@@ -317,7 +353,74 @@ class _Trainer:
 
 def run(ds: FeatureDataset, cfg, mode: str | None = None) -> RunResult:
     """Full training run; ``mode`` falls back to cfg.mode."""
-    return _Trainer(ds, cfg, mode or cfg.mode).run()
+    return _Trainer(ds, cfg, mode or cfg.mode).finish()
+
+
+def warm_up(ds: FeatureDataset, cfg) -> _Trainer:
+    """A FixMatch run of ``cfg`` trained to the end of warm-up, ready to
+    branch into any fixmatch or aplt continuation of the same warm-up."""
+    trainer = _Trainer(ds, cfg, "fixmatch")
+    trainer.train(cfg.schedule.warmup_epochs)
+    return trainer
+
+
+def _pool_size(n_tasks: int) -> int:
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:  # macOS and Windows
+        usable = os.cpu_count() or 1
+    return min(usable, n_tasks)
+
+
+def _finish_metrics(trainer: _Trainer) -> RunMetrics:
+    return trainer.finish().metrics
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: one OpenBLAS thread per worker. Otherwise each
+    worker's BLAS helper threads spin on the CPUs the other workers need;
+    on a 2-vCPU VM that made the 5-seed default grid 1.3x slower. Best
+    effort: a BLAS that is not OpenBLAS keeps its own setting."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line}
+        for path in paths:
+            lib = ctypes.CDLL(path)
+            for name in ("openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
+                         "scipy_openblas_set_num_threads"):
+                if hasattr(lib, name):
+                    set_threads = getattr(lib, name)
+                    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                    set_threads(1)
+                    return
+    except OSError:
+        pass
+
+
+def finish_all(trainers: list) -> list[RunMetrics]:
+    """Finishes every branch and returns their metrics in order.
+
+    Branches run on a pool of forked workers, one per usable CPU at most
+    (``fork`` because an unguarded script that calls ``cli.main`` cannot be
+    re-imported by ``spawn``). A worker returns only the metrics; an error in
+    any branch is raised here, after the branches not yet started are
+    cancelled. With one worker, or no ``fork``, they run in this process."""
+    # imported here: a train run does not need them, and they add to its
+    # start-up time and memory
+    import multiprocessing as mp
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = _pool_size(len(trainers))
+    if workers <= 1 or "fork" not in mp.get_all_start_methods():
+        return [_finish_metrics(t) for t in trainers]
+    pool = ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"),
+                               initializer=_one_blas_thread)
+    try:
+        return list(pool.map(_finish_metrics, trainers))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _row_config(cfg, row: str):
@@ -334,19 +437,22 @@ def _row_config(cfg, row: str):
 
 
 def run_ablation_grid(ds: FeatureDataset, cfg, seeds=None) -> list[dict]:
-    """All seven component-toggle rows, one record per (row, seed)."""
-    seeds = [cfg.seed] if seeds is None else list(seeds)
+    """All seven component-toggle rows, one record per (row, seed). The rows
+    differ only after warm-up, so each seed trains warm-up once and every
+    row of that seed branches from it."""
+    seeds = [cfg.seed] if seeds is None else [int(s) for s in seeds]
+    warm = {seed: warm_up(ds, replace(cfg, seed=seed)) for seed in seeds}
+    cells = [(row, seed) for row in ABLATION_ROWS for seed in seeds]
+    branches = [warm[seed].branch(replace(_row_config(cfg, row), seed=seed))
+                for row, seed in cells]
     records = []
-    for row in ABLATION_ROWS:
-        for seed in seeds:
-            row_cfg = replace(_row_config(cfg, row), seed=int(seed))
-            res = run(ds, row_cfg)
-            last_ev = res.metrics.events[-1] if res.metrics.events else None
-            records.append({
-                "row": row,
-                "seed": int(seed),
-                "accuracy": res.metrics.final["test_acc"],
-                "coverage": last_ev["coverage"] if last_ev else None,
-                "pseudo_label_acc": last_ev["pseudo_label_acc"] if last_ev else None,
-            })
+    for (row, seed), metrics in zip(cells, finish_all(branches)):
+        last_ev = metrics.events[-1] if metrics.events else None
+        records.append({
+            "row": row,
+            "seed": seed,
+            "accuracy": metrics.final["test_acc"],
+            "coverage": last_ev["coverage"] if last_ev else None,
+            "pseudo_label_acc": last_ev["pseudo_label_acc"] if last_ev else None,
+        })
     return records

@@ -217,11 +217,23 @@ def save_checkpoint(path, m: EncoderModel, bank=None, extra: dict | None = None)
         np.savez(fh, **arrays)
 
 
+def _misfits(arrays: dict) -> list[str]:
+    """Names of the arrays whose shapes do not fit w1, w2 and hw."""
+    matrices = ("w1", "w2", "hw")
+    if any(arrays[name].ndim != 2 for name in matrices):
+        return [name for name in matrices if arrays[name].ndim != 2]
+    (d, h), e, C = arrays["w1"].shape, arrays["w2"].shape[1], arrays["hw"].shape[1]
+    want = {"w1": (d, h), "b1": (h,), "w2": (h, e), "b2": (e,), "hw": (e, C), "hb": (C,),
+            "bank_rho": (C, e), "bank_counts": (C,)}
+    return [name for name, a in arrays.items() if a.shape != want[name]]
+
+
 def load_checkpoint(path):
     """Returns (model, bank_or_None, extra_dict). A file that is not an npz
-    archive, has no readable meta, carries another format tag or lacks a
-    parameter array or the feature_norm flag raises DataFormatError naming
-    the path."""
+    archive, has no readable meta, carries another format tag, lacks a
+    parameter array, the feature_norm flag or half of the bank pair, or
+    holds arrays whose shapes do not fit together raises DataFormatError
+    naming the path."""
     from .cluster import PrototypeBank
 
     try:
@@ -237,15 +249,21 @@ def load_checkpoint(path):
             raise DataFormatError(f"{path}: no readable checkpoint meta ({exc})") from None
         if not isinstance(meta, dict) or meta.get("format") != "aplt-checkpoint-v1":
             raise DataFormatError(f"{path}: not an aplt-checkpoint-v1 file")
-        missing = [name for name in PARAM_NAMES if name not in z.files]
+        bank_names = ("bank_rho", "bank_counts")
+        names = PARAM_NAMES + (bank_names if any(n in z.files for n in bank_names) else ())
+        missing = [name for name in names if name not in z.files]
         if "feature_norm" not in meta:
             missing.append("meta.feature_norm")
         if missing:
             raise DataFormatError(f"{path}: incomplete checkpoint, missing {', '.join(missing)}")
-        m = EncoderModel(*(z[name] for name in PARAM_NAMES),
-                         feature_norm=meta["feature_norm"])
-        bank = None
-        if "bank_rho" in z:
-            bank = PrototypeBank(rho=z["bank_rho"], counts=z["bank_counts"],
-                                 build_epoch=meta.get("bank_epoch", -1))
+        arrays = {name: z[name] for name in names}
+    misfits = _misfits(arrays)
+    if misfits:
+        raise DataFormatError(f"{path}: array shapes do not fit together: " + ", ".join(
+            f"{name} {arrays[name].shape}" for name in misfits))
+    m = EncoderModel(*(arrays[name] for name in PARAM_NAMES), feature_norm=meta["feature_norm"])
+    bank = None
+    if "bank_rho" in arrays:
+        bank = PrototypeBank(rho=arrays["bank_rho"], counts=arrays["bank_counts"],
+                             build_epoch=meta.get("bank_epoch", -1))
     return m, bank, meta.get("extra", {})

@@ -1,10 +1,12 @@
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
-from aplt import cli, config, data, nn
+from aplt import cli, cluster, config, data, nn
 from aplt.errors import ConfigError
 
 FAST = ["--set", "schedule.warmup_epochs=2", "--set", "schedule.main_epochs=4",
@@ -157,18 +159,30 @@ def _npz_without_meta(path):
         np.savez(fh, w1=np.zeros(3))
 
 
-def _checkpoint_without(key):
-    """A real checkpoint with one parameter array or meta key left out."""
+def _edited_checkpoint(edit):
+    """A real checkpoint with a bank, its arrays and meta passed through
+    ``edit(arrays, meta)`` before it is written."""
     def write(path):
-        nn.save_checkpoint(path, nn.EncoderModel.init(4, 3, 2, 3, np.random.default_rng(0)))
+        bank = cluster.PrototypeBank(rho=np.eye(3, 2), counts=np.ones(3, dtype=np.int64))
+        nn.save_checkpoint(path, nn.EncoderModel.init(4, 3, 2, 3, np.random.default_rng(0)),
+                           bank=bank)
         with np.load(path) as z:
-            arrays = {k: z[k] for k in z.files if k != key}
+            arrays = {k: z[k] for k in z.files}
         meta = json.loads(bytes(arrays["meta"]).decode())
-        meta.pop(key, None)
+        edit(arrays, meta)
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
     return write
+
+
+def _checkpoint_without(key):
+    """A real checkpoint with one array or meta key left out."""
+    return _edited_checkpoint(lambda arrays, meta: (arrays.pop(key, None), meta.pop(key, None)))
+
+
+def _short_b1(arrays, meta):
+    arrays["b1"] = arrays["b1"][:-1]
 
 
 # files that are not aplt checkpoints: (name, writer, expected message)
@@ -184,6 +198,10 @@ BAD_CHECKPOINTS = [
     ("now1.npz", _checkpoint_without("w1"), "incomplete checkpoint, missing w1"),
     ("nonorm.npz", _checkpoint_without("feature_norm"),
      "incomplete checkpoint, missing meta.feature_norm"),
+    ("nocounts.npz", _checkpoint_without("bank_counts"),
+     "incomplete checkpoint, missing bank_counts"),
+    ("shortb1.npz", _edited_checkpoint(_short_b1),
+     "array shapes do not fit together: b1 (2,)"),
 ]
 
 
@@ -422,3 +440,31 @@ class TestConfigResolution:
         assert cli.main(["train", "--config", str(cfg_file), "--out", str(out2)]) == 0
         assert (out1 / "metrics.ndjson").read_bytes() == \
             (out2 / "metrics.ndjson").read_bytes()
+
+
+def _warn_empty_class():
+    """cluster.adaptive_thresholds warns once: class 1 gets no sample."""
+    result = cluster.ClusterResult(centroids=np.eye(3), assignments=np.array([0, 0, 2]),
+                                   distances=np.array([0.1, 0.2, 0.3]),
+                                   iterations_run=1, objective=0.0)
+    cluster.adaptive_thresholds(result, 3)
+
+
+class TestLogging:
+    WARNING = ("WARNING aplt.cluster: no unlabeled samples assigned to class 1; "
+               "its local threshold is 0 (keeps nothing extra)\n")
+
+    def test_warning_printed_once_with_level_and_logger(self, tmp_path, capsys):
+        for name in ("a.csv", "b.csv"):
+            assert cli.main(gen_args(tmp_path / name)) == 0
+        capsys.readouterr()
+        _warn_empty_class()
+        assert capsys.readouterr().err == self.WARNING
+
+    def test_handler_follows_redirected_stderr(self, tmp_path, capsys):
+        assert cli.main(gen_args(tmp_path / "a.csv")) == 0
+        sink = io.StringIO()
+        with contextlib.redirect_stderr(sink):
+            _warn_empty_class()
+        assert sink.getvalue() == self.WARNING
+        assert capsys.readouterr().err == ""

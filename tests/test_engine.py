@@ -1,9 +1,10 @@
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from aplt import cluster, config, data, engine, nn, proto
+from aplt import cli, cluster, config, data, engine, nn, proto
 from aplt.errors import InvalidParameterError
 
 
@@ -12,11 +13,13 @@ def small_dataset(C=3, d=6, n_per_class=40, overlap=0.15, seed=2, ratio=0.2):
     return data.apply_split(ds, data.SplitSpec(labeled_ratio=ratio, seed=seed))
 
 
+SMALL = ["fixmatch.batch_size=16", "schedule.warmup_epochs=2",
+         "schedule.main_epochs=6", "schedule.offline_every=3"]
+SMALL_ARGS = [a for o in SMALL for a in ("--set", o)]
+
+
 def small_config(*overrides, seed=0):
-    base = [f"seed={seed}", "fixmatch.batch_size=16",
-            "schedule.warmup_epochs=2", "schedule.main_epochs=6",
-            "schedule.offline_every=3"]
-    cfg, _ = config.resolve(None, base + list(overrides))
+    cfg, _ = config.resolve(None, [f"seed={seed}", *SMALL, *overrides])
     return cfg
 
 
@@ -234,6 +237,110 @@ class TestAblationGrid:
         bare = engine._row_config(small_config(), "SSL+SSKM(S)")
         assert bare.cluster.aug_copies == 0
         assert not bare.cluster.use_adaptive_threshold
+
+
+def _grid_via_full_runs(ds, cfg, seeds):
+    """The ablation records as each row's own unbranched run gives them."""
+    records = []
+    for row in engine.ABLATION_ROWS:
+        for seed in seeds:
+            res = engine.run(ds, replace(engine._row_config(cfg, row), seed=seed))
+            last_ev = res.metrics.events[-1] if res.metrics.events else None
+            records.append({
+                "row": row, "seed": seed, "accuracy": res.metrics.final["test_acc"],
+                "coverage": last_ev["coverage"] if last_ev else None,
+                "pseudo_label_acc": last_ev["pseudo_label_acc"] if last_ev else None})
+    return records
+
+
+class TestBranchedGrid:
+    @pytest.mark.parametrize("warmup", [2, 0])
+    def test_branches_equal_unbranched_runs(self, monkeypatch, warmup):
+        ds = small_dataset()
+        cfg = small_config(f"schedule.warmup_epochs={warmup}")
+        monkeypatch.setattr(engine, "_pool_size", lambda n: 1)
+        assert engine.run_ablation_grid(ds, cfg, seeds=[0, 1]) == \
+            _grid_via_full_runs(ds, cfg, [0, 1])
+
+    def test_branch_log_equals_unbranched_log(self):
+        ds = small_dataset()
+        cfg = small_config()
+        warm = engine.warm_up(ds, cfg)
+        for mode in ("fixmatch", "aplt"):
+            branched = warm.branch(cfg, mode).finish().metrics.to_ndjson()
+            assert branched == engine.run(ds, cfg, mode=mode).metrics.to_ndjson()
+
+    def test_ablation_csv_same_at_one_and_two_workers(self, tmp_path, monkeypatch):
+        csv_path = tmp_path / "ds.csv"
+        data.save_csv(small_dataset(), csv_path)
+        tables = []
+        for workers in (1, 2):
+            monkeypatch.setattr(engine, "_pool_size", lambda n, w=workers: w)
+            out = tmp_path / f"abl{workers}"
+            assert cli.main(["ablate", "--data", str(csv_path), "--out", str(out),
+                             "--seeds", "0,1", *SMALL_ARGS]) == 0
+            tables.append((out / "ablation.csv").read_bytes())
+        assert tables[0] == tables[1]
+        assert len(tables[0].splitlines()) == 1 + 14
+
+    def test_optimizer_steps_are_warmup_once_plus_seven_continuations(self, monkeypatch):
+        ds = small_dataset()
+        cfg, _ = config.resolve(None, ["fixmatch.batch_size=16"])  # default schedule
+        steps_per_epoch = engine.warm_up(ds, cfg).metrics.epochs[0]["steps"]
+        calls = []
+        sgd_step = nn.sgd_step
+
+        def counted(*args):
+            calls.append(1)
+            return sgd_step(*args)
+
+        monkeypatch.setattr(nn, "sgd_step", counted)
+        monkeypatch.setattr(engine, "_pool_size", lambda n: 1)
+        engine.run_ablation_grid(ds, cfg, seeds=[0, 1])
+        assert len(calls) == 2 * (15 + 7 * 40) * steps_per_epoch  # 295 epochs a seed
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nonfinite_in_a_branch_exits_two_without_table(self, tmp_path, monkeypatch,
+                                                           capsys, workers):
+        # the margin terms run only after warm-up, so in the branches
+        def nan_margin(*args):
+            return replace(margin_loss_labeled(*args), value=float("nan"))
+
+        margin_loss_labeled = proto.margin_loss_labeled
+        monkeypatch.setattr(proto, "margin_loss_labeled", nan_margin)
+        monkeypatch.setattr(engine, "_pool_size", lambda n: workers)
+        csv_path = tmp_path / "ds.csv"
+        data.save_csv(small_dataset(), csv_path)
+        out = tmp_path / "abl"
+        assert cli.main(["ablate", "--data", str(csv_path), "--out", str(out),
+                         *SMALL_ARGS]) == 2
+        assert "runtime error: nonfinite total loss" in capsys.readouterr().err
+        assert not (out / "ablation.csv").exists()
+
+
+class TestWarmupSharing:
+    WARMUP_BLIND = {"cluster", "margin", "mode"}
+
+    def test_rows_and_compare_modes_share_every_field_warmup_reads(self):
+        cfg, _ = config.resolve(None, [])
+        configs = [engine._row_config(cfg, row) for row in engine.ABLATION_ROWS]
+        configs += [replace(cfg, mode=mode) for mode in ("fixmatch", "aplt")]
+        names = {f.name for f in fields(config.RunConfig)}
+        assert self.WARMUP_BLIND < names
+        for name in sorted(names - self.WARMUP_BLIND):
+            assert all(getattr(c, name) == getattr(cfg, name) for c in configs), name
+
+    def test_branch_refuses_what_warmup_does_not_share(self):
+        ds = small_dataset()
+        cfg = small_config()
+        warm = engine.warm_up(ds, cfg)
+        faster = replace(cfg, optimizer=replace(cfg.optimizer, base_lr=0.01))
+        for other_cfg, mode in ((faster, "aplt"), (cfg, "labeled_only")):
+            with pytest.raises(InvalidParameterError, match="cannot branch"):
+                warm.branch(other_cfg, mode)
+        warm.train(cfg.schedule.warmup_epochs + 1)
+        with pytest.raises(InvalidParameterError, match="cannot branch"):
+            warm.branch(cfg, "aplt")
 
 
 class TestBaselineFixmatch:
