@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import copy
 import json
+import logging
 import os
 from dataclasses import dataclass, field, replace
 
@@ -107,12 +108,11 @@ def evaluate(m: nn.EncoderModel, bank, X_test: np.ndarray, y_test: np.ndarray):
     of the parametric head, on the same held-out samples."""
     if X_test.shape[0] == 0:
         return None, None
-    param_pred = nn.forward_logits(m, X_test).argmax(axis=1)
-    param_acc = float((param_pred == y_test).mean())
+    acts = nn.forward(m, X_test, head=True)
+    param_acc = float((acts.probs.argmax(axis=1) == y_test).mean())
     proto_acc = None
     if bank is not None:
-        feats = nn.forward_features(m, X_test)
-        proto_acc = float((proto_mod.predict(bank, feats) == y_test).mean())
+        proto_acc = float((proto_mod.predict(bank, acts.feats) == y_test).mean())
     return proto_acc, param_acc
 
 
@@ -331,15 +331,15 @@ class _Trainer:
         if self.bank is not None:
             xl_v = view_fn(self.X_l[lidx], cfg.augment, self.rng_train)
             xu_v = view_fn(self.X_u[chunk], cfg.augment, self.rng_train)
-            F_lv = nn.forward_features(m, xl_v)
-            F_uv = nn.forward_features(m, xu_v)
-            msup = proto_mod.margin_loss_labeled(self.bank, F_lv, self.y_l[lidx],
+            acts_l = nn.forward(m, xl_v)
+            acts_u = nn.forward(m, xu_v)
+            msup = proto_mod.margin_loss_labeled(self.bank, acts_l.feats, self.y_l[lidx],
                                                  cfg.margin)
-            munsup = proto_mod.margin_loss_unlabeled(self.bank, F_uv, chunk,
+            munsup = proto_mod.margin_loss_unlabeled(self.bank, acts_u.feats, chunk,
                                                      self.pseudo, cfg.margin)
             margin_value = msup.value + munsup.value
-            nn.add_grads(grads, nn.backward(m, xl_v, d_feats=msup.d_feats), lam)
-            nn.add_grads(grads, nn.backward(m, xu_v, d_feats=munsup.d_feats), lam)
+            nn.add_grads(grads, nn.backward(m, xl_v, d_feats=msup.d_feats, acts=acts_l), lam)
+            nn.add_grads(grads, nn.backward(m, xu_v, d_feats=munsup.d_feats, acts=acts_u), lam)
         self._finite_or_die(total.value + lam * margin_value, "total loss")
         nn.sgd_step(m, self.opt, grads, lr)
         return total.value, margin_value, uns
@@ -372,8 +372,36 @@ def _pool_size(n_tasks: int) -> int:
     return min(usable, n_tasks)
 
 
-def _finish_metrics(trainer: _Trainer) -> RunMetrics:
-    return trainer.finish().metrics
+class _Collect(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+def _finish_in_worker(trainer: _Trainer):
+    """A branch's metrics and the ``aplt`` log records it emitted; an error
+    carries the records as ``log_records``. The worker holds only a forked
+    copy of the caller's handlers and streams, so the records go back to the
+    caller instead of to those."""
+    logger = logging.getLogger("aplt")
+    collect = _Collect()
+    saved = logger.handlers, logger.propagate
+    logger.handlers, logger.propagate = [collect], False
+    try:
+        return trainer.finish().metrics, collect.records
+    except Exception as exc:
+        exc.log_records = collect.records
+        raise
+    finally:
+        logger.handlers, logger.propagate = saved
+
+
+def _handle(records) -> None:
+    for record in records:
+        logging.getLogger(record.name).handle(record)
 
 
 def _one_blas_thread() -> None:
@@ -406,7 +434,10 @@ def finish_all(trainers: list) -> list[RunMetrics]:
     (``fork`` because an unguarded script that calls ``cli.main`` cannot be
     re-imported by ``spawn``). A worker returns only the metrics; an error in
     any branch is raised here, after the branches not yet started are
-    cancelled. With one worker, or no ``fork``, they run in this process."""
+    cancelled. The ``aplt`` log records a worker emits are handled here, in
+    branch order, so they reach this process's handlers as they would
+    in-process. With one worker, or no ``fork``, the branches run in this
+    process."""
     # imported here: a train run does not need them, and they add to its
     # start-up time and memory
     import multiprocessing as mp
@@ -414,11 +445,18 @@ def finish_all(trainers: list) -> list[RunMetrics]:
 
     workers = _pool_size(len(trainers))
     if workers <= 1 or "fork" not in mp.get_all_start_methods():
-        return [_finish_metrics(t) for t in trainers]
+        return [t.finish().metrics for t in trainers]
     pool = ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"),
                                initializer=_one_blas_thread)
+    results = []
     try:
-        return list(pool.map(_finish_metrics, trainers))
+        for metrics, records in pool.map(_finish_in_worker, trainers):
+            _handle(records)
+            results.append(metrics)
+        return results
+    except Exception as exc:
+        _handle(getattr(exc, "log_records", ()))
+        raise
     finally:
         pool.shutdown(cancel_futures=True)
 

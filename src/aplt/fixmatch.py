@@ -51,15 +51,18 @@ def _masked_ce(m: nn.EncoderModel, x: np.ndarray, targets: np.ndarray,
                kept: np.ndarray):
     """Cross-entropy of the head's prediction on x against targets, and its
     parameter gradients. Rows where ``kept`` is False contribute zero loss
-    and zero gradient but stay in the batch-size denominator."""
+    and zero gradient but stay in the batch-size denominator; with no row
+    kept, the encoder does not run at all."""
+    if not kept.any():
+        return 0.0, {name: np.zeros_like(p) for name, p in m.params().items()}
     B = x.shape[0]
     rows = np.arange(B)
-    probs = nn.forward_logits(m, x)
-    py = np.maximum(probs[rows, targets], _P_FLOOR)
+    acts = nn.forward(m, x, head=True)
+    py = np.maximum(acts.probs[rows, targets], _P_FLOOR)
     value = float((kept * -np.log(py)).sum() / B)
-    d_probs = np.zeros_like(probs)
+    d_probs = np.zeros_like(acts.probs)
     d_probs[rows, targets] = np.where(kept, -1.0 / (B * py), 0.0)
-    return value, nn.backward(m, x, d_probs=d_probs)
+    return value, nn.backward(m, x, d_probs=d_probs, acts=acts)
 
 
 def supervised_loss(m: nn.EncoderModel, x: np.ndarray, y: np.ndarray,

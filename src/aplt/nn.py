@@ -12,10 +12,12 @@ The head consumes the encoder output F, i.e. the same (unit-norm) feature
 space that clustering and the prototype margin operate in, where dot
 products and Euclidean distances are interchangeable.
 
-``backward`` accepts upstream gradients on the probabilities (classifier
-path) and/or on the features (prototype-margin path, which never touches
-the head) and returns gradients for every parameter. Checkpoints are npz
-archives holding shapes and raw float64 values, so round-trips are exact.
+``forward`` returns every intermediate of one pass. ``backward`` accepts
+upstream gradients on the probabilities (classifier path) and/or on the
+features (prototype-margin path, which never touches the head), reuses the
+caller's forward when given it, and returns gradients for every parameter.
+Checkpoints are npz archives holding shapes and raw float64 values, so
+round-trips are exact.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 import zipfile
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,7 +92,26 @@ def _check_input(m: EncoderModel, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_all(m: EncoderModel, x: np.ndarray):
+class Activations(NamedTuple):
+    """What one encoder pass computed: everything ``backward`` needs, so a
+    caller that already ran the forward does not make backward run it again.
+    ``probs`` is set only when the head ran."""
+    z1: np.ndarray
+    a1: np.ndarray
+    norms: np.ndarray | None
+    feats: np.ndarray
+    probs: np.ndarray | None = None
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    ex = np.exp(shifted)
+    return ex / ex.sum(axis=1, keepdims=True)
+
+
+def forward(m: EncoderModel, x: np.ndarray, head: bool = False) -> Activations:
+    """One encoder pass over x, plus the head's probabilities when ``head``."""
+    x = _check_input(m, x)
     z1 = x @ m.w1 + m.b1
     a1 = np.maximum(z1, 0.0)
     v = a1 @ m.w2 + m.b2
@@ -99,41 +121,38 @@ def _forward_all(m: EncoderModel, x: np.ndarray):
     else:
         norms = None
         feats = v
-    return z1, a1, v, norms, feats
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=1, keepdims=True)
+    probs = softmax(feats @ m.hw + m.hb) if head else None
+    return Activations(z1, a1, norms, feats, probs)
 
 
 def forward_features(m: EncoderModel, x: np.ndarray) -> np.ndarray:
     """Encoder output F; unit L2 norm per row when feature_norm is on."""
-    x = _check_input(m, x)
-    return _forward_all(m, x)[4]
+    return forward(m, x).feats
 
 
 def forward_logits(m: EncoderModel, x: np.ndarray) -> np.ndarray:
     """Class probabilities from the parametric head (softmax rows)."""
-    x = _check_input(m, x)
-    feats = _forward_all(m, x)[4]
-    return softmax(feats @ m.hw + m.hb)
+    return forward(m, x, head=True).probs
 
 
 def backward(m: EncoderModel, x: np.ndarray,
              d_probs: np.ndarray | None = None,
-             d_feats: np.ndarray | None = None) -> dict[str, np.ndarray]:
+             d_feats: np.ndarray | None = None,
+             acts: Activations | None = None) -> dict[str, np.ndarray]:
     """Parameter gradients for upstream d(loss)/d(probs) and/or d(loss)/d(F).
 
     The margin path supplies only ``d_feats`` (prototypes are frozen, so
     nothing flows into the head); the classifier path supplies ``d_probs``.
-    Both may be given at once and their contributions add.
+    Both may be given at once and their contributions add. ``acts`` is
+    ``forward(m, x)`` of this same model and x, when the caller has it;
+    without it the forward runs again here.
     """
     x = _check_input(m, x)
     if d_probs is None and d_feats is None:
         raise ApltError("backward needs at least one upstream gradient")
-    z1, a1, v, norms, feats = _forward_all(m, x)
+    if acts is None:
+        acts = forward(m, x, head=d_probs is not None)
+    z1, a1, norms, feats = acts.z1, acts.a1, acts.norms, acts.feats
     B = x.shape[0]
 
     grads = {}
@@ -142,7 +161,7 @@ def backward(m: EncoderModel, x: np.ndarray,
         d_probs = np.asarray(d_probs, dtype=np.float64)
         if d_probs.shape != (B, m.num_classes):
             raise DimensionMismatchError("d_probs shape mismatch")
-        p = softmax(feats @ m.hw + m.hb)
+        p = acts.probs if acts.probs is not None else softmax(feats @ m.hw + m.hb)
         # softmax Jacobian-vector product
         inner = (p * d_probs).sum(axis=1, keepdims=True)
         d_logits = p * d_probs - p * inner

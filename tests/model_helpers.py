@@ -1,4 +1,5 @@
-"""Hand-built models with exactly known behavior, for loss/gradient tests."""
+"""Hand-built models with exactly known behavior, for loss/gradient tests,
+and a counter of the encoder passes a piece of code makes."""
 
 import numpy as np
 
@@ -27,3 +28,16 @@ def confident_model(d, scale=1000.0):
     """Identity encoder whose head predicts class=argmax coordinate with
     probability 1.0 in float64 (logit gaps overflow the softmax tail)."""
     return identity_encoder(d, hw=scale * np.eye(d))
+
+
+def count_encoder_passes(monkeypatch):
+    """Counts calls of nn.forward (every encoder forward, including those of
+    forward_features, forward_logits and a backward run without activations)
+    and of nn.backward from here on, in a dict that updates as they run."""
+    calls = {"forward": 0, "backward": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(nn, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(nn, name, counted)
+    return calls

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
+import logging
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from aplt import cli, cluster, config, data, engine, nn, proto
+from aplt import augment, cli, cluster, config, data, engine, nn, proto
 from aplt.errors import InvalidParameterError
+from model_helpers import count_encoder_passes
 
 
 def small_dataset(C=3, d=6, n_per_class=40, overlap=0.15, seed=2, ratio=0.2):
@@ -299,11 +303,38 @@ class TestBranchedGrid:
         engine.run_ablation_grid(ds, cfg, seeds=[0, 1])
         assert len(calls) == 2 * (15 + 7 * 40) * steps_per_epoch  # 295 epochs a seed
 
+    def test_branch_warnings_reach_the_caller_at_one_and_two_workers(self, tmp_path,
+                                                                     monkeypatch):
+        # prototypes are built only after warm-up, so in the branches
+        def noisy_build(*args, **kwargs):
+            bank = build_prototypes(*args, **kwargs)
+            logging.getLogger("aplt.test").warning("bank %s at epoch %d",
+                                                   bank.digest()[:12], bank.build_epoch)
+            return bank
+
+        build_prototypes = cluster.build_prototypes
+        monkeypatch.setattr(cluster, "build_prototypes", noisy_build)
+        csv_path = tmp_path / "ds.csv"
+        data.save_csv(small_dataset(), csv_path)
+        texts = []
+        for workers in (1, 2):
+            monkeypatch.setattr(engine, "_pool_size", lambda n, w=workers: w)
+            sink = io.StringIO()
+            with contextlib.redirect_stderr(sink):
+                assert cli.main(["ablate", "--data", str(csv_path), "--out",
+                                 str(tmp_path / f"abl{workers}"), "--seeds", "0,1",
+                                 *SMALL_ARGS]) == 0
+            texts.append(sink.getvalue())
+        assert texts[0] == texts[1]
+        # 6 aplt rows x 2 seeds x 2 offline events, in branch order
+        assert texts[0].count("WARNING aplt.test: bank ") == 24
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_nonfinite_in_a_branch_exits_two_without_table(self, tmp_path, monkeypatch,
                                                            capsys, workers):
         # the margin terms run only after warm-up, so in the branches
         def nan_margin(*args):
+            logging.getLogger("aplt.test").warning("margin term turns nan")
             return replace(margin_loss_labeled(*args), value=float("nan"))
 
         margin_loss_labeled = proto.margin_loss_labeled
@@ -314,8 +345,47 @@ class TestBranchedGrid:
         out = tmp_path / "abl"
         assert cli.main(["ablate", "--data", str(csv_path), "--out", str(out),
                          *SMALL_ARGS]) == 2
-        assert "runtime error: nonfinite total loss" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "runtime error: nonfinite total loss" in err
+        # the failing branch's warnings still reach the caller, at any pool size
+        assert err.count("WARNING aplt.test: margin term turns nan") == 1
         assert not (out / "ablation.csv").exists()
+
+
+class TestEncoderPassesPerStep:
+    """nn.forward and nn.backward calls in one optimizer step."""
+
+    def step_counts(self, monkeypatch, mode, tau, with_bank):
+        cfg = small_config(f"fixmatch.tau={tau}")
+        trainer = engine._Trainer(small_dataset(), cfg, mode)
+        if with_bank:
+            trainer.offline_phase(0)
+        calls = count_encoder_passes(monkeypatch)
+        _, _, uns = trainer._train_step(trainer._epoch_chunks()[0], 0.01, cfg.margin.lam,
+                                        augment.strong)
+        return calls["forward"], calls["backward"], uns.pass_count
+
+    @pytest.mark.parametrize("mode, with_bank, none_past, some_past", [
+        ("aplt", True, (4, 3), (5, 4)),      # after warm-up
+        ("aplt", False, (2, 1), (3, 2)),     # warm-up
+        ("fixmatch", False, (2, 1), (3, 2)),
+    ])
+    def test_counts(self, monkeypatch, mode, with_bank, none_past, some_past):
+        forwards, backwards, passed = self.step_counts(monkeypatch, mode, 0.95, with_bank)
+        assert passed == 0
+        assert (forwards, backwards) == none_past
+        forwards, backwards, passed = self.step_counts(monkeypatch, mode, 0.4, with_bank)
+        assert 0 < passed
+        assert (forwards, backwards) == some_past
+
+    def test_evaluate_runs_one_forward(self, monkeypatch):
+        trainer = engine._Trainer(small_dataset(), small_config(), "aplt")
+        trainer.offline_phase(0)
+        calls = count_encoder_passes(monkeypatch)
+        proto_acc, param_acc = engine.evaluate(trainer.model, trainer.bank,
+                                               trainer.X_test, trainer.y_test)
+        assert proto_acc is not None and param_acc is not None
+        assert calls == {"forward": 1, "backward": 0}
 
 
 class TestWarmupSharing:

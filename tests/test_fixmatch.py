@@ -3,7 +3,7 @@ import pytest
 
 from aplt import augment, fixmatch, nn
 from aplt.errors import EmptyBatchError, InvalidParameterError
-from model_helpers import confident_model, identity_encoder
+from model_helpers import confident_model, count_encoder_passes, identity_encoder
 
 NO_AUG = augment.AugmentConfig(weak_sigma=0.0, strong_sigma=0.0, strong_mask_prob=0.0)
 FM = fixmatch.FixMatchConfig()
@@ -108,6 +108,32 @@ class TestUnlabeledLoss:
                                           np.random.default_rng(11))
             counts.append(out.pass_count)
         assert counts == sorted(counts, reverse=True)
+
+
+class TestNoRowPastTau:
+    def test_exact_zeros_without_the_strong_view_pass(self, monkeypatch):
+        m = identity_encoder(2)  # mild logits, confidence ~0.5-0.7
+        calls = count_encoder_passes(monkeypatch)
+        out = fixmatch.unlabeled_loss(m, np.array([[0.1, 0.0], [0.0, 0.2]]), FM, NO_AUG,
+                                      rng())
+        # only the weak view runs, as the label source
+        assert calls == {"forward": 1, "backward": 0}
+        assert out.value == 0.0 and out.pass_count == 0
+        for name, value in m.params().items():
+            g = out.grads[name]
+            assert g.shape == value.shape and g.dtype == np.float64
+            assert np.all(g == 0.0)
+
+    def test_strong_view_still_drawn(self):
+        # a model confident on every row leaves the stream where a mild one does
+        x = np.array([[0.1, 0.0], [0.0, 0.2]])
+        states = []
+        for m in (identity_encoder(2), confident_model(2)):
+            gen = rng()
+            out = fixmatch.unlabeled_loss(m, x, FM, augment.AugmentConfig(), gen)
+            states.append((out.pass_count, gen.bit_generator.state))
+        assert [count for count, _ in states] == [0, 2]
+        assert states[0][1] == states[1][1]
 
 
 class TestWarmupObjective:

@@ -157,6 +157,27 @@ class TestBackward:
             assert np.allclose(doubled[name], 2 * single[name], atol=1e-12)
 
 
+class TestBackwardReusesForward:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("upstream", ["probs", "feats", "both"])
+    def test_given_activations_equal_recomputed_bit_for_bit(self, seed, upstream):
+        rng = np.random.default_rng(seed)
+        d, h, e, C, B = rng.integers(1, 9, size=5)
+        m = random_model(rng, d, h, e, C, feature_norm=bool(seed % 3))
+        x = rng.normal(size=(B, d))
+        kwargs = {}
+        if upstream in ("probs", "both"):
+            kwargs["d_probs"] = rng.normal(size=(B, C))
+        if upstream in ("feats", "both"):
+            kwargs["d_feats"] = rng.normal(size=(B, e))
+        recomputed = nn.backward(m, x, **kwargs)
+        # with the head's probabilities, and without (backward then adds them)
+        for acts in (nn.forward(m, x, head=True), nn.forward(m, x)):
+            reused = nn.backward(m, x, **kwargs, acts=acts)
+            for name in nn.PARAM_NAMES:
+                assert reused[name].tobytes() == recomputed[name].tobytes(), name
+
+
 class TestSgdStep:
     def test_zero_gradients_zero_decay_freeze_parameters(self):
         rng = np.random.default_rng(0)

@@ -7,9 +7,11 @@ Generates the ``hard12`` preset at 10% labels into OUTDIR, runs 38 outputs'
 worth of train, labeled-only, ablate and compare runs on it, and prints one
 ``run output sha256`` line per output. A pure refactor must leave every line
 unchanged, so the whole check is a ``diff`` of the printouts made from the
-code before and after the change. It imports ``aplt`` from ``PYTHONPATH``,
-so pointing that at another checkout's ``src`` hashes that checkout. It
-takes about a minute on a 2-core machine.
+code before and after the change. Give both runs the same OUTDIR path:
+each ``resolved_config.json`` records the ``--data`` path as given, so its
+hash depends on OUTDIR. It imports ``aplt`` from ``PYTHONPATH``, so pointing
+that at another checkout's ``src`` hashes that checkout. It takes about a
+minute on a 2-core machine.
 """
 
 from __future__ import annotations
