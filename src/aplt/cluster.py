@@ -175,15 +175,32 @@ def extract_all_features(m: nn.EncoderModel, X_l: np.ndarray, X_u: np.ndarray,
     return F_l, F_u, F_sl
 
 
+def _add_by_class(sums: np.ndarray, y: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Adds every row F[i] into sums[y[i]], rows in order, and returns the
+    per-class row counts.
+
+    Bit for bit ``np.add.at(sums, y, F)``: each class's rows are summed by
+    one sequential accumulate that starts from its running sum.
+    ``np.add.reduce`` and ``np.add.reduceat`` would sum in another order.
+    """
+    y = np.asarray(y, dtype=np.int64)
+    counts = np.bincount(y, minlength=sums.shape[0])
+    order = np.argsort(y, kind="stable")
+    ends = np.cumsum(counts)
+    for c in np.flatnonzero(counts):
+        block = F[order[ends[c] - counts[c]:ends[c]]]
+        block[0] += sums[c]
+        sums[c] = np.add.accumulate(block, axis=0)[-1]
+    return counts
+
+
 def _class_sums(C: int, e: int, *blocks):
     """Per-class feature sums and member counts over (features, labels)
     blocks, adding rows in block order."""
     sums = np.zeros((C, e))
     counts = np.zeros(C, dtype=np.int64)
     for F, y in blocks:
-        y = np.asarray(y, dtype=np.int64)
-        np.add.at(sums, y, F)
-        counts += np.bincount(y, minlength=C)
+        counts += _add_by_class(sums, y, F)
     return sums, counts
 
 
@@ -248,8 +265,7 @@ def ss_kmeans(F_l: np.ndarray, F_u: np.ndarray, F_sl: np.ndarray,
 
     def update(assign, d2):
         sums = anchor_sums.copy()
-        np.add.at(sums, assign, F_u)
-        counts = anchor_counts + np.bincount(assign, minlength=C)
+        counts = anchor_counts + _add_by_class(sums, assign, F_u)
         return _unit_rows(sums / counts[:, None])
 
     def objective(assign, centroids):

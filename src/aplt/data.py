@@ -10,6 +10,8 @@ so tests can prove it.
 from __future__ import annotations
 
 import csv
+import itertools
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -168,45 +170,89 @@ def save_csv(ds: FeatureDataset, path) -> None:
             writer.writerow(row)
 
 
-def load_csv(path, num_classes: int | None = None) -> FeatureDataset:
-    """Load a dataset; infers the class count as max(label)+1 unless given."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+def _parse_rows(lines, dtype):
+    """Data lines parsed in one call to ``dtype`` records. Integer columns
+    reject ``1.0``, quoted fields are unquoted, and empty lines are skipped."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
+                          comments=None, ndmin=1)
+
+
+def _data_lines(path):
+    """(physical line number, line) of every non-empty line after the header.
+
+    load_csv's error paths rescan the file with it to name the row."""
+    with open(path) as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            if line != "\n":
+                yield lineno, line
+
+
+def _line_error(lineno: int, line: str, names: list) -> ValueError:
+    """The error that a data line which does not parse on its own is reported as."""
+    row = next(csv.reader([line]))
+    if len(row) != len(names):
+        return DimensionMismatchError(f"row {lineno}: expected {len(names) - 3} "
+                                      f"feature columns, got {max(len(row) - 3, 0)}")
+    for name, value in zip(names, row):
+        kind = np.dtype(np.float64 if name.startswith("f") else np.int64)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError("empty file") from None
+            parsed = _parse_rows([value], kind).size == 1  # an empty field is no row
+        except ValueError:
+            parsed = False
+        if not parsed:
+            return DataFormatError(f"row {lineno}: column {name}: cannot parse "
+                                   f"{value!r} as {kind.name}")
+    return DataFormatError(f"row {lineno}: cannot parse the line")
+
+
+def load_csv(path, num_classes: int | None = None) -> FeatureDataset:
+    """Load a dataset; infers the class count as max(label)+1 unless given.
+
+    Every error names the file's physical line number as ``row N``."""
+    with open(path) as fh:
+        first = fh.readline()
+        if not first:
+            raise DataFormatError("empty file")
+        header = next(csv.reader([first]))
         if len(header) < 4 or header[:3] != ["id", "label", "labeled"]:
             raise DataFormatError("header must start with id,label,labeled,f0,...")
         d = len(header) - 3
         if header[3:] != [f"f{j}" for j in range(d)]:
             raise DataFormatError("feature columns must be named f0..f{d-1}")
+        dtype = np.dtype([("id", np.int64), ("label", np.int64), ("labeled", np.int64),
+                          ("f", np.float64, (d,))])
+        try:
+            rows = _parse_rows(fh, dtype)
+        except ValueError:
+            for lineno, line in _data_lines(path):
+                try:
+                    _parse_rows([line], dtype)
+                except ValueError:
+                    raise _line_error(lineno, line, header) from None
+            raise
 
-        feats, labels, mask = [], [], []
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 3:
-                raise DimensionMismatchError(
-                    f"row {rownum}: expected {d} feature columns, got {len(row) - 3}")
-            try:
-                labels.append(int(row[1]))
-                flag = int(row[2])
-                feats.append([float(v) for v in row[3:]])
-            except ValueError as exc:
-                raise DataFormatError(f"row {rownum}: {exc}") from None
-            if flag not in (0, 1):
-                raise DataFormatError(f"row {rownum}: labeled flag must be 0 or 1")
-            if labels[-1] < 0:
-                raise DataFormatError(f"row {rownum}: negative class index")
-            mask.append(bool(flag))
-
-    if not feats:
+    if not rows.size:
         raise DataFormatError("file has a header but no data rows")
-    labels_arr = np.array(labels, dtype=np.int64)
-    C = num_classes if num_classes is not None else int(labels_arr.max()) + 1
-    too_big = np.flatnonzero(labels_arr >= C)
-    if too_big.size:
-        raise DataFormatError(
-            f"row {too_big[0] + 2}: class index {labels_arr[too_big[0]]} >= C={C}")
-    return FeatureDataset(np.array(feats), labels_arr, np.array(mask, dtype=bool), C)
+    labels, flags, feats = rows["label"], rows["labeled"], rows["f"]
+    C = num_classes if num_classes is not None else int(labels.max()) + 1
+    bad_flag = (flags != 0) & (flags != 1)
+    negative = labels < 0
+    non_finite = ~np.isfinite(feats).all(axis=1)
+    too_big = labels >= C
+    bad = np.flatnonzero(bad_flag | negative | non_finite | too_big)
+    if bad.size:
+        k = bad[0]
+        if bad_flag[k]:
+            problem = "labeled flag must be 0 or 1"
+        elif negative[k]:
+            problem = "negative class index"
+        elif non_finite[k]:
+            problem = "features must be finite"
+        else:
+            problem = f"class index {labels[k]} >= C={C}"
+        lineno, _ = next(itertools.islice(_data_lines(path), k, None))
+        raise DataFormatError(f"row {lineno}: {problem}")
+    return FeatureDataset(np.ascontiguousarray(feats), labels.copy(), flags == 1, C)

@@ -98,7 +98,9 @@ class TestTrain:
     @pytest.mark.parametrize("rows,message", [
         ("0,0,1,1.0,2.0\n1,1,1,1.0\n", "row 3: expected 2 feature columns, got 1"),
         ("0,0,1,1.0,2.0\n1,1,0,1.0,2.0\n2,0,0,0.5,0.5\n",
-         "classes [1] have no labeled sample")], ids=["wrong_width", "unlabeled_class"])
+         "classes [1] have no labeled sample"),
+        ("0,0,1,1.0,2.0\n\n1,1,1,-inf,2.0\n", "row 4: features must be finite")],
+        ids=["wrong_width", "unlabeled_class", "non_finite"])
     def test_bad_csv_exits_one_without_outputs(self, tmp_path, capsys, rows, message):
         path = tmp_path / "bad.csv"
         path.write_text("id,label,labeled,f0,f1\n" + rows)
@@ -237,6 +239,18 @@ class TestEval:
         assert rc == 1
         assert (f"config error: {dataset_csv}: 4 feature columns, but {ckpt} expects 5"
                 in capsys.readouterr().err)
+
+    def test_non_finite_feature_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("id,label,labeled,f0,f1\n0,0,1,1.0,2.0\n1,1,0,nan,2.0\n"
+                        "2,1,0,1.0,inf\n")
+        ckpt = tmp_path / "ckpt.npz"
+        nn.save_checkpoint(ckpt, nn.EncoderModel.init(2, 3, 2, 2, np.random.default_rng(0)))
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: row 3: features must be finite" in captured.err
 
 
 class TestCompare:

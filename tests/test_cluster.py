@@ -336,6 +336,23 @@ class TestClassSums:
         assert sums.tolist() == [[7.0, 11.0], [4.0, 7.0]]
         assert counts.tolist() == [1, 2]
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_add_by_class_equals_sequential_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        C, e, n = int(rng.integers(1, 9)), int(rng.integers(1, 4)), int(rng.integers(0, 80))
+        if seed % 4 == 0:
+            e = 1
+        y = rng.integers(0, max(1, C - 2), size=n)  # the top classes stay empty
+        F = rng.normal(size=(n, e)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
+        start = rng.normal(size=(C, e)) * 10.0 ** rng.integers(-8, 9, size=(C, 1))
+        expected = start.copy()
+        for i in range(n):
+            expected[y[i]] = expected[y[i]] + F[i]
+        sums = start.copy()
+        counts = cluster._add_by_class(sums, y, F)
+        assert sums.tobytes() == expected.tobytes()
+        assert counts.tolist() == np.bincount(y, minlength=C).tolist()
+
 
 class TestBuildPrototypes:
     def test_single_member_is_its_normalized_feature(self):

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -132,6 +135,85 @@ class TestCsvRoundTrip:
         path.write_text("id,label,labeled,f0\n0,0,1,zero\n")
         with pytest.raises(DataFormatError, match="row 2"):
             data.load_csv(path)
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (1, 5), (9, 1), (40, 3), (200, 7)])
+    def test_round_trip_is_bit_identical(self, tmp_path, n, d):
+        rng = np.random.default_rng(n * 10 + d)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308 / 3, 1e300, -1e300,
+                            np.finfo(np.float64).max, 1e-300])
+        feats = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-300, 300, size=(n, d))
+        pick = rng.random((n, d)) < 0.3
+        feats[pick] = rng.choice(special, size=int(pick.sum()))
+        C = 4
+        ds = data.FeatureDataset(feats, rng.integers(0, C, size=n),
+                                 rng.random(n) < 0.5, C)
+        path = tmp_path / "ds.csv"
+        data.save_csv(ds, path)
+        lines = path.read_text().splitlines(keepends=True)
+        for at in sorted(rng.integers(1, len(lines) + 1, size=3), reverse=True):
+            lines.insert(at, "\n")  # blank lines anywhere after the header
+        path.write_text("".join(lines))
+        back = data.load_csv(path, num_classes=C)
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.true_labels.tobytes() == ds.true_labels.tobytes()
+        assert back.labeled_mask.tobytes() == ds.labeled_mask.tobytes()
+        assert back.features.flags.c_contiguous
+
+    @pytest.mark.parametrize("body,num_classes,error,message", [
+        ("0,0,1,1,2\n\n1,1,1,1\n", None, DimensionMismatchError,
+         "row 4: expected 2 feature columns, got 1"),
+        ("0,0,1,1,2\n1,0,1,zero,2\n", None, DataFormatError,
+         "row 3: column f0: cannot parse 'zero' as float64"),
+        ("0,0,1,1,\n", None, DataFormatError,
+         "row 2: column f1: cannot parse '' as float64"),
+        ("\n0,1.0,1,1,2\n", None, DataFormatError,
+         "row 3: column label: cannot parse '1.0' as int64"),
+        ("0,0,1,1,2\n1,0,2,1,2\n", None, DataFormatError,
+         "row 3: labeled flag must be 0 or 1"),
+        ("\n\n0,-1,1,1,2\n", None, DataFormatError, "row 4: negative class index"),
+        ("", None, DataFormatError, "file has a header but no data rows"),
+        ("\n\n", None, DataFormatError, "file has a header but no data rows"),
+        ("0,0,1,1,2\n  \n", None, DimensionMismatchError,
+         "row 3: expected 2 feature columns, got 0"),
+        ("0,0,1,nan,2\n", None, DataFormatError, "row 2: features must be finite"),
+        ("0,0,1,1,2\n\n1,0,1,1,inf\n", None, DataFormatError,
+         "row 4: features must be finite"),
+        ("0,0,1,1,2\n\n1,5,1,1,2\n", 3, DataFormatError, "row 4: class index 5 >= C=3"),
+    ], ids=["width_after_blank", "garbage", "empty_field", "float_label", "flag_2",
+            "negative_label", "header_only", "header_and_blank_lines", "whitespace_line",
+            "nan", "inf", "class_after_blank"])
+    def test_malformed_file_names_physical_row(self, tmp_path, body, num_classes,
+                                               error, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,label,labeled,f0,f1\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's no-data warning must not leak
+            with pytest.raises(error) as info:
+                data.load_csv(path, num_classes=num_classes)
+        assert str(info.value) == message
+
+    def test_quoted_fields_are_unquoted(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('id,label,labeled,"f0"\n"0","1",1,"1.5"\n1,0,1,-2\n')
+        ds = data.load_csv(path)
+        assert ds.features.tolist() == [[1.5], [-2.0]]
+        assert ds.true_labels.tolist() == [1, 0]
+
+    def test_load_memory_is_a_small_multiple_of_the_features(self, tmp_path):
+        n, d = 10_000, 32
+        rng = np.random.default_rng(0)
+        ds = data.FeatureDataset(rng.normal(size=(n, d)), rng.integers(0, 100, size=n),
+                                 rng.random(n) < 0.1, 100)
+        path = tmp_path / "big.csv"
+        data.save_csv(ds, path)
+        tracemalloc.start()
+        try:
+            back = data.load_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.n == n
+        assert peak <= 2.5 * ds.features.nbytes
 
 
 def test_poison_touches_only_unlabeled_labels():

@@ -3,21 +3,22 @@
 Usage:
     PYTHONPATH=src python tools/gate_outputs.py OUTDIR > hashes.txt
 
-Generates the ``hard12`` preset at 10% labels into OUTDIR, runs 38 outputs'
-worth of train, labeled-only, ablate and compare runs on it, and prints one
-``run output sha256`` line per output. A pure refactor must leave every line
-unchanged, so the whole check is a ``diff`` of the printouts made from the
-code before and after the change. Give both runs the same OUTDIR path:
-each ``resolved_config.json`` records the ``--data`` path as given, so its
-hash depends on OUTDIR. It imports ``aplt`` from ``PYTHONPATH``, so pointing
-that at another checkout's ``src`` hashes that checkout. It takes about a
-minute on a 2-core machine.
+Generates the ``hard12`` preset at 10% labels into OUTDIR, runs 39 outputs'
+worth of train, labeled-only, ablate, compare and eval runs on it, and
+prints one ``run output sha256`` line per output. A pure refactor must
+leave every line unchanged, so the whole check is a ``diff`` of the
+printouts made from the code before and after the change. Give both runs
+the same OUTDIR path: each ``resolved_config.json`` records the ``--data``
+path as given, so its hash depends on OUTDIR. It imports ``aplt`` from
+``PYTHONPATH``, so pointing that at another checkout's ``src`` hashes that
+checkout. It takes about a minute on a 2-core machine.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import sys
 from pathlib import Path
 
@@ -34,11 +35,16 @@ def _sha(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def _cli(*argv: str) -> None:
-    with contextlib.redirect_stdout(sys.stderr):  # keep stdout to hash lines
+def _cli(*argv: str) -> str:
+    """Runs aplt in-process and returns its stdout, echoed to stderr so that
+    this script's stdout holds only hash lines."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
         code = cli.main(list(argv))
+    sys.stderr.write(stdout.getvalue())
     if code != 0:
         raise SystemExit(f"aplt {' '.join(argv)} exited {code}")
+    return stdout.getvalue()
 
 
 def gate(out: Path):
@@ -69,6 +75,11 @@ def gate(out: Path):
     _cli("compare", "--data", str(csv_path), "--out", str(out / "compare"))
     for output in ("trajectory.csv", "metrics_fixmatch.ndjson", "metrics_aplt.ndjson"):
         yield "compare", output, _sha((out / "compare" / output).read_bytes())
+
+    # eval reads the CSV through the CLI, so its stdout covers the loader
+    printed = _cli("eval", "--checkpoint", str(out / "train0" / "checkpoint.npz"),
+                   "--data", str(csv_path))
+    yield "eval train0", "stdout", _sha(printed.encode())
 
 
 def main(argv=None) -> int:
