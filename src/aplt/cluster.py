@@ -16,6 +16,11 @@ equal, bit for bit, an argmin over the full (n, C, e) difference tensor, and
 do not depend on BLAS rounding or thread count, while memory stays at one
 block's (rows, C, e) tensor (``_BLOCK_BYTES``).
 
+The Lloyd loop (``_lloyd``) redoes only what changed in a round: it sums
+again only the classes whose membership changed, and searches again only
+the rows whose distance bounds allow a new nearest centroid. Its results
+equal a full recompute of every round bit for bit.
+
 Filtering keeps an unlabeled sample only while its distance to the assigned
 centroid stays within a per-class adaptive threshold: the class-local mean
 distance, rescaled by the global mean over the largest local mean.
@@ -39,8 +44,16 @@ _NORM_FLOOR = 1e-12
 # Budget for one row block's (rows, C, e) float64 recheck tensor.
 _BLOCK_BYTES = 4 << 20
 
+# Values per block of the row-wise work in a Lloyd round (class sums,
+# distance refresh, ``_sq_dist_sum``). Blocks this small reuse freed heap
+# memory, where whole-array temporaries were mapped and faulted in afresh.
+_SUM_ITEMS = 1 << 14
+
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
+# A coordinate below 2**-537 squares to less than the smallest subnormal, so
+# a norm computed from such squares can be short by sqrt(e)·2**-537.
+_MOVE_FLOOR = 2.0 ** -536
 
 
 @dataclass(frozen=True)
@@ -82,12 +95,20 @@ class PseudoLabelSet:
     tau_local: np.ndarray
     coverage: float             # kept / total unlabeled
     n_unlabeled: int = 0
+    _lookup: np.ndarray | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def label_lookup(self) -> np.ndarray:
-        """Dense (n_u,) array, -1 where the pseudo-label was discarded."""
-        out = np.full(self.n_unlabeled, -1, dtype=np.int64)
-        out[self.indices] = self.labels
-        return out
+        """Dense (n_u,) array, -1 where the pseudo-label was discarded.
+
+        Built on the first call and shared, read-only, by every later one;
+        the set does not change after an offline event makes it."""
+        if self._lookup is None:
+            out = np.full(self.n_unlabeled, -1, dtype=np.int64)
+            out[self.indices] = self.labels
+            out.flags.writeable = False
+            self._lookup = out
+        return self._lookup
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -114,11 +135,13 @@ def _unit_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _nearest(F: np.ndarray, centroids: np.ndarray):
-    """Nearest centroid of every row of F and the squared distance to it.
+    """Nearest centroid of every row of F, the squared distance to it, and a
+    lower bound on the squared distance to every other centroid.
 
-    Equal, bit for bit, to ``d2 = einsum("ijk,ijk->ij", diff, diff)`` over
-    ``diff = F[:, None] - centroids[None]`` followed by ``d2.argmin(axis=1)``
-    and the gathered ``d2`` values (ties go to the lowest index).
+    The first two equal, bit for bit, ``d2 = einsum("ijk,ijk->ij", diff,
+    diff)`` over ``diff = F[:, None] - centroids[None]`` followed by
+    ``d2.argmin(axis=1)`` and the gathered ``d2`` values (ties go to the
+    lowest index).
 
     The screen drops ||f||^2, which is constant along a row. The screen and
     the exact sum each differ from their true values by at most about
@@ -126,14 +149,18 @@ def _nearest(F: np.ndarray, centroids: np.ndarray):
     ``slack`` below has a 4x margin, plus a term for underflow. A row whose
     runner-up screen value lies more than 2·slack above its best has a
     unique exact nearest centroid, the screened one. Every other row,
-    including any with non-finite values, is decided by the exact sum.
+    including any with non-finite values, is decided by the exact sum. The
+    lower bound is the smallest screen value among the other centroids plus
+    ||f||^2, less ``slack`` (inf with one centroid).
     """
     n, e = F.shape
     C = centroids.shape[0]
     assign = np.empty(n, dtype=np.int64)
+    d2 = np.empty(n)
+    runner_up = np.empty(n)
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
     f_sq = np.einsum("ij,ij->i", F, F)
-    slack = 8.0 * (e + 2) * (_EPS * (f_sq + c_sq.max()) + _TINY)
+    slack = _slack(e, f_sq, c_sq)
     minus_2c = -2.0 * centroids
     rows = max(1, _BLOCK_BYTES // (8 * C * e))
     for start in range(0, n, rows):
@@ -144,14 +171,27 @@ def _nearest(F: np.ndarray, centroids: np.ndarray):
         best = approx.argmin(axis=1)
         best_val = approx[r, best]
         approx[r, best] = np.inf
-        gap = approx.min(axis=1) - best_val
-        near = np.flatnonzero(~(gap > 2.0 * slack[start:start + rows]))
+        second = approx.min(axis=1)
+        near = np.flatnonzero(~(second - best_val > 2.0 * slack[start:start + rows]))
         if near.size:
             diff = block[near][:, None, :] - centroids[None, :, :]
-            best[near] = np.einsum("ijk,ijk->ij", diff, diff).argmin(axis=1)
+            exact = np.einsum("ijk,ijk->ij", diff, diff).argmin(axis=1)
+            # where the exact sum picks another centroid, the screened best
+            # is among the others
+            moved = near[exact != best[near]]
+            second[moved] = best_val[moved]
+            best[near] = exact
         assign[start:start + rows] = best
-    D = F - centroids[assign]
-    return assign, np.einsum("ij,ij->i", D, D)
+        runner_up[start:start + rows] = second
+        D = block - centroids[best]
+        d2[start:start + rows] = np.einsum("ij,ij->i", D, D)
+    return assign, d2, runner_up + f_sq - slack
+
+
+def _slack(e: int, f_sq: np.ndarray, c_sq: np.ndarray) -> np.ndarray:
+    """Per-row bound on the rounding error of a squared distance (see
+    ``_nearest``)."""
+    return 8.0 * (e + 2) * (_EPS * (f_sq + c_sq.max()) + _TINY)
 
 
 def extract_all_features(m: nn.EncoderModel, X_l: np.ndarray, X_u: np.ndarray,
@@ -175,23 +215,35 @@ def extract_all_features(m: nn.EncoderModel, X_l: np.ndarray, X_u: np.ndarray,
     return F_l, F_u, F_sl
 
 
-def _add_by_class(sums: np.ndarray, y: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Adds every row F[i] into sums[y[i]], rows in order, and returns the
-    per-class row counts.
+def _add_by_class(sums: np.ndarray, y: np.ndarray, F: np.ndarray,
+                  rows: np.ndarray | None = None) -> np.ndarray:
+    """Adds every row F[rows[i]] (F[i] without ``rows``) into sums[y[i]],
+    in order, and returns the per-class row counts.
 
-    Bit for bit ``np.add.at(sums, y, F)``: each class's rows are summed by
-    one sequential accumulate that starts from its running sum.
+    Bit for bit ``np.add.at(sums, y, F[rows])``: ``np.bincount`` adds its
+    weights one at a time in array order, so with each class's running sum
+    placed ahead of its rows every (class, column) total is one sequential
+    sum that starts from that running sum (a running sum of -0.0 restarts
+    as +0.0, which no sum that starts from zeros can reach).
     ``np.add.reduce`` and ``np.add.reduceat`` would sum in another order.
+    Rows go in blocks of about ``_SUM_ITEMS`` values, so no temporary grows
+    with F.
     """
+    C, e = sums.shape
     y = np.asarray(y, dtype=np.int64)
-    counts = np.bincount(y, minlength=sums.shape[0])
-    order = np.argsort(y, kind="stable")
-    ends = np.cumsum(counts)
-    for c in np.flatnonzero(counts):
-        block = F[order[ends[c] - counts[c]:ends[c]]]
-        block[0] += sums[c]
-        sums[c] = np.add.accumulate(block, axis=0)[-1]
-    return counts
+    step = _row_step(e)
+    for start in range(0, y.size, step):
+        part = slice(start, start + step)
+        block = F[part] if rows is None else F[rows[part]]
+        cells = np.add.outer(np.concatenate([np.arange(C), y[part]]) * e, np.arange(e))
+        sums[...] = np.bincount(cells.ravel(), np.concatenate([sums, block]).ravel(),
+                                minlength=C * e).reshape(C, e)
+    return np.bincount(y, minlength=C)
+
+
+def _row_step(e: int) -> int:
+    """Rows per block of about ``_SUM_ITEMS`` values."""
+    return max(1, _SUM_ITEMS // e)
 
 
 def _class_sums(C: int, e: int, *blocks):
@@ -204,6 +256,32 @@ def _class_sums(C: int, e: int, *blocks):
     return sums, counts
 
 
+def _sq_dist_sum(F: np.ndarray, centers: np.ndarray, y: np.ndarray) -> float:
+    """``float(((F - centers[y]) ** 2).sum())``, bit for bit, without its
+    (n, e) temporaries.
+
+    numpy sums a contiguous array pairwise: it halves the count, rounded
+    down to a multiple of 8, until at most 128 values remain. Each half is
+    summed on its own, so the values are made and summed one block of at
+    most ``_SUM_ITEMS`` at a time and the halves are added as numpy would.
+    """
+    return float(_sq_dist_part(F, centers, y, 0, F.size))
+
+
+def _sq_dist_part(F, centers, y, start, size):
+    """numpy's pairwise sum of the flat values [start, start + size) of
+    (F - centers[y]) ** 2."""
+    if size > _SUM_ITEMS:
+        half = size // 2 - size // 2 % 8
+        return (_sq_dist_part(F, centers, y, start, half)
+                + _sq_dist_part(F, centers, y, start + half, size - half))
+    e = F.shape[1]
+    first, last = start // e, -(-(start + size) // e)
+    block = F[first:last] - centers[y[first:last]]
+    block *= block
+    return block.ravel()[start - first * e:start - first * e + size].sum()
+
+
 def _copy_labels(F_sl: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Labels of the copy-major stacked labeled copies in F_sl."""
     if F_sl.shape[0] % labels.shape[0]:
@@ -211,35 +289,104 @@ def _copy_labels(F_sl: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.tile(labels, F_sl.shape[0] // labels.shape[0])
 
 
-def _lloyd(F: np.ndarray, centers: np.ndarray, update, objective,
-           cfg: ClusterConfig) -> ClusterResult:
+def _lloyd(F: np.ndarray, centers: np.ndarray, base_sums: np.ndarray,
+           base_counts: np.ndarray, objective, cfg: ClusterConfig) -> ClusterResult:
     """Lloyd rounds over the rows of F, starting from ``centers``.
 
-    Each round assigns every row to its nearest centre, then asks
-    ``update(assign, d2)`` for the next centres and traces
-    ``objective(assign, centers)`` on them; a rise of more than 1e-9 over
-    the previous round clears ``monotonic``. Stops when the largest centre
-    movement falls below ``tol`` or after ``max_iters`` rounds, and returns
-    the final nearest-centre assignment of every row of F.
+    Each round assigns every row to its nearest centre, then moves every
+    centre to the unit-normalized mean of its base sum and count (the
+    anchors) plus its assigned rows; a centre with neither restarts at the
+    row farthest from its own centre. ``objective(assign, centers, d2)`` is
+    traced on the new centres, where d2 holds each row's squared distance
+    to its centre; a rise of more than 1e-9 over the previous round clears
+    ``monotonic``. Stops when the largest centre movement falls below
+    ``tol`` or after ``max_iters`` rounds, and returns the final
+    nearest-centre assignment of every row of F.
+
+    Every output equals, bit for bit, a full recompute of every round:
+    - Only classes whose membership changed are summed again (or empty
+      ones). Any other class would sum the same rows in the same order, so
+      its centre keeps its exact bits and moves 0.
+    - d2 is recomputed only for rows whose assignment or centre changed.
+    - A row is searched again only when the centres moved and its bounds do
+      not rule out a change (Hamerly, SDM 2010). ``up`` bounds its distance
+      to its own centre from d2, ``lo`` its distance to every other centre:
+      set by the search and lowered by the largest move of the other
+      centres since. Both are padded outward for rounding. With
+      lo² − up² > 2·slack the exact sums of ``_nearest`` cannot reorder,
+      so its answer would be the current one.
     """
+    e = F.shape[1]
+    C = centers.shape[0]
+    f_sq = np.einsum("ij,ij->i", F, F)
+    assign, d2, lo2 = _nearest(F, centers)
+    lo = _sqrt_down(lo2)
+    counts = base_counts.copy()
+    touched = np.ones(C, dtype=bool)  # classes whose membership changed
     trace: list[float] = []
     monotonic = True
     for iterations in range(1, cfg.max_iters + 1):
-        assign, d2 = _nearest(F, centers)
-        new_centers = update(assign, d2)
-        obj = objective(assign, new_centers)
+        stale = touched | (counts == 0)
+        classes = np.flatnonzero(stale)
+        members = np.flatnonzero(stale[assign])
+        sums = base_sums[classes]
+        slot = np.cumsum(stale) - 1  # class -> its position in classes
+        counts[classes] = base_counts[classes] + _add_by_class(
+            sums, slot[assign[members]], F, members)
+        means = sums / np.maximum(counts[classes], 1)[:, None]
+        empty = counts[classes] == 0
+        if empty.any():
+            means[empty] = F[np.sqrt(d2).argmax()]
+        new_centers = centers.copy()
+        new_centers[classes] = _unit_rows(means)
+        step = _row_step(e)
+        for start in range(0, members.size, step):
+            part = members[start:start + step]
+            D = F[part] - new_centers[assign[part]]
+            d2[part] = np.einsum("ij,ij->i", D, D)
+
+        obj = objective(assign, new_centers, d2)
         if trace and obj > trace[-1] + 1e-9:
             monotonic = False
         trace.append(obj)
-        shift = np.linalg.norm(new_centers - centers, axis=1).max()
+        move = np.linalg.norm(new_centers - centers, axis=1)
+        shift = move.max()
         centers = new_centers
+        touched[:] = False
+        if (move != 0).any():
+            lo = _lower(lo, move, assign, e)
+            slack = _slack(e, f_sq, np.einsum("ij,ij->i", centers, centers))
+            up = np.sqrt(d2 + slack) * (1 + 4 * _EPS)
+            unsure = np.flatnonzero(~((lo > up) & (lo * lo - up * up > 2.0 * slack)))
+            if unsure.size:
+                found, d2[unsure], lo2 = _nearest(F[unsure], centers)
+                lo[unsure] = _sqrt_down(lo2)
+                left = found != assign[unsure]
+                touched[assign[unsure[left]]] = True
+                touched[found[left]] = True
+                assign[unsure] = found
         if shift < cfg.tol:
             break
-    assign, d2 = _nearest(F, centers)
+    # without a change since the last round, its traced objective stands
     return ClusterResult(centroids=centers, assignments=assign,
                          distances=np.sqrt(d2), iterations_run=iterations,
-                         objective=objective(assign, centers),
+                         objective=(objective(assign, centers, d2) if touched.any()
+                                    else trace[-1]),
                          objective_trace=trace, monotonic=monotonic)
+
+
+def _sqrt_down(x: np.ndarray) -> np.ndarray:
+    """A lower bound on sqrt(x), 0 where x <= 0."""
+    return np.sqrt(np.maximum(x, 0.0)) * (1 - 4 * _EPS)
+
+
+def _lower(lo: np.ndarray, move: np.ndarray, assign: np.ndarray, e: int) -> np.ndarray:
+    """Lowers each row's bound on its distance to the other centres by the
+    largest move among them, padded up for the rounding of ``move``."""
+    pad = np.where(move != 0, move * (1 + 4 * (e + 2) * _EPS) + _MOVE_FLOOR * np.sqrt(e), 0.0)
+    top = int(pad.argmax())
+    runner = np.delete(pad, top).max(initial=0.0)
+    return (lo - np.where(assign == top, runner, pad[top])) * (1 - 4 * _EPS)
 
 
 def ss_kmeans(F_l: np.ndarray, F_u: np.ndarray, F_sl: np.ndarray,
@@ -263,18 +410,13 @@ def ss_kmeans(F_l: np.ndarray, F_u: np.ndarray, F_sl: np.ndarray,
     anchor_sums, anchor_counts = _class_sums(C, F_l.shape[1], (F_l, labels),
                                              (F_sl, sl_labels))
 
-    def update(assign, d2):
-        sums = anchor_sums.copy()
-        counts = anchor_counts + _add_by_class(sums, assign, F_u)
-        return _unit_rows(sums / counts[:, None])
-
-    def objective(assign, centroids):
-        return (float(((F_l - centroids[labels]) ** 2).sum())
-                + float(((F_sl - centroids[sl_labels]) ** 2).sum())
-                + float(((F_u - centroids[assign]) ** 2).sum()))
+    def objective(assign, centroids, d2):
+        return (_sq_dist_sum(F_l, centroids, labels)
+                + _sq_dist_sum(F_sl, centroids, sl_labels)
+                + _sq_dist_sum(F_u, centroids, assign))
 
     return _lloyd(F_u, _unit_rows(anchor_sums / anchor_counts[:, None]),
-                  update, objective, cfg)
+                  anchor_sums, anchor_counts, objective, cfg)
 
 
 def adaptive_thresholds(result: ClusterResult, C: int):
@@ -356,17 +498,8 @@ def pure_kmeans(F_l: np.ndarray, F_u: np.ndarray, labels: np.ndarray, C: int,
         centers[k] = X[mind.argmax()]
         mind = np.minimum(mind, np.linalg.norm(X - centers[k], axis=1))
 
-    def update(assign, d2):
-        sums, counts = _class_sums(C, X.shape[1], (X, assign))
-        new_centers = sums / np.maximum(counts, 1)[:, None]
-        new_centers[counts == 0] = X[np.sqrt(d2).argmax()]
-        return _unit_rows(new_centers)
-
-    def objective(assign, centers):
-        D = X - centers[assign]
-        return float(np.einsum("ij,ij->i", D, D).sum())
-
-    result = _lloyd(X, centers, update, objective, cfg)
+    result = _lloyd(X, centers, np.zeros_like(centers), np.zeros(C, dtype=np.int64),
+                    lambda assign, centers, d2: float(d2.sum()), cfg)
     cluster_to_class = _majority_map(result.assignments[:n_l], labels, C)
     return replace(result,
                    centroids=result.centroids[_inverse_or_identity(cluster_to_class, C)],

@@ -161,13 +161,14 @@ def poison_eval_labels(ds: FeatureDataset, seed: int = 0) -> FeatureDataset:
 # ---------------------------------------------------------------------------
 
 def save_csv(ds: FeatureDataset, path) -> None:
+    """One header line, then ``id,label,labeled,f0,...`` per sample with
+    every feature as ``%.17g``, which reads back to the same float64."""
+    line = ",".join(["%d"] * 3 + ["%.17g"] * ds.dim) + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "label", "labeled"] + [f"f{j}" for j in range(ds.dim)])
-        for i in range(ds.n):
-            row = [str(i), str(int(ds.true_labels[i])), str(int(ds.labeled_mask[i]))]
-            row += [format(v, ".17g") for v in ds.features[i]]
-            writer.writerow(row)
+        fh.write(",".join(["id", "label", "labeled"] + [f"f{j}" for j in range(ds.dim)]) + "\n")
+        labels, flags = ds.true_labels.tolist(), ds.labeled_mask.tolist()
+        for i, values in enumerate(ds.features):
+            fh.write(line % (i, labels[i], flags[i], *values.tolist()))
 
 
 def _parse_rows(lines, dtype):

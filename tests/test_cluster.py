@@ -5,7 +5,8 @@ import pytest
 
 from aplt import augment, cluster, config, data, engine, nn
 from aplt.errors import InvalidParameterError, MissingLabeledClassError
-from oracle_lloyd import anchored_lloyd, plain_lloyd
+from oracle_lloyd import (anchored_lloyd, full_nearest, full_pure_kmeans,
+                          full_ss_kmeans, plain_lloyd)
 
 CFG = cluster.ClusterConfig()
 
@@ -22,14 +23,6 @@ def random_instance(rng, n_l=6, n_u=8, C=2, e=3):
     return F_l, F_u, labels
 
 
-def reference_nearest(F, centroids):
-    """Full-tensor nearest centroid: einsum, argmin, gather."""
-    diff = F[:, None, :] - centroids[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    assign = d2.argmin(axis=1)
-    return assign, d2[np.arange(F.shape[0]), assign]
-
-
 def assert_same_result(a, b):
     for name in ("centroids", "assignments", "distances", "objective_trace"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
@@ -40,10 +33,18 @@ def assert_same_result(a, b):
 
 class TestNearest:
     def check(self, F, centroids):
-        assign, d2 = cluster._nearest(F, centroids)
-        ref_assign, ref_d2 = reference_nearest(F, centroids)
+        assign, d2, lo2 = cluster._nearest(F, centroids)
+        ref_assign, ref_d2 = full_nearest(F, centroids)
         assert np.array_equal(assign, ref_assign)
         assert np.array_equal(d2, ref_d2)
+        # lo2 lies below the squared distance to every other centroid by
+        # more than the rounding of either
+        diff = F[:, None, :] - centroids[None, :, :]
+        others = np.einsum("ijk,ijk->ij", diff, diff)
+        others[np.arange(F.shape[0]), assign] = np.inf
+        slack = cluster._slack(F.shape[1], np.einsum("ij,ij->i", F, F),
+                               np.einsum("ij,ij->i", centroids, centroids))
+        assert np.all(lo2 <= others.min(axis=1) - slack / 2)
         return assign, d2
 
     @pytest.mark.parametrize("seed", range(40))
@@ -112,6 +113,110 @@ class TestNearest:
         monkeypatch.setattr(cluster, "_BLOCK_BYTES", budget)
         assert_same_result(cluster.ss_kmeans(F_l, F_u, F_sl, labels, CFG), ss)
         assert_same_result(cluster.pure_kmeans(F_l, F_u, labels, 6, CFG), km)
+
+
+def fuzz_instance(rng, C, n_u, e, kind):
+    """Unit features with every class anchored. ``kind`` "bisector" puts
+    unlabeled rows halfway between two anchor means, "duplicate" anchors
+    some classes at the same point and repeats rows."""
+    n_l = C + int(rng.integers(0, C + 1))
+    labels = np.concatenate([np.arange(C), rng.integers(0, C, size=n_l - C)])
+    F_l = unit_rows(rng.normal(size=(n_l, e)))
+    F_u = unit_rows(rng.normal(size=(n_u, e)))
+    if kind == "bisector" and C > 1 and n_u:
+        means = unit_rows(np.stack([F_l[labels == c].mean(axis=0) for c in range(C)]))
+        a = rng.integers(0, C, size=n_u)
+        b = (a + rng.integers(1, C, size=n_u)) % C
+        F_u = (means[a] + means[b]) / 2
+    elif kind == "duplicate":
+        twin = rng.integers(0, C, size=C)
+        F_l = F_l[np.where(labels < C // 2, labels, twin[labels])]
+        if n_u:
+            F_u = F_u[rng.integers(0, n_u, size=n_u)]
+    return F_l, F_u, labels
+
+
+class TestIncrementalLloyd:
+    """The rounds redo only what changed, yet every output equals the
+    full recompute of every round bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_ss_kmeans_equals_full_recompute(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        C = int(rng.choice([1, 2, 3, 7, 12, 30, 100]))
+        e = int(rng.integers(1, 40))
+        n_u = 0 if seed % 10 == 0 else int(rng.integers(1, 400))
+        kind = ("plain", "bisector", "duplicate")[seed % 3]
+        F_l, F_u, labels = fuzz_instance(rng, C, n_u, e, kind)
+        copies = int(rng.integers(0, 3))
+        F_sl = np.tile(F_l, (copies, 1))
+        F_sl = unit_rows(F_sl + 0.1 * rng.normal(size=F_sl.shape))
+        cfg = cluster.ClusterConfig(max_iters=1 if seed % 7 == 0 else 40,
+                                    tol=0.0 if seed % 11 == 0 else 1e-6)
+        assert_same_result(cluster.ss_kmeans(F_l, F_u, F_sl, labels, cfg),
+                           full_ss_kmeans(F_l, F_u, F_sl, labels, cfg, C))
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_pure_kmeans_equals_full_recompute(self, seed):
+        rng = np.random.default_rng(1300 + seed)
+        C = int(rng.choice([1, 2, 5, 12, 40, 100]))
+        e = int(rng.integers(1, 24))
+        F_l, F_u, labels = fuzz_instance(rng, C, int(rng.integers(0, 300)), e,
+                                         ("plain", "bisector", "duplicate")[seed % 3])
+        if seed % 4 == 1:
+            # fewer distinct points than clusters: some start empty and reseed
+            points = unit_rows(rng.normal(size=(max(1, C // 3), e)))
+            F_l = points[rng.integers(0, points.shape[0], size=F_l.shape[0])]
+            F_u = points[rng.integers(0, points.shape[0], size=F_u.shape[0])]
+        cfg = cluster.ClusterConfig(max_iters=1 if seed % 6 == 0 else 40)
+        assert_same_result(cluster.pure_kmeans(F_l, F_u, labels, C, cfg),
+                           full_pure_kmeans(F_l, F_u, labels, C, cfg))
+
+    def test_empty_clusters_reseed_as_in_full_recompute(self):
+        # 8 clusters over 3 distinct points: 5 start empty
+        rng = np.random.default_rng(5)
+        points = unit_rows(rng.normal(size=(3, 4)))
+        F_l = points[[0, 1, 2, 0, 1, 2, 0, 1]]
+        labels = np.arange(8)
+        F_u = points[rng.integers(0, 3, size=40)]
+        cfg = cluster.ClusterConfig(max_iters=5)
+        assert_same_result(cluster.pure_kmeans(F_l, F_u, labels, 8, cfg),
+                           full_pure_kmeans(F_l, F_u, labels, 8, cfg))
+
+    def test_rows_screened_shrink_after_round_one(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        C, e, n_u = 12, 16, 3000
+        means = unit_rows(rng.normal(size=(C, e)))
+        labels = np.repeat(np.arange(C), 5)
+        F_l = unit_rows(means[labels] + 0.3 * rng.normal(size=(labels.size, e)))
+        F_u = unit_rows(means[rng.integers(0, C, size=n_u)] + 0.3 * rng.normal(size=(n_u, e)))
+        screened = []
+        nearest = cluster._nearest
+
+        def counting(F, centroids):
+            screened.append(F.shape[0])
+            return nearest(F, centroids)
+
+        monkeypatch.setattr(cluster, "_nearest", counting)
+        res = cluster.ss_kmeans(F_l, F_u, np.zeros((0, e)), labels, CFG)
+        assert res.iterations_run > 2
+        assert screened[0] == n_u
+        assert sum(screened) < (res.iterations_run + 1) * n_u
+        assert max(screened[1:]) < n_u
+
+
+class TestSqDistSum:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_equals_numpy_sum_bit_for_bit(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        n, e, C = int(rng.integers(0, 3000)), int(rng.integers(1, 50)), int(rng.integers(1, 20))
+        F = rng.normal(size=(n, e)) * 10.0 ** rng.uniform(-5, 5)
+        centers = rng.normal(size=(C, e))
+        y = rng.integers(0, C, size=n)
+        expected = float(((F - centers[y]) ** 2).sum())
+        for items in (cluster._SUM_ITEMS, 128, 129, 1000):
+            monkeypatch.setattr(cluster, "_SUM_ITEMS", items)
+            assert cluster._sq_dist_sum(F, centers, y) == expected
 
 
 @pytest.mark.parametrize("ties", [False, True])
@@ -350,6 +455,21 @@ class TestClassSums:
             expected[y[i]] = expected[y[i]] + F[i]
         sums = start.copy()
         counts = cluster._add_by_class(sums, y, F)
+        assert sums.tobytes() == expected.tobytes()
+        assert counts.tolist() == np.bincount(y, minlength=C).tolist()
+
+    @pytest.mark.parametrize("items", [1, 7, 64])
+    def test_add_by_class_in_blocks_of_picked_rows(self, monkeypatch, items):
+        rng = np.random.default_rng(items)
+        C, e = 5, 3
+        F = rng.normal(size=(60, e))
+        rows = rng.permutation(60)[:45]
+        y = rng.integers(0, C, size=rows.size)
+        expected = rng.normal(size=(C, e))
+        sums = expected.copy()
+        np.add.at(expected, y, F[rows])
+        monkeypatch.setattr(cluster, "_SUM_ITEMS", items)
+        counts = cluster._add_by_class(sums, y, F, rows)
         assert sums.tobytes() == expected.tobytes()
         assert counts.tolist() == np.bincount(y, minlength=C).tolist()
 

@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 import warnings
 
@@ -92,7 +93,35 @@ class TestApplySplit:
             data.apply_split(split, data.SplitSpec(labeled_ratio=0.5, seed=0))
 
 
+def csv_writer_reference(ds, path):
+    """The writer save_csv replaced: csv.writer with format(v, ".17g")."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "label", "labeled"] + [f"f{j}" for j in range(ds.dim)])
+        for i in range(ds.n):
+            row = [str(i), str(int(ds.true_labels[i])), str(int(ds.labeled_mask[i]))]
+            row += [format(v, ".17g") for v in ds.features[i]]
+            writer.writerow(row)
+
+
 class TestCsvRoundTrip:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_save_bytes_equal_csv_writer(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(0, 60)), int(rng.integers(1, 9))
+        special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 3.0, -7.0,
+                            2.0 ** 53, 0.1, 1e-310, np.finfo(float).max])
+        features = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-300, 300, size=(n, d))
+        pick = rng.random((n, d)) < 0.4
+        features[pick] = rng.choice(special, size=int(pick.sum()))
+        ds = data.FeatureDataset(features, rng.integers(0, 5, size=n),
+                                 rng.random(n) < 0.5, 5)
+        data.save_csv(ds, tmp_path / "new.csv")
+        csv_writer_reference(ds, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        back = data.load_csv(tmp_path / "new.csv")
+        assert back.features.tobytes() == ds.features.tobytes()
+
     def test_save_load_exact(self, tmp_path):
         ds = data.generate_synthetic(3, 5, 4, 0.3, seed=9)
         ds = data.apply_split(ds, data.SplitSpec(labeled_ratio=0.5, seed=0))

@@ -154,3 +154,22 @@ def test_bank_digest_tracks_content():
     assert d1 == bank.digest()
     bank.rho[0, 0] += 1e-12
     assert bank.digest() != d1
+
+
+def test_label_lookup_is_built_once_and_matches_a_fresh_construction():
+    rng = np.random.default_rng(3)
+    n = 50
+    kept = np.sort(rng.choice(n, size=20, replace=False))
+    labels = rng.integers(0, 4, size=kept.size)
+    pseudo = pseudo_over(n, kept, labels, C=4)
+    fresh = np.full(n, -1, dtype=np.int64)
+    fresh[kept] = labels
+    first, second = pseudo.label_lookup(), pseudo.label_lookup()
+    assert second is first
+    assert first.dtype == np.int64
+    assert np.array_equal(first, fresh) and np.array_equal(second, fresh)
+    assert not first.flags.writeable
+    digest = pseudo.digest()
+    proto.margin_loss_unlabeled(make_bank(np.eye(4)), rng.normal(size=(8, 4)),
+                                rng.integers(0, n, size=8), pseudo, T1)
+    assert pseudo.digest() == digest

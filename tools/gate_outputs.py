@@ -4,14 +4,17 @@ Usage:
     PYTHONPATH=src python tools/gate_outputs.py OUTDIR > hashes.txt
 
 Generates the ``hard12`` preset at 10% labels into OUTDIR, runs 39 outputs'
-worth of train, labeled-only, ablate, compare and eval runs on it, and
-prints one ``run output sha256`` line per output. A pure refactor must
-leave every line unchanged, so the whole check is a ``diff`` of the
-printouts made from the code before and after the change. Give both runs
+worth of train, labeled-only, ablate, compare and eval runs on it, then
+generates a C=100 dataset (10,000 rows, an offline event every epoch, as in
+the bench's ``offline_c100``) and trains on it with anchored and plain
+k-means, 44 outputs in all. It prints one ``run output sha256`` line per
+output. A pure refactor must leave every line unchanged, so the whole check
+is a ``diff`` of the printouts made from the code before and after the
+change. Give both runs
 the same OUTDIR path: each ``resolved_config.json`` records the ``--data``
 path as given, so its hash depends on OUTDIR. It imports ``aplt`` from
 ``PYTHONPATH``, so pointing that at another checkout's ``src`` hashes that
-checkout. It takes about a minute on a 2-core machine.
+checkout. It takes about a minute and a half on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -27,6 +30,12 @@ from aplt import cli, config, data, engine
 # one aplt train run per variant, default seed
 VARIANTS = ("cluster.method=km", "margin.view=weak", "schedule.sync_mode=true",
             "cluster.aug_copies=0")
+
+# C=100 runs: many classes and rows, so most Lloyd rounds change little
+C100_GEN = ("--classes", "100", "--dim", "32", "--per-class", "100", "--overlap", "0.25",
+            "--seed", "1", "--labeled-ratio", "0.1")
+C100_SETS = ("schedule.warmup_epochs=1", "schedule.main_epochs=4", "schedule.offline_every=1")
+C100_VARIANTS = ((), ("cluster.method=km",))
 
 SEEDS = range(5)
 
@@ -80,6 +89,16 @@ def gate(out: Path):
     printed = _cli("eval", "--checkpoint", str(out / "train0" / "checkpoint.npz"),
                    "--data", str(csv_path))
     yield "eval train0", "stdout", _sha(printed.encode())
+
+    c100_path = out / "c100.csv"
+    _cli("gen", *C100_GEN, "--out", str(c100_path))
+    yield "gen", "c100.csv", _sha(c100_path.read_bytes())
+    for i, variant in enumerate(C100_VARIANTS):
+        run_dir = out / f"c100_train{i}"
+        sets = [a for v in C100_SETS + variant for a in ("--set", v)]
+        _cli("train", "--data", str(c100_path), "--out", str(run_dir), *sets)
+        for output in ("metrics.ndjson", "resolved_config.json"):
+            yield " ".join(["train c100", *variant]), output, _sha((run_dir / output).read_bytes())
 
 
 def main(argv=None) -> int:
