@@ -326,7 +326,7 @@ class _Trainer:
             uns = fm_mod.unlabeled_loss(m, self.X_u[chunk], cfg.fixmatch,
                                         cfg.augment, self.rng_train)
             total = fm_mod.warmup_objective(total, uns)
-        grads = dict(total.grads)
+        grad = total.grad
         margin_value = 0.0
         if self.bank is not None:
             xl_v = view_fn(self.X_l[lidx], cfg.augment, self.rng_train)
@@ -338,10 +338,10 @@ class _Trainer:
             munsup = proto_mod.margin_loss_unlabeled(self.bank, acts_u.feats, chunk,
                                                      self.pseudo, cfg.margin)
             margin_value = msup.value + munsup.value
-            nn.add_grads(grads, nn.backward(m, xl_v, d_feats=msup.d_feats, acts=acts_l), lam)
-            nn.add_grads(grads, nn.backward(m, xu_v, d_feats=munsup.d_feats, acts=acts_u), lam)
+            grad = (grad + lam * nn.backward(m, xl_v, d_feats=msup.d_feats, acts=acts_l)
+                    + lam * nn.backward(m, xu_v, d_feats=munsup.d_feats, acts=acts_u))
         self._finite_or_die(total.value + lam * margin_value, "total loss")
-        nn.sgd_step(m, self.opt, grads, lr)
+        nn.sgd_step(m, self.opt, grad, lr)
         return total.value, margin_value, uns
 
     def _finite_or_die(self, value, what):

@@ -9,7 +9,7 @@ batch-size denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,7 @@ class FixMatchConfig:
 
 @dataclass
 class BatchLoss:
-    """Loss value plus the parameter-gradient payload for the optimizer.
+    """Loss value plus its flat parameter gradient (``nn.backward``'s layout).
 
     ``pass_count`` is how many unlabeled samples cleared the threshold
     (equals the batch size for supervised terms). ``pseudo_labels`` and
@@ -42,7 +42,7 @@ class BatchLoss:
     """
     value: float
     pass_count: int
-    grads: dict = field(default_factory=dict)
+    grad: np.ndarray
     pseudo_labels: np.ndarray | None = None
     passed: np.ndarray | None = None
 
@@ -50,11 +50,11 @@ class BatchLoss:
 def _masked_ce(m: nn.EncoderModel, x: np.ndarray, targets: np.ndarray,
                kept: np.ndarray):
     """Cross-entropy of the head's prediction on x against targets, and its
-    parameter gradients. Rows where ``kept`` is False contribute zero loss
+    flat parameter gradient. Rows where ``kept`` is False contribute zero loss
     and zero gradient but stay in the batch-size denominator; with no row
     kept, the encoder does not run at all."""
     if not kept.any():
-        return 0.0, {name: np.zeros_like(p) for name, p in m.params().items()}
+        return 0.0, np.zeros_like(m.theta)
     B = x.shape[0]
     rows = np.arange(B)
     acts = nn.forward(m, x, head=True)
@@ -73,9 +73,9 @@ def supervised_loss(m: nn.EncoderModel, x: np.ndarray, y: np.ndarray,
     B = x.shape[0]
     if B == 0:
         raise EmptyBatchError("supervised_loss on empty batch")
-    value, grads = _masked_ce(m, augment.weak(x, aug, rng),
-                              np.asarray(y, dtype=np.int64), np.ones(B, dtype=bool))
-    return BatchLoss(value=value, pass_count=B, grads=grads)
+    value, grad = _masked_ce(m, augment.weak(x, aug, rng),
+                             np.asarray(y, dtype=np.int64), np.ones(B, dtype=bool))
+    return BatchLoss(value=value, pass_count=B, grad=grad)
 
 
 def unlabeled_loss(m: nn.EncoderModel, x: np.ndarray, cfg: FixMatchConfig,
@@ -93,14 +93,13 @@ def unlabeled_loss(m: nn.EncoderModel, x: np.ndarray, cfg: FixMatchConfig,
     q = nn.forward_logits(m, augment.weak(x, aug, rng))  # label source, no grad
     passed = q.max(axis=1) >= cfg.tau
     qhat = q.argmax(axis=1)
-    value, grads = _masked_ce(m, augment.strong(x, aug, rng), qhat, passed)
-    return BatchLoss(value=value, pass_count=int(passed.sum()), grads=grads,
+    value, grad = _masked_ce(m, augment.strong(x, aug, rng), qhat, passed)
+    return BatchLoss(value=value, pass_count=int(passed.sum()), grad=grad,
                      pseudo_labels=qhat, passed=passed)
 
 
 def warmup_objective(sup: BatchLoss, unsup: BatchLoss) -> BatchLoss:
     """Sum of the two terms, gradients included."""
-    grads = {k: sup.grads[k] + unsup.grads[k] for k in sup.grads}
     return BatchLoss(value=sup.value + unsup.value,
-                     pass_count=unsup.pass_count, grads=grads,
+                     pass_count=unsup.pass_count, grad=sup.grad + unsup.grad,
                      pseudo_labels=unsup.pseudo_labels, passed=unsup.passed)

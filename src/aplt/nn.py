@@ -5,26 +5,29 @@ Forward graph:
     z1 = x @ w1 + b1          (d -> h)
     a1 = relu(z1)
     v  = a1 @ w2 + b2         (h -> e)
-    F  = v / ||v||            when feature_norm, else F = v
+    F  = v / ||v||            unit-norm features
     p  = softmax(F @ hw + hb) (e -> C)   parametric classifier
 
 The head consumes the encoder output F, i.e. the same (unit-norm) feature
 space that clustering and the prototype margin operate in, where dot
 products and Euclidean distances are interchangeable.
 
-``forward`` returns every intermediate of one pass. ``backward`` accepts
-upstream gradients on the probabilities (classifier path) and/or on the
-features (prototype-margin path, which never touches the head), reuses the
-caller's forward when given it, and returns gradients for every parameter.
-Checkpoints are npz archives holding shapes and raw float64 values, so
-round-trips are exact.
+Every parameter lives in one flat vector ``theta``; ``w1`` ... ``hb`` are
+views into it. ``forward`` returns every intermediate of one pass.
+``backward`` takes upstream gradients on the probabilities (classifier path)
+and/or on the features (prototype-margin path, which never touches the
+head), reuses the caller's forward when given it, and returns one flat
+gradient laid out like ``theta``: gradients add with ``+``, and
+``params(grad)`` names their blocks. ``sgd_step`` updates ``theta`` and one
+flat momentum buffer in place. Checkpoints are npz archives holding shapes
+and raw float64 values, so round-trips are exact.
 """
 
 from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,29 +39,32 @@ PARAM_NAMES = ("w1", "b1", "w2", "b2", "hw", "hb")
 _NORM_FLOOR = 1e-12  # keeps zero feature vectors from dividing by zero
 
 
-@dataclass
 class EncoderModel:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    hw: np.ndarray
-    hb: np.ndarray
-    feature_norm: bool = True
+    """Every parameter in one flat float64 vector ``theta``, in PARAM_NAMES
+    order. ``w1`` ... ``hb`` are reshaped views into it that cannot be
+    rebound, so updating ``theta`` in place updates them all. A copy
+    (``copy.deepcopy`` or pickle) builds its own ``theta`` and views."""
+
+    w1, b1, w2, b2, hw, hb = (property(lambda m, n=n: m._views[n]) for n in PARAM_NAMES)
+    theta = property(lambda m: m._theta)
+
+    def __init__(self, w1, b1, w2, b2, hw, hb):
+        arrays = [np.asarray(a, dtype=np.float64) for a in (w1, b1, w2, b2, hw, hb)]
+        stops = np.cumsum([a.size for a in arrays]).tolist()
+        self._layout = [(name, stop - a.size, stop, a.shape)
+                        for name, a, stop in zip(PARAM_NAMES, arrays, stops)]
+        self._theta = np.concatenate([a.ravel() for a in arrays])
+        self._views = self.params()
+
+    def __reduce__(self):
+        return EncoderModel, tuple(self.params().values())
 
     @classmethod
-    def init(cls, d: int, h: int, e: int, C: int, rng: np.random.Generator,
-             feature_norm: bool = True) -> "EncoderModel":
+    def init(cls, d: int, h: int, e: int, C: int, rng: np.random.Generator) -> "EncoderModel":
         """He-scaled weights, zero biases."""
-        return cls(
-            w1=rng.normal(scale=np.sqrt(2.0 / d), size=(d, h)),
-            b1=np.zeros(h),
-            w2=rng.normal(scale=np.sqrt(2.0 / h), size=(h, e)),
-            b2=np.zeros(e),
-            hw=rng.normal(scale=np.sqrt(2.0 / e), size=(e, C)),
-            hb=np.zeros(C),
-            feature_norm=feature_norm,
-        )
+        return cls(rng.normal(scale=np.sqrt(2.0 / d), size=(d, h)), np.zeros(h),
+                   rng.normal(scale=np.sqrt(2.0 / h), size=(h, e)), np.zeros(e),
+                   rng.normal(scale=np.sqrt(2.0 / e), size=(e, C)), np.zeros(C))
 
     @property
     def input_dim(self) -> int:
@@ -72,15 +78,19 @@ class EncoderModel:
     def num_classes(self) -> int:
         return self.hw.shape[1]
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in PARAM_NAMES}
+    def params(self, vec: np.ndarray | None = None) -> dict[str, np.ndarray]:
+        """Views by name into ``theta``, or into ``vec``, a flat vector laid
+        out like it (a gradient)."""
+        vec = self._theta if vec is None else vec
+        return {name: vec[start:stop].reshape(shape) for name, start, stop, shape in self._layout}
 
 
 @dataclass
 class OptimizerState:
-    momentum: float = 0.9
-    weight_decay: float = 0.0005
-    buffers: dict = field(default_factory=dict)
+    """Momentum SGD state; ``velocity`` is laid out like ``theta``."""
+    momentum: float
+    weight_decay: float
+    velocity: np.ndarray | None = None
     step_count: int = 0
 
 
@@ -98,7 +108,7 @@ class Activations(NamedTuple):
     ``probs`` is set only when the head ran."""
     z1: np.ndarray
     a1: np.ndarray
-    norms: np.ndarray | None
+    norms: np.ndarray
     feats: np.ndarray
     probs: np.ndarray | None = None
 
@@ -115,18 +125,14 @@ def forward(m: EncoderModel, x: np.ndarray, head: bool = False) -> Activations:
     z1 = x @ m.w1 + m.b1
     a1 = np.maximum(z1, 0.0)
     v = a1 @ m.w2 + m.b2
-    if m.feature_norm:
-        norms = np.maximum(np.linalg.norm(v, axis=1, keepdims=True), _NORM_FLOOR)
-        feats = v / norms
-    else:
-        norms = None
-        feats = v
+    norms = np.maximum(np.linalg.norm(v, axis=1, keepdims=True), _NORM_FLOOR)
+    feats = v / norms
     probs = softmax(feats @ m.hw + m.hb) if head else None
     return Activations(z1, a1, norms, feats, probs)
 
 
 def forward_features(m: EncoderModel, x: np.ndarray) -> np.ndarray:
-    """Encoder output F; unit L2 norm per row when feature_norm is on."""
+    """Encoder output F, unit L2 norm per row."""
     return forward(m, x).feats
 
 
@@ -138,14 +144,15 @@ def forward_logits(m: EncoderModel, x: np.ndarray) -> np.ndarray:
 def backward(m: EncoderModel, x: np.ndarray,
              d_probs: np.ndarray | None = None,
              d_feats: np.ndarray | None = None,
-             acts: Activations | None = None) -> dict[str, np.ndarray]:
+             acts: Activations | None = None) -> np.ndarray:
     """Parameter gradients for upstream d(loss)/d(probs) and/or d(loss)/d(F).
 
     The margin path supplies only ``d_feats`` (prototypes are frozen, so
     nothing flows into the head); the classifier path supplies ``d_probs``.
     Both may be given at once and their contributions add. ``acts`` is
     ``forward(m, x)`` of this same model and x, when the caller has it;
-    without it the forward runs again here.
+    without it the forward runs again here. Returns one flat gradient laid
+    out like ``m.theta``.
     """
     x = _check_input(m, x)
     if d_probs is None and d_feats is None:
@@ -155,7 +162,8 @@ def backward(m: EncoderModel, x: np.ndarray,
     z1, a1, norms, feats = acts.z1, acts.a1, acts.norms, acts.feats
     B = x.shape[0]
 
-    grads = {}
+    grad = np.zeros_like(m.theta)
+    g = m.params(grad)
     dF = np.zeros_like(feats)
     if d_probs is not None:
         d_probs = np.asarray(d_probs, dtype=np.float64)
@@ -165,12 +173,9 @@ def backward(m: EncoderModel, x: np.ndarray,
         # softmax Jacobian-vector product
         inner = (p * d_probs).sum(axis=1, keepdims=True)
         d_logits = p * d_probs - p * inner
-        grads["hw"] = feats.T @ d_logits
-        grads["hb"] = d_logits.sum(axis=0)
+        np.matmul(feats.T, d_logits, out=g["hw"])
+        d_logits.sum(axis=0, out=g["hb"])
         dF += d_logits @ m.hw.T
-    else:
-        grads["hw"] = np.zeros_like(m.hw)
-        grads["hb"] = np.zeros_like(m.hb)
 
     if d_feats is not None:
         d_feats = np.asarray(d_feats, dtype=np.float64)
@@ -178,38 +183,29 @@ def backward(m: EncoderModel, x: np.ndarray,
             raise DimensionMismatchError("d_feats shape mismatch")
         dF += d_feats
 
-    if m.feature_norm:
-        dv = (dF - feats * (feats * dF).sum(axis=1, keepdims=True)) / norms
-    else:
-        dv = dF
-    grads["w2"] = a1.T @ dv
-    grads["b2"] = dv.sum(axis=0)
+    dv = (dF - feats * (feats * dF).sum(axis=1, keepdims=True)) / norms
+    np.matmul(a1.T, dv, out=g["w2"])
+    dv.sum(axis=0, out=g["b2"])
     dz1 = (dv @ m.w2.T) * (z1 > 0)
-    grads["w1"] = x.T @ dz1
-    grads["b1"] = dz1.sum(axis=0)
-    return grads
+    np.matmul(x.T, dz1, out=g["w1"])
+    dz1.sum(axis=0, out=g["b1"])
+    return grad
 
 
-def add_grads(acc: dict, other: dict, scale: float = 1.0) -> dict:
-    for name in PARAM_NAMES:
-        acc[name] = acc[name] + scale * other[name]
-    return acc
-
-
-def sgd_step(m: EncoderModel, state: OptimizerState,
-             grads: dict[str, np.ndarray], lr: float) -> None:
-    """v <- mu*v + g + wd*theta ; theta <- theta - lr*v  (in place)."""
-    for name in PARAM_NAMES:
-        g = grads[name]
-        if not np.isfinite(g).all():
-            raise NonFiniteError(f"nonfinite gradient in {name}; aborting run")
-        theta = getattr(m, name)
-        buf = state.buffers.get(name)
-        if buf is None:
-            buf = np.zeros_like(theta)
-        buf = state.momentum * buf + g + state.weight_decay * theta
-        state.buffers[name] = buf
-        setattr(m, name, theta - lr * buf)
+def sgd_step(m: EncoderModel, state: OptimizerState, grad: np.ndarray, lr: float) -> None:
+    """v <- mu*v + g + wd*theta ; theta <- theta - lr*v  (in place, over the
+    flat vectors)."""
+    if not np.isfinite(grad).all():
+        first = np.flatnonzero(~np.isfinite(grad))[0]
+        name = next(name for name, _, stop, _ in m._layout if first < stop)
+        raise NonFiniteError(f"nonfinite gradient in {name}; aborting run")
+    if state.velocity is None:
+        state.velocity = np.zeros_like(m.theta)
+    v, theta = state.velocity, m.theta
+    v *= state.momentum
+    v += grad
+    v += state.weight_decay * theta
+    theta -= lr * v
     state.step_count += 1
 
 
@@ -223,10 +219,8 @@ def cosine_lr(epoch: int, total_epochs: int, base: float) -> float:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, m: EncoderModel, bank=None, extra: dict | None = None) -> None:
-    arrays = {name: getattr(m, name) for name in PARAM_NAMES}
-    meta = {"format": "aplt-checkpoint-v1",
-            "feature_norm": bool(m.feature_norm),
-            "extra": extra or {}}
+    arrays = m.params()
+    meta = {"format": "aplt-checkpoint-v1", "feature_norm": True, "extra": extra or {}}
     if bank is not None:
         arrays["bank_rho"] = bank.rho
         arrays["bank_counts"] = bank.counts
@@ -250,9 +244,9 @@ def _misfits(arrays: dict) -> list[str]:
 def load_checkpoint(path):
     """Returns (model, bank_or_None, extra_dict). A file that is not an npz
     archive, has no readable meta, carries another format tag, lacks a
-    parameter array, the feature_norm flag or half of the bank pair, or
-    holds arrays whose shapes do not fit together raises DataFormatError
-    naming the path."""
+    parameter array, the feature_norm flag or half of the bank pair, has a
+    false feature_norm flag, or holds arrays whose shapes do not fit
+    together raises DataFormatError naming the path."""
     from .cluster import PrototypeBank
 
     try:
@@ -275,12 +269,15 @@ def load_checkpoint(path):
             missing.append("meta.feature_norm")
         if missing:
             raise DataFormatError(f"{path}: incomplete checkpoint, missing {', '.join(missing)}")
+        if meta["feature_norm"] is not True:
+            raise DataFormatError(f"{path}: meta.feature_norm is {json.dumps(meta['feature_norm'])}"
+                                  "; only unit-norm features are supported")
         arrays = {name: z[name] for name in names}
     misfits = _misfits(arrays)
     if misfits:
         raise DataFormatError(f"{path}: array shapes do not fit together: " + ", ".join(
             f"{name} {arrays[name].shape}" for name in misfits))
-    m = EncoderModel(*(arrays[name] for name in PARAM_NAMES), feature_norm=meta["feature_norm"])
+    m = EncoderModel(*(arrays[name] for name in PARAM_NAMES))
     bank = None
     if "bank_rho" in arrays:
         bank = PrototypeBank(rho=arrays["bank_rho"], counts=arrays["bank_counts"],

@@ -6,8 +6,9 @@ import numpy as np
 from aplt import nn
 
 
-def identity_encoder(d, hw=None, hb=None, feature_norm=False):
-    """Encoder whose feature output equals its input for every real x.
+def identity_encoder(d, hw=None, hb=None):
+    """Encoder whose feature output is its input scaled to unit norm, so a
+    unit-norm x passes through unchanged.
 
     Splits each coordinate into positive and negative parts in the hidden
     layer (h = 2d) and reassembles them, so the rectifier never clips.
@@ -20,13 +21,13 @@ def identity_encoder(d, hw=None, hb=None, feature_norm=False):
         w2=w2, b2=np.zeros(d),
         hw=np.eye(d) if hw is None else np.asarray(hw, dtype=float),
         hb=np.zeros(C) if hb is None else np.asarray(hb, dtype=float),
-        feature_norm=feature_norm,
     )
 
 
 def confident_model(d, scale=1000.0):
     """Identity encoder whose head predicts class=argmax coordinate with
-    probability 1.0 in float64 (logit gaps overflow the softmax tail)."""
+    probability 1.0 in float64 for unit-norm inputs along an axis (logit gaps
+    overflow the softmax tail)."""
     return identity_encoder(d, hw=scale * np.eye(d))
 
 

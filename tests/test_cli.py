@@ -200,6 +200,8 @@ BAD_CHECKPOINTS = [
     ("now1.npz", _checkpoint_without("w1"), "incomplete checkpoint, missing w1"),
     ("nonorm.npz", _checkpoint_without("feature_norm"),
      "incomplete checkpoint, missing meta.feature_norm"),
+    ("falsenorm.npz", _edited_checkpoint(lambda arrays, meta: meta.update(feature_norm=False)),
+     "meta.feature_norm is false; only unit-norm features are supported"),
     ("nocounts.npz", _checkpoint_without("bank_counts"),
      "incomplete checkpoint, missing bank_counts"),
     ("shortb1.npz", _edited_checkpoint(_short_b1),

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import logging
+import pickle
 from dataclasses import fields, replace
 
 import numpy as np
@@ -169,7 +170,7 @@ class TestEvaluate:
         m = nn.EncoderModel(  # identity-ish 2d encoder via pos/neg split
             w1=np.concatenate([np.eye(2), -np.eye(2)], axis=1), b1=np.zeros(4),
             w2=np.concatenate([np.eye(2), -np.eye(2)], axis=0), b2=np.zeros(2),
-            hw=np.eye(2, 3), hb=np.zeros(3), feature_norm=True)
+            hw=np.eye(2, 3), hb=np.zeros(3))
         feats = nn.forward_features(m, X)
         rho = np.stack([feats[y == c].mean(axis=0) for c in range(3)])
         rho /= np.linalg.norm(rho, axis=1, keepdims=True)
@@ -273,6 +274,27 @@ class TestBranchedGrid:
         for mode in ("fixmatch", "aplt"):
             branched = warm.branch(cfg, mode).finish().metrics.to_ndjson()
             assert branched == engine.run(ds, cfg, mode=mode).metrics.to_ndjson()
+
+    @pytest.mark.parametrize("via_pickle", [False, True])
+    def test_branch_owns_its_parameters(self, via_pickle):
+        # a branch, and a branch pickled as finish_all sends it to a worker,
+        # steps its own theta and momentum and leaves the warm-up's bits alone
+        ds = small_dataset()
+        cfg = small_config()
+        warm = engine.warm_up(ds, cfg)
+        twin = warm.branch(cfg, "aplt")
+        if via_pickle:
+            twin = pickle.loads(pickle.dumps(twin))
+        before = warm.model.theta.tobytes(), warm.opt.velocity.tobytes()
+        for name in nn.PARAM_NAMES:
+            assert np.shares_memory(getattr(twin.model, name), twin.model.theta), name
+            assert not np.shares_memory(getattr(twin.model, name), warm.model.theta), name
+        assert not np.shares_memory(twin.opt.velocity, warm.opt.velocity)
+        twin_w1 = twin.model.w1.copy()
+        grad = np.random.default_rng(0).normal(size=twin.model.theta.shape)
+        nn.sgd_step(twin.model, twin.opt, grad, lr=0.1)
+        assert not np.array_equal(twin.model.w1, twin_w1)
+        assert (warm.model.theta.tobytes(), warm.opt.velocity.tobytes()) == before
 
     def test_ablation_csv_same_at_one_and_two_workers(self, tmp_path, monkeypatch):
         csv_path = tmp_path / "ds.csv"

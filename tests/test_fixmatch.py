@@ -52,16 +52,17 @@ class TestUnlabeledLoss:
         out = fixmatch.unlabeled_loss(m, x, FM, NO_AUG, rng())
         assert out.value == 0.0
         assert out.pass_count == 0
-        for g in out.grads.values():
-            assert np.all(g == 0.0)
+        assert np.all(out.grad == 0.0)
 
     def test_hand_evaluated_contribution(self):
-        # weak view keeps x: q = softmax(x) = (0.97, 0.03);
-        # strong view is fully masked to the origin: probs (0.5, 0.5)
-        m = identity_encoder(2)
+        # weak view keeps the unit-norm x = (1, 0): logits (log(0.97/0.03), 0),
+        # so q = (0.97, 0.03); strong view is fully masked to the origin,
+        # whose zero feature gives probs (0.5, 0.5)
+        m = identity_encoder(2, hw=np.log(0.97 / 0.03) * np.eye(2))
         aug = augment.AugmentConfig(weak_sigma=0.0, strong_sigma=0.0,
                                     strong_mask_prob=1.0)
-        x = np.log([[0.97, 0.03]])
+        x = np.array([[1.0, 0.0]])
+        assert nn.forward_logits(m, x)[0] == pytest.approx([0.97, 0.03], abs=1e-12)
         out = fixmatch.unlabeled_loss(m, x, FM, aug, rng())
         assert out.pass_count == 1
         assert out.value == pytest.approx(-np.log(0.5), abs=1e-12)
@@ -80,23 +81,25 @@ class TestUnlabeledLoss:
     def test_pseudo_labels_come_from_weak_view(self):
         # weak view = x (class 0 confident); strong view masked to origin.
         # the supervising label must be the weak argmax, never the strong one
-        m = identity_encoder(2)
+        m = confident_model(2)
         aug = augment.AugmentConfig(weak_sigma=0.0, strong_sigma=0.0,
                                     strong_mask_prob=1.0)
-        x = np.array([[5.0, 0.0]])
+        x = np.array([[1.0, 0.0]])
         out = fixmatch.unlabeled_loss(m, x, FM, aug, rng())
+        assert out.pass_count == 1
         assert out.pseudo_labels.tolist() == [0]
 
     def test_masked_samples_contribute_zero_gradient(self):
-        m = identity_encoder(2)
-        confident = np.array([[10.0, 0.0]])
-        mixed = np.array([[10.0, 0.0], [0.1, 0.0]])  # second row is masked
+        # unit-norm rows: (1, 0) gives confidence 0.982, (0.6, 0.8) gives 0.690
+        m = identity_encoder(2, hw=4.0 * np.eye(2))
+        confident = np.array([[1.0, 0.0]])
+        mixed = np.array([[1.0, 0.0], [0.6, 0.8]])  # second row is masked
         lone = fixmatch.unlabeled_loss(m, confident, FM, NO_AUG, rng())
         both = fixmatch.unlabeled_loss(m, mixed, FM, NO_AUG, rng())
-        assert both.pass_count == 1
-        for name in nn.PARAM_NAMES:
-            # same contribution averaged over B=2 instead of B=1
-            assert np.allclose(both.grads[name], 0.5 * lone.grads[name], atol=1e-12)
+        assert lone.pass_count == 1 and both.pass_count == 1
+        assert np.any(lone.grad != 0.0)
+        # same contribution averaged over B=2 instead of B=1
+        assert np.allclose(both.grad, 0.5 * lone.grad, atol=1e-12)
 
     def test_raising_tau_never_increases_pass_count(self):
         m = identity_encoder(4)
@@ -119,10 +122,8 @@ class TestNoRowPastTau:
         # only the weak view runs, as the label source
         assert calls == {"forward": 1, "backward": 0}
         assert out.value == 0.0 and out.pass_count == 0
-        for name, value in m.params().items():
-            g = out.grads[name]
-            assert g.shape == value.shape and g.dtype == np.float64
-            assert np.all(g == 0.0)
+        assert out.grad.shape == m.theta.shape and out.grad.dtype == np.float64
+        assert np.all(out.grad == 0.0)
 
     def test_strong_view_still_drawn(self):
         # a model confident on every row leaves the stream where a mild one does
@@ -145,13 +146,14 @@ class TestWarmupObjective:
         assert unsup.value == 0.0
         total = fixmatch.warmup_objective(sup, unsup)
         assert total.value == sup.value
-        for name in nn.PARAM_NAMES:
-            assert np.array_equal(total.grads[name], sup.grads[name])
+        assert np.array_equal(total.grad, sup.grad)
 
     def test_values_add(self):
-        a = fixmatch.BatchLoss(value=0.5, pass_count=1, grads={"w1": np.ones(2)})
-        b = fixmatch.BatchLoss(value=0.25, pass_count=2, grads={"w1": np.ones(2)})
-        assert fixmatch.warmup_objective(a, b).value == 0.75
+        a = fixmatch.BatchLoss(value=0.5, pass_count=1, grad=np.ones(2))
+        b = fixmatch.BatchLoss(value=0.25, pass_count=2, grad=np.full(2, 0.5))
+        total = fixmatch.warmup_objective(a, b)
+        assert total.value == 0.75
+        assert np.array_equal(total.grad, np.full(2, 1.5))
 
     def test_total_gradient_matches_finite_differences(self):
         rng_ = np.random.default_rng(13)
@@ -166,7 +168,7 @@ class TestWarmupObjective:
             unsup = fixmatch.unlabeled_loss(model, xu, cfg, NO_AUG, rng())
             return fixmatch.warmup_objective(sup, unsup)
 
-        analytic = total_loss(m).grads
+        analytic = m.params(total_loss(m).grad)
         for name in ("hw", "b2"):
             theta = getattr(m, name)
             flat_idx = (0,) if theta.ndim == 1 else (0, 0)

@@ -1,0 +1,44 @@
+"""The behaviour contract on every test run: the first five lines of the
+byte-identity gate (``tools/gate_outputs.py``), the ``hard12`` dataset and
+the seed-0 aplt and fixmatch runs on it, must hash as
+``tools/gate_hashes.txt`` records. The full check of all 44 lines is
+``tools/gate_outputs.py --check tools/gate_hashes.txt OUTDIR``."""
+
+import importlib.util
+import itertools
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_gate():
+    spec = importlib.util.spec_from_file_location("gate_outputs",
+                                                  ROOT / "tools" / "gate_outputs.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    return gate
+
+
+def test_seed_zero_runs_hash_as_committed(tmp_path, monkeypatch):
+    gate = _load_gate()
+    monkeypatch.chdir(tmp_path)
+    got = [gate.format_line(*line) for line in itertools.islice(gate.gate(), 5)]
+    assert [line.split("\t")[:2] for line in got] == [
+        ["gen", "hard.csv"],
+        ["train aplt seed=0", "metrics.ndjson"], ["train aplt seed=0", "resolved_config.json"],
+        ["train fixmatch seed=0", "metrics.ndjson"],
+        ["train fixmatch seed=0", "resolved_config.json"]]
+    keys = {line.rsplit("\t", 1)[0] for line in got}
+    expected = [line for line in (ROOT / "tools" / "gate_hashes.txt").read_text().splitlines()
+                if line.startswith("#") or line.rsplit("\t", 1)[0] in keys]
+    diff = gate.check(expected, gate.versions() + got)
+    assert not diff, "\n".join(diff)
+
+
+def test_check_lists_the_lines_that_differ_with_both_builds():
+    gate = _load_gate()
+    expected = ["# numpy 1", "gen\ta.csv\t00", "train\tm.ndjson\t11"]
+    assert gate.check(expected, ["# numpy 2", "gen\ta.csv\t00", "train\tm.ndjson\t11"]) == []
+    assert gate.check(expected, ["# numpy 2", "gen\ta.csv\t00", "train\tm.ndjson\t22"]) == [
+        "-train\tm.ndjson\t11", "+train\tm.ndjson\t22",
+        "expected with:", "# numpy 1", "got with:", "# numpy 2"]

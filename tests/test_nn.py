@@ -1,46 +1,41 @@
+import copy
+import json
+import pickle
+
 import numpy as np
 import pytest
 
 from aplt import cluster, nn
-from aplt.errors import DimensionMismatchError, NonFiniteError
+from aplt.errors import DataFormatError, DimensionMismatchError, NonFiniteError
 from model_helpers import identity_encoder
 
 
-def random_model(rng, d=5, h=7, e=4, C=3, feature_norm=True):
-    return nn.EncoderModel.init(d, h, e, C, rng, feature_norm=feature_norm)
+def random_model(rng, d=5, h=7, e=4, C=3):
+    return nn.EncoderModel.init(d, h, e, C, rng)
 
 
-def zero_grads(m):
-    return {name: np.zeros_like(value) for name, value in m.params().items()}
+def optimizer(weight_decay=0.0005):
+    return nn.OptimizerState(momentum=0.9, weight_decay=weight_decay)
 
 
 def numeric_gradient(loss_fn, m, step=1e-4):
-    """Central finite differences over every parameter of the model."""
-    grads = {}
-    for name in nn.PARAM_NAMES:
-        theta = getattr(m, name)
-        g = np.zeros_like(theta)
-        it = np.nditer(theta, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = theta[idx]
-            theta[idx] = orig + step
-            up = loss_fn(m)
-            theta[idx] = orig - step
-            down = loss_fn(m)
-            theta[idx] = orig
-            g[idx] = (up - down) / (2 * step)
-        grads[name] = g
-    return grads
+    """Central finite differences over every parameter of the model, laid
+    out like ``m.theta``."""
+    theta = m.theta
+    g = np.zeros_like(theta)
+    for i, orig in enumerate(theta.copy()):
+        theta[i] = orig + step
+        up = loss_fn(m)
+        theta[i] = orig - step
+        down = loss_fn(m)
+        theta[i] = orig
+        g[i] = (up - down) / (2 * step)
+    return g
 
 
 def max_rel_error(analytic, numeric):
-    worst = 0.0
-    for name in nn.PARAM_NAMES:
-        a, n = analytic[name], numeric[name]
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
-        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 def draw_batch_off_kinks(rng, m, n, step=1e-4):
@@ -58,25 +53,30 @@ def draw_batch_off_kinks(rng, m, n, step=1e-4):
 
 class TestForward:
     def test_identity_encoder_passes_input_through(self):
+        # unit-norm rows come out as they went in; other rows, scaled to unit norm
         m = identity_encoder(3)
+        x = np.array([[0.6, -0.8, 0.0], [0.0, 0.0, -1.0]])
+        assert np.allclose(nn.forward_features(m, x), x, atol=1e-15, rtol=0)
         x = np.array([[0.5, -2.0, 1.25], [3.0, 0.0, -0.75]])
-        assert np.allclose(nn.forward_features(m, x), x, atol=0, rtol=0)
+        expected = x / np.linalg.norm(x, axis=1, keepdims=True)
+        assert np.array_equal(nn.forward_features(m, x), expected)
 
     def test_feature_norm_gives_unit_rows(self):
         rng = np.random.default_rng(0)
-        m = random_model(rng, feature_norm=True)
+        m = random_model(rng)
         F = nn.forward_features(m, rng.normal(size=(10, 5)))
         assert np.abs(np.linalg.norm(F, axis=1) - 1.0).max() < 1e-6
 
     def test_matches_straight_line_matmul_oracle(self):
         rng = np.random.default_rng(42)
-        m = random_model(rng, feature_norm=False)
+        m = random_model(rng)
         x = rng.normal(size=(4, 5))
         expected = np.empty((4, 4))
         for i in range(4):
             z1 = m.w1.T @ x[i] + m.b1
             a1 = np.where(z1 > 0, z1, 0.0)
-            expected[i] = m.w2.T @ a1 + m.b2
+            v = m.w2.T @ a1 + m.b2
+            expected[i] = v / np.sqrt(v @ v)
         assert np.abs(nn.forward_features(m, x) - expected).max() < 1e-12
 
     def test_dimension_mismatch(self):
@@ -89,8 +89,8 @@ class TestForwardLogits:
     def test_zero_head_is_uniform(self):
         rng = np.random.default_rng(3)
         m = random_model(rng, C=12)
-        m.hw = np.zeros_like(m.hw)
-        m.hb = np.zeros_like(m.hb)
+        m.hw[...] = 0.0
+        m.hb[...] = 0.0
         p = nn.forward_logits(m, rng.normal(size=(6, 5)))
         assert np.abs(p - 1.0 / 12).max() < 1e-12
 
@@ -121,8 +121,8 @@ class TestBackward:
         m = random_model(rng)
         x = rng.normal(size=(3, 5))
         g = nn.backward(m, x, d_probs=np.zeros((3, 3)), d_feats=np.zeros((3, 4)))
-        for name in nn.PARAM_NAMES:
-            assert np.all(g[name] == 0.0)
+        assert g.shape == m.theta.shape
+        assert np.all(g == 0.0)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradient_check_both_paths(self, seed):
@@ -153,8 +153,7 @@ class TestBackward:
         dF = rng.normal(size=(1, 4))
         single = nn.backward(m, x, d_feats=dF)
         doubled = nn.backward(m, np.vstack([x, x]), d_feats=np.vstack([dF, dF]))
-        for name in nn.PARAM_NAMES:
-            assert np.allclose(doubled[name], 2 * single[name], atol=1e-12)
+        assert np.allclose(doubled, 2 * single, atol=1e-12)
 
 
 class TestBackwardReusesForward:
@@ -163,7 +162,7 @@ class TestBackwardReusesForward:
     def test_given_activations_equal_recomputed_bit_for_bit(self, seed, upstream):
         rng = np.random.default_rng(seed)
         d, h, e, C, B = rng.integers(1, 9, size=5)
-        m = random_model(rng, d, h, e, C, feature_norm=bool(seed % 3))
+        m = random_model(rng, d, h, e, C)
         x = rng.normal(size=(B, d))
         kwargs = {}
         if upstream in ("probs", "both"):
@@ -174,47 +173,86 @@ class TestBackwardReusesForward:
         # with the head's probabilities, and without (backward then adds them)
         for acts in (nn.forward(m, x, head=True), nn.forward(m, x)):
             reused = nn.backward(m, x, **kwargs, acts=acts)
-            for name in nn.PARAM_NAMES:
-                assert reused[name].tobytes() == recomputed[name].tobytes(), name
+            assert reused.tobytes() == recomputed.tobytes()
 
 
 class TestSgdStep:
     def test_zero_gradients_zero_decay_freeze_parameters(self):
         rng = np.random.default_rng(0)
         m = random_model(rng)
-        before = {k: v.copy() for k, v in m.params().items()}
-        state = nn.OptimizerState(weight_decay=0.0)
-        nn.sgd_step(m, state, zero_grads(m), lr=0.5)
-        for name in nn.PARAM_NAMES:
-            assert np.array_equal(getattr(m, name), before[name])
+        before = m.theta.copy()
+        nn.sgd_step(m, optimizer(weight_decay=0.0), np.zeros_like(m.theta), lr=0.5)
+        assert np.array_equal(m.theta, before)
 
     def test_scalar_hand_values(self):
         m = identity_encoder(1)
-        m.hb = np.array([1.0])
-        state = nn.OptimizerState(weight_decay=0.0)
-        grads = zero_grads(m)
-        grads["hb"] = np.array([1.0])
-        nn.sgd_step(m, state, grads, lr=0.1)
-        assert state.buffers["hb"][0] == pytest.approx(1.0)
+        m.hb[0] = 1.0
+        state = optimizer(weight_decay=0.0)
+        grad = np.zeros_like(m.theta)
+        m.params(grad)["hb"][0] = 1.0
+        nn.sgd_step(m, state, grad, lr=0.1)
+        assert m.params(state.velocity)["hb"][0] == pytest.approx(1.0)
         assert m.hb[0] == pytest.approx(0.9)
         # momentum accumulates: the second identical gradient moves farther
-        nn.sgd_step(m, state, grads, lr=0.1)
-        assert state.buffers["hb"][0] == pytest.approx(1.9)
+        nn.sgd_step(m, state, grad, lr=0.1)
+        assert m.params(state.velocity)["hb"][0] == pytest.approx(1.9)
         assert m.hb[0] == pytest.approx(0.9 - 0.19)
 
     def test_weight_decay_coupled_into_gradient(self):
         m = identity_encoder(1)
-        m.hb = np.array([2.0])
-        state = nn.OptimizerState(weight_decay=0.1)
-        nn.sgd_step(m, state, zero_grads(m), lr=1.0)
+        m.hb[0] = 2.0
+        nn.sgd_step(m, optimizer(weight_decay=0.1), np.zeros_like(m.theta), lr=1.0)
         assert m.hb[0] == pytest.approx(2.0 - 0.1 * 2.0)
 
     def test_nonfinite_gradient_aborts(self):
+        # the first element of the first block, one inside, and the last of the last
         m = identity_encoder(2)
-        grads = zero_grads(m)
-        grads["w1"][0, 0] = np.nan
-        with pytest.raises(NonFiniteError):
-            nn.sgd_step(m, nn.OptimizerState(), grads, lr=0.1)
+        before = m.theta.copy()
+        for name, index, bad in [("w1", (0, 0), np.nan), ("b2", (1,), np.inf),
+                                 ("hb", (-1,), np.nan)]:
+            grad = np.zeros_like(m.theta)
+            m.params(grad)[name][index] = bad
+            with pytest.raises(NonFiniteError, match=f"nonfinite gradient in {name};"):
+                nn.sgd_step(m, optimizer(), grad, lr=0.1)
+            assert np.array_equal(m.theta, before)
+
+
+class TestFlatParameters:
+    def test_named_parameters_are_views_into_theta(self):
+        m = random_model(np.random.default_rng(4))
+        params = m.params()
+        assert list(params) == list(nn.PARAM_NAMES)
+        assert m.theta.shape == (sum(p.size for p in params.values()),)
+        assert np.array_equal(np.concatenate([p.ravel() for p in params.values()]), m.theta)
+        for name in nn.PARAM_NAMES:
+            view = getattr(m, name)
+            assert np.shares_memory(view, m.theta)
+            assert np.array_equal(view, params[name])
+        m.theta[-1] = 7.0
+        assert m.hb[-1] == 7.0
+
+    def test_rebinding_a_parameter_raises(self):
+        m = random_model(np.random.default_rng(4))
+        for name in (*nn.PARAM_NAMES, "theta"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, np.zeros_like(getattr(m, name)))
+
+    @pytest.mark.parametrize("duplicate", [copy.deepcopy,
+                                           lambda m: pickle.loads(pickle.dumps(m))],
+                             ids=["deepcopy", "pickle"])
+    def test_copy_views_alias_the_copy_and_step_alone(self, duplicate):
+        m = random_model(np.random.default_rng(6))
+        twin = duplicate(m)
+        before = m.theta.copy()
+        for name in nn.PARAM_NAMES:
+            assert np.shares_memory(getattr(twin, name), twin.theta), name
+            assert not np.shares_memory(getattr(twin, name), m.theta), name
+        grad = np.random.default_rng(7).normal(size=m.theta.shape)
+        twin_before = twin.params()["w1"].copy()
+        nn.sgd_step(twin, optimizer(), grad, lr=0.1)
+        assert not np.array_equal(twin.w1, twin_before)
+        assert not np.array_equal(twin.hb, m.hb)
+        assert m.theta.tobytes() == before.tobytes()
 
 
 class TestCosineLr:
@@ -233,28 +271,44 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.npz"
         nn.save_checkpoint(path, m, bank=bank, extra={"note": "t"})
         m2, bank2, extra = nn.load_checkpoint(path)
+        assert m2.theta.tobytes() == m.theta.tobytes()
         for name in nn.PARAM_NAMES:
-            assert np.array_equal(getattr(m2, name), getattr(m, name))
-        assert m2.feature_norm == m.feature_norm
+            assert getattr(m2, name).shape == getattr(m, name).shape
         assert np.array_equal(bank2.rho, bank.rho)
         assert np.array_equal(bank2.counts, bank.counts)
         assert bank2.build_epoch == 15
         assert extra == {"note": "t"}
 
     def test_round_trip_without_bank(self, tmp_path):
-        m = random_model(np.random.default_rng(1), feature_norm=False)
+        m = random_model(np.random.default_rng(1))
         path = tmp_path / "ckpt.npz"
         nn.save_checkpoint(path, m)
         m2, bank2, _ = nn.load_checkpoint(path)
         assert bank2 is None
-        assert m2.feature_norm is False
+        assert np.array_equal(m2.theta, m.theta)
+        with np.load(path) as z:
+            assert json.loads(bytes(z["meta"]).decode())["feature_norm"] is True
+
+    def test_false_feature_norm_flag_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        nn.save_checkpoint(path, random_model(np.random.default_rng(1)))
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        meta["feature_norm"] = False
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(DataFormatError, match="meta.feature_norm is false") as err:
+            nn.load_checkpoint(path)
+        assert str(path) in str(err.value)
 
 
 def test_training_path_determinism():
     def train(seed):
         rng = np.random.default_rng(seed)
         m = random_model(rng)
-        state = nn.OptimizerState()
+        state = optimizer()
         x = rng.normal(size=(8, 5))
         y = rng.integers(0, 3, size=8)
         for step in range(20):
@@ -266,5 +320,4 @@ def test_training_path_determinism():
         return m
 
     a, b = train(123), train(123)
-    for name in nn.PARAM_NAMES:
-        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert np.array_equal(a.theta, b.theta)

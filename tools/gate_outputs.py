@@ -2,19 +2,23 @@
 
 Usage:
     PYTHONPATH=src python tools/gate_outputs.py OUTDIR > hashes.txt
+    PYTHONPATH=src python tools/gate_outputs.py --check tools/gate_hashes.txt OUTDIR
 
 Generates the ``hard12`` preset at 10% labels into OUTDIR, runs 39 outputs'
 worth of train, labeled-only, ablate, compare and eval runs on it, then
 generates a C=100 dataset (10,000 rows, an offline event every epoch, as in
 the bench's ``offline_c100``) and trains on it with anchored and plain
 k-means, 44 outputs in all. It prints one ``run output sha256`` line per
-output. A pure refactor must leave every line unchanged, so the whole check
-is a ``diff`` of the printouts made from the code before and after the
-change. Give both runs
-the same OUTDIR path: each ``resolved_config.json`` records the ``--data``
-path as given, so its hash depends on OUTDIR. It imports ``aplt`` from
-``PYTHONPATH``, so pointing that at another checkout's ``src`` hashes that
-checkout. It takes about a minute and a half on a 2-core machine.
+output, after ``#`` lines that name the numpy and BLAS builds. A pure
+refactor must leave every line unchanged. Every run works inside OUTDIR with
+relative paths, so no hash depends on where OUTDIR is.
+
+``--check FILE`` compares the printout with FILE (``tools/gate_hashes.txt``
+is the committed one) and exits 1 on any difference, printing the lines
+that differ and both sides' numpy and BLAS builds: a different BLAS may
+round differently. It imports ``aplt`` from ``PYTHONPATH``, so pointing that
+at another checkout's ``src`` hashes that checkout. It takes about a minute
+and a half on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ import hashlib
 import io
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from aplt import cli, config, data, engine
 
@@ -40,13 +46,19 @@ C100_VARIANTS = ((), ("cluster.method=km",))
 SEEDS = range(5)
 
 
+def versions() -> list[str]:
+    """The builds a hash depends on besides the code, as ``#`` lines."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [f"# numpy {np.__version__}", f"# blas {blas.get('name')} {blas.get('version')}"]
+
+
 def _sha(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
 def _cli(*argv: str) -> str:
     """Runs aplt in-process and returns its stdout, echoed to stderr so that
-    this script's stdout holds only hash lines."""
+    this script's stdout holds only the printout."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli.main(list(argv))
@@ -56,61 +68,89 @@ def _cli(*argv: str) -> str:
     return stdout.getvalue()
 
 
-def gate(out: Path):
-    """Yields (run, output, sha256) for every gate output."""
-    csv_path = out / "hard.csv"
-    _cli("gen", "--preset", "hard12", "--labeled-ratio", "0.1", "--out", str(csv_path))
-    yield "gen", "hard.csv", _sha(csv_path.read_bytes())
+def _train(name: str, run_dir: str, *argv: str):
+    _cli("train", "--out", run_dir, *argv)
+    for output in ("metrics.ndjson", "resolved_config.json"):
+        yield name, output, _sha(Path(run_dir, output).read_bytes())
+
+
+def gate():
+    """Yields (run, output, sha256) for every gate output, writing the runs
+    into the current directory. The first five are the dataset and the
+    seed-0 aplt and fixmatch runs."""
+    _cli("gen", "--preset", "hard12", "--labeled-ratio", "0.1", "--out", "hard.csv")
+    yield "gen", "hard.csv", _sha(Path("hard.csv").read_bytes())
 
     train_runs = [(f"train {mode} seed={seed}", ["--mode", mode, "--seed", str(seed)])
-                  for mode in ("aplt", "fixmatch") for seed in SEEDS]
+                  for seed in SEEDS for mode in ("aplt", "fixmatch")]
     train_runs += [(f"train {v}", ["--set", v]) for v in VARIANTS]
     for i, (name, extra) in enumerate(train_runs):
-        run_dir = out / f"train{i}"
-        _cli("train", "--data", str(csv_path), "--out", str(run_dir), *extra)
-        for output in ("metrics.ndjson", "resolved_config.json"):
-            yield name, output, _sha((run_dir / output).read_bytes())
+        yield from _train(name, f"train{i}", "--data", "hard.csv", *extra)
 
-    ds = data.load_csv(csv_path)
+    ds = data.load_csv("hard.csv")
     for seed in SEEDS:
         cfg, _ = config.resolve(None, [f"seed={seed}"])
         ndjson = engine.run(ds, cfg, mode="labeled_only").metrics.to_ndjson()
         yield f"labeled_only seed={seed}", ".metrics.to_ndjson()", _sha(ndjson.encode())
 
-    _cli("ablate", "--data", str(csv_path), "--out", str(out / "ablate"),
-         "--seeds", "0,1", "--force")
-    yield "ablate", "ablation.csv", _sha((out / "ablate" / "ablation.csv").read_bytes())
+    _cli("ablate", "--data", "hard.csv", "--out", "ablate", "--seeds", "0,1", "--force")
+    yield "ablate", "ablation.csv", _sha(Path("ablate", "ablation.csv").read_bytes())
 
-    _cli("compare", "--data", str(csv_path), "--out", str(out / "compare"))
+    _cli("compare", "--data", "hard.csv", "--out", "compare")
     for output in ("trajectory.csv", "metrics_fixmatch.ndjson", "metrics_aplt.ndjson"):
-        yield "compare", output, _sha((out / "compare" / output).read_bytes())
+        yield "compare", output, _sha(Path("compare", output).read_bytes())
 
     # eval reads the CSV through the CLI, so its stdout covers the loader
-    printed = _cli("eval", "--checkpoint", str(out / "train0" / "checkpoint.npz"),
-                   "--data", str(csv_path))
+    printed = _cli("eval", "--checkpoint", "train0/checkpoint.npz", "--data", "hard.csv")
     yield "eval train0", "stdout", _sha(printed.encode())
 
-    c100_path = out / "c100.csv"
-    _cli("gen", *C100_GEN, "--out", str(c100_path))
-    yield "gen", "c100.csv", _sha(c100_path.read_bytes())
+    _cli("gen", *C100_GEN, "--out", "c100.csv")
+    yield "gen", "c100.csv", _sha(Path("c100.csv").read_bytes())
     for i, variant in enumerate(C100_VARIANTS):
-        run_dir = out / f"c100_train{i}"
         sets = [a for v in C100_SETS + variant for a in ("--set", v)]
-        _cli("train", "--data", str(c100_path), "--out", str(run_dir), *sets)
-        for output in ("metrics.ndjson", "resolved_config.json"):
-            yield " ".join(["train c100", *variant]), output, _sha((run_dir / output).read_bytes())
+        yield from _train(" ".join(["train c100", *variant]), f"c100_train{i}",
+                          "--data", "c100.csv", *sets)
+
+
+def format_line(run: str, output: str, digest: str) -> str:
+    return f"{run}\t{output}\t{digest}"
+
+
+def check(expected: list[str], got: list[str]) -> list[str]:
+    """The hash lines that differ between two printouts (``-`` expected,
+    ``+`` got), with both sides' ``#`` lines when any does."""
+    want = [line for line in expected if not line.startswith("#")]
+    have = [line for line in got if not line.startswith("#")]
+    if want == have:
+        return []
+    lines = [f"-{line}" for line in want if line not in have]
+    lines += [f"+{line}" for line in have if line not in want]
+    return lines + ["expected with:"] + [line for line in expected if line.startswith("#")] \
+        + ["got with:"] + [line for line in got if line.startswith("#")]
 
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    expected = None
+    if len(args) == 3 and args[0] == "--check":
+        expected = Path(args[1]).read_text().splitlines()
+        args = args[2:]
     if len(args) != 1:
         print(__doc__.strip(), file=sys.stderr)
         return 1
     out = Path(args[0])
     out.mkdir(parents=True, exist_ok=True)
-    for run, output, digest in gate(out):
-        print(f"{run}\t{output}\t{digest}", flush=True)
-    return 0
+    got = versions()
+    print("\n".join(got), flush=True)
+    with contextlib.chdir(out):
+        for line in gate():
+            got.append(format_line(*line))
+            print(got[-1], flush=True)
+    if expected is None:
+        return 0
+    diff = check(expected, got)
+    print("\n".join(diff or ["gate: all lines match"]), file=sys.stderr)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
