@@ -235,6 +235,10 @@ def cmd_compare(args) -> int:
     print(f"wrote {rows_path}")
     for method, metrics in results.items():
         print(f"{method}: final test_acc={metrics.final['test_acc']}")
+    if not any(rec["pass_count"] for rec in results["fixmatch"].epochs):
+        # then FixMatch trained as labeled-only with extra random draws
+        print(f"fixmatch: no unlabeled row passed fixmatch.tau={cfg.fixmatch.tau} "
+              "in any epoch, so its consistency term never contributed")
     return 0
 
 

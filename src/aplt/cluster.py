@@ -14,7 +14,8 @@ per-pair difference sum, and the returned squared distance is always the
 exact difference sum for the chosen centroid. The outputs therefore
 equal, bit for bit, an argmin over the full (n, C, e) difference tensor, and
 do not depend on BLAS rounding or thread count, while memory stays at one
-block's (rows, C, e) tensor (``_BLOCK_BYTES``).
+block's (rows, C, e) tensor (``_BLOCK_BYTES``). A subset of rows is
+searched by index, one gathered block at a time.
 
 The Lloyd loop (``_lloyd``) redoes only what changed in a round: it sums
 again only the classes whose membership changed, and searches again only
@@ -134,9 +135,10 @@ def _unit_rows(a: np.ndarray) -> np.ndarray:
     return a / np.maximum(np.linalg.norm(a, axis=1, keepdims=True), _NORM_FLOOR)
 
 
-def _nearest(F: np.ndarray, centroids: np.ndarray):
-    """Nearest centroid of every row of F, the squared distance to it, and a
-    lower bound on the squared distance to every other centroid.
+def _nearest(F: np.ndarray, centroids: np.ndarray, rows: np.ndarray | None = None):
+    """Nearest centroid of every row of F (of F[rows], in that order), the
+    squared distance to it, and a lower bound on the squared distance to
+    every other centroid.
 
     The first two equal, bit for bit, ``d2 = einsum("ijk,ijk->ij", diff,
     diff)`` over ``diff = F[:, None] - centroids[None]`` followed by
@@ -151,20 +153,23 @@ def _nearest(F: np.ndarray, centroids: np.ndarray):
     unique exact nearest centroid, the screened one. Every other row,
     including any with non-finite values, is decided by the exact sum. The
     lower bound is the smallest screen value among the other centroids plus
-    ||f||^2, less ``slack`` (inf with one centroid).
+    ||f||^2, less ``slack`` (inf with one centroid). ``rows`` are gathered
+    one block at a time.
     """
-    n, e = F.shape
+    e = F.shape[1]
+    n = F.shape[0] if rows is None else rows.size
     C = centroids.shape[0]
     assign = np.empty(n, dtype=np.int64)
     d2 = np.empty(n)
-    runner_up = np.empty(n)
+    lower = np.empty(n)
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    f_sq = np.einsum("ij,ij->i", F, F)
-    slack = _slack(e, f_sq, c_sq)
     minus_2c = -2.0 * centroids
-    rows = max(1, _BLOCK_BYTES // (8 * C * e))
-    for start in range(0, n, rows):
-        block = F[start:start + rows]
+    step = max(1, _BLOCK_BYTES // (8 * C * e))
+    for start in range(0, n, step):
+        part = slice(start, start + step)
+        block = F[part] if rows is None else F[rows[part]]
+        f_sq = np.einsum("ij,ij->i", block, block)
+        slack = _slack(e, f_sq, c_sq)
         r = np.arange(block.shape[0])
         approx = block @ minus_2c.T
         approx += c_sq
@@ -172,7 +177,7 @@ def _nearest(F: np.ndarray, centroids: np.ndarray):
         best_val = approx[r, best]
         approx[r, best] = np.inf
         second = approx.min(axis=1)
-        near = np.flatnonzero(~(second - best_val > 2.0 * slack[start:start + rows]))
+        near = np.flatnonzero(~(second - best_val > 2.0 * slack))
         if near.size:
             diff = block[near][:, None, :] - centroids[None, :, :]
             exact = np.einsum("ijk,ijk->ij", diff, diff).argmin(axis=1)
@@ -181,11 +186,11 @@ def _nearest(F: np.ndarray, centroids: np.ndarray):
             moved = near[exact != best[near]]
             second[moved] = best_val[moved]
             best[near] = exact
-        assign[start:start + rows] = best
-        runner_up[start:start + rows] = second
+        assign[part] = best
+        lower[part] = second + f_sq - slack
         D = block - centroids[best]
-        d2[start:start + rows] = np.einsum("ij,ij->i", D, D)
-    return assign, d2, runner_up + f_sq - slack
+        d2[part] = np.einsum("ij,ij->i", D, D)
+    return assign, d2, lower
 
 
 def _slack(e: int, f_sq: np.ndarray, c_sq: np.ndarray) -> np.ndarray:
@@ -194,24 +199,27 @@ def _slack(e: int, f_sq: np.ndarray, c_sq: np.ndarray) -> np.ndarray:
     return 8.0 * (e + 2) * (_EPS * (f_sq + c_sq.max()) + _TINY)
 
 
-def extract_all_features(m: nn.EncoderModel, X_l: np.ndarray, X_u: np.ndarray,
-                         cfg: ClusterConfig, rng: np.random.Generator,
+def extract_all_features(m: nn.EncoderModel, X: np.ndarray, labeled: np.ndarray,
+                         unlabeled: np.ndarray, cfg: ClusterConfig, rng: np.random.Generator,
                          aug: augment.AugmentConfig | None = None):
-    """Features for labeled, unlabeled, and augmented-labeled samples.
+    """Features of the labeled rows X[labeled], of the unlabeled rows
+    X[unlabeled] and of augmented copies of the labeled rows.
 
-    F_sl holds ``aug_copies`` strong-augmented copies of every labeled sample
+    F_sl holds ``aug_copies`` strong-augmented copies of every labeled row
     (empty when ``aug_copies`` is 0), stacked copy-major so its labels are
-    np.tile(labels, aug_copies).
+    np.tile(labels, aug_copies). Every set is encoded in row blocks
+    (``nn.encode_rows``), each copy into its own slice of F_sl.
     """
     if aug is None:
         aug = augment.AugmentConfig()
-    F_l = nn.forward_features(m, X_l)
-    F_u = nn.forward_features(m, X_u)
+    F_l = nn.encode_rows(m, X, labeled)
+    F_u = nn.encode_rows(m, X, unlabeled)
+    n_l = F_l.shape[0]
+    F_sl = np.empty((cfg.aug_copies * n_l, m.feature_dim))
     if cfg.aug_copies > 0:
-        blocks = [augment.strong(X_l, aug, rng) for _ in range(cfg.aug_copies)]
-        F_sl = nn.forward_features(m, np.concatenate(blocks, axis=0))
-    else:
-        F_sl = np.zeros((0, m.feature_dim))
+        X_l = X[labeled]
+        for k in range(cfg.aug_copies):
+            F_sl[k * n_l:(k + 1) * n_l] = nn.encode_rows(m, augment.strong(X_l, aug, rng))
     return F_l, F_u, F_sl
 
 
@@ -359,7 +367,7 @@ def _lloyd(F: np.ndarray, centers: np.ndarray, base_sums: np.ndarray,
             up = np.sqrt(d2 + slack) * (1 + 4 * _EPS)
             unsure = np.flatnonzero(~((lo > up) & (lo * lo - up * up > 2.0 * slack)))
             if unsure.size:
-                found, d2[unsure], lo2 = _nearest(F[unsure], centers)
+                found, d2[unsure], lo2 = _nearest(F, centers, unsure)
                 lo[unsure] = _sqrt_down(lo2)
                 left = found != assign[unsure]
                 touched[assign[unsure[left]]] = True

@@ -103,16 +103,22 @@ class RunResult:
     test_indices: np.ndarray
 
 
-def evaluate(m: nn.EncoderModel, bank, X_test: np.ndarray, y_test: np.ndarray):
+def evaluate(m: nn.EncoderModel, bank, X: np.ndarray, y: np.ndarray,
+             rows: np.ndarray | None = None):
     """Top-1 accuracy of the prototype classifier (None without a bank) and
-    of the parametric head, on the same held-out samples."""
-    if X_test.shape[0] == 0:
+    of the parametric head against the labels y, on the same held-out
+    samples X[rows] (all of X without ``rows``).
+
+    The encoder runs in row blocks (``nn.encode_rows``). The head and the
+    prototype scores are each one product over all rows: a blocked head
+    product would round differently."""
+    if (X.shape[0] if rows is None else rows.size) == 0:
         return None, None
-    acts = nn.forward(m, X_test, head=True)
-    param_acc = float((acts.probs.argmax(axis=1) == y_test).mean())
+    feats = nn.encode_rows(m, X, rows)
+    param_acc = float((nn.head_probs(m, feats).argmax(axis=1) == y).mean())
     proto_acc = None
     if bank is not None:
-        proto_acc = float((proto_mod.predict(bank, acts.feats) == y_test).mean())
+        proto_acc = float((proto_mod.predict(bank, feats) == y).mean())
     return proto_acc, param_acc
 
 
@@ -142,15 +148,13 @@ class _Trainer:
         rng_split = np.random.default_rng(k_split)
         # label-blind draw: the leakage guard forbids reading unlabeled labels
         test_idx = np.sort(rng_split.choice(unl, size=n_test, replace=False))
+        # one copy of the rows: every pass gathers them from X by index
+        self.X = ds.features
+        self.lab = ds.labeled_indices()
+        self.unl = np.setdiff1d(unl, test_idx)
         self.test_idx = test_idx
-        train_unl = np.setdiff1d(unl, test_idx)
-        lab = ds.labeled_indices()
-
-        self.X_l = ds.features[lab]
-        self.y_l = ds.true_labels[lab]
-        self.X_u = ds.features[train_unl]
-        self.u_true = ds.true_labels[train_unl]      # evaluation-only
-        self.X_test = ds.features[test_idx]
+        self.y_l = ds.true_labels[self.lab]
+        self.u_true = ds.true_labels[self.unl]      # evaluation-only
         self.y_test = ds.true_labels[test_idx]
         self.C = ds.num_classes
 
@@ -170,7 +174,8 @@ class _Trainer:
     def offline_phase(self, epoch: int) -> None:
         ccfg: cluster_mod.ClusterConfig = self.cfg.cluster
         F_l, F_u, F_sl = cluster_mod.extract_all_features(
-            self.model, self.X_l, self.X_u, ccfg, self.rng_cluster, aug=self.cfg.augment)
+            self.model, self.X, self.lab, self.unl, ccfg, self.rng_cluster,
+            aug=self.cfg.augment)
         if ccfg.method == "km":
             result = cluster_mod.pure_kmeans(F_l, F_u, self.y_l, self.C, ccfg)
         else:
@@ -206,7 +211,7 @@ class _Trainer:
     # -- online steps -------------------------------------------------------
 
     def _labeled_batch(self, size: int) -> np.ndarray:
-        n = self.X_l.shape[0]
+        n = self.lab.size
         return self.rng_train.choice(n, size=size, replace=n < size)
 
     def train(self, until: int) -> None:
@@ -241,8 +246,8 @@ class _Trainer:
             if self.bank is not None and self.bank.digest() != self._bank_digest:
                 raise ApltError("prototype bank mutated during online training")
 
-            proto_acc, param_acc = evaluate(self.model, self.bank,
-                                            self.X_test, self.y_test)
+            proto_acc, param_acc = evaluate(self.model, self.bank, self.X, self.y_test,
+                                            self.test_idx)
             last_ev = self.metrics.events[-1] if self.metrics.events else None
             self.metrics.epochs.append({
                 "epoch": epoch,
@@ -253,7 +258,7 @@ class _Trainer:
                 "loss_margin": sums["margin"] / max(steps, 1),
                 "loss_total": sums["total"] / max(steps, 1),
                 "pass_count": pass_count,
-                "fixmatch_pass_frac": (pass_count / max(self.X_u.shape[0], 1)
+                "fixmatch_pass_frac": (pass_count / max(self.unl.size, 1)
                                        if self.mode != "labeled_only" else None),
                 "fixmatch_pseudo_acc": (passed_correct / pass_count
                                         if pass_count else None),
@@ -281,8 +286,8 @@ class _Trainer:
                 or (mode == "labeled_only") != (self.mode == "labeled_only")):
             raise InvalidParameterError(f"cannot branch a {mode} run from this {self.mode} run")
         # the data splits are read-only, so every branch shares them
-        shared = (self.X_l, self.y_l, self.X_u, self.u_true, self.X_test, self.y_test,
-                  self.test_idx)
+        shared = (self.X, self.lab, self.y_l, self.unl, self.u_true, self.test_idx,
+                  self.y_test)
         twin = copy.deepcopy(self, memo={id(a): a for a in shared})
         twin.cfg, twin.mode = cfg, mode
         for rec in twin.metrics.epochs:
@@ -293,7 +298,8 @@ class _Trainer:
         """Trains the remaining epochs and scores the final model."""
         total = self.cfg.schedule.total_epochs
         self.train(total)
-        proto_acc, param_acc = evaluate(self.model, self.bank, self.X_test, self.y_test)
+        proto_acc, param_acc = evaluate(self.model, self.bank, self.X, self.y_test,
+                                        self.test_idx)
         self.metrics.final = {
             "mode": self.mode,
             "seed": int(self.cfg.seed),
@@ -311,7 +317,7 @@ class _Trainer:
         # every mode takes the same number of optimizer steps per epoch;
         # labeled_only just ignores the unlabeled rows the chunk names
         B = self.cfg.fixmatch.batch_size
-        order = self.rng_train.permutation(self.X_u.shape[0])
+        order = self.rng_train.permutation(self.unl.size)
         return [order[i:i + B] for i in range(0, order.size, B)]
 
     def _train_step(self, chunk, lr, lam, view_fn):
@@ -319,18 +325,18 @@ class _Trainer:
         and the unlabeled consistency term (None in labeled_only mode)."""
         m, cfg = self.model, self.cfg
         lidx = self._labeled_batch(chunk.size)
-        total = fm_mod.supervised_loss(m, self.X_l[lidx], self.y_l[lidx],
-                                       cfg.augment, self.rng_train)
+        x_l = self.X[self.lab[lidx]]
+        total = fm_mod.supervised_loss(m, x_l, self.y_l[lidx], cfg.augment, self.rng_train)
         uns = None
         if self.mode != "labeled_only":
-            uns = fm_mod.unlabeled_loss(m, self.X_u[chunk], cfg.fixmatch,
+            uns = fm_mod.unlabeled_loss(m, self.X[self.unl[chunk]], cfg.fixmatch,
                                         cfg.augment, self.rng_train)
             total = fm_mod.warmup_objective(total, uns)
         grad = total.grad
         margin_value = 0.0
         if self.bank is not None:
-            xl_v = view_fn(self.X_l[lidx], cfg.augment, self.rng_train)
-            xu_v = view_fn(self.X_u[chunk], cfg.augment, self.rng_train)
+            xl_v = view_fn(x_l, cfg.augment, self.rng_train)
+            xu_v = view_fn(self.X[self.unl[chunk]], cfg.augment, self.rng_train)
             acts_l = nn.forward(m, xl_v)
             acts_u = nn.forward(m, xu_v)
             msup = proto_mod.margin_loss_labeled(self.bank, acts_l.feats, self.y_l[lidx],

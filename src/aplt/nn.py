@@ -13,7 +13,8 @@ space that clustering and the prototype margin operate in, where dot
 products and Euclidean distances are interchangeable.
 
 Every parameter lives in one flat vector ``theta``; ``w1`` ... ``hb`` are
-views into it. ``forward`` returns every intermediate of one pass.
+views into it. ``forward`` returns every intermediate of one pass;
+``encode_rows`` gives the features of a whole row set in bounded memory.
 ``backward`` takes upstream gradients on the probabilities (classifier path)
 and/or on the features (prototype-margin path, which never touches the
 head), reuses the caller's forward when given it, and returns one flat
@@ -37,6 +38,9 @@ from .errors import ApltError, DataFormatError, DimensionMismatchError, NonFinit
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "hw", "hb")
 
 _NORM_FLOOR = 1e-12  # keeps zero feature vectors from dividing by zero
+
+# Budget for one row block's activations in ``encode_rows``.
+_BLOCK_BYTES = 1 << 20
 
 
 class EncoderModel:
@@ -114,9 +118,19 @@ class Activations(NamedTuple):
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=1, keepdims=True)
+    """Row softmax in one new buffer: shift by the row max, exponentiate and
+    normalize in place."""
+    out = logits - logits.max(axis=1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
+
+
+def head_probs(m: EncoderModel, feats: np.ndarray) -> np.ndarray:
+    """The head's class probabilities for the features ``feats``."""
+    logits = feats @ m.hw
+    logits += m.hb
+    return softmax(logits)
 
 
 def forward(m: EncoderModel, x: np.ndarray, head: bool = False) -> Activations:
@@ -127,13 +141,39 @@ def forward(m: EncoderModel, x: np.ndarray, head: bool = False) -> Activations:
     v = a1 @ m.w2 + m.b2
     norms = np.maximum(np.linalg.norm(v, axis=1, keepdims=True), _NORM_FLOOR)
     feats = v / norms
-    probs = softmax(feats @ m.hw + m.hb) if head else None
-    return Activations(z1, a1, norms, feats, probs)
+    return Activations(z1, a1, norms, feats, head_probs(m, feats) if head else None)
 
 
 def forward_features(m: EncoderModel, x: np.ndarray) -> np.ndarray:
     """Encoder output F, unit L2 norm per row."""
     return forward(m, x).feats
+
+
+def _block_rows(m: EncoderModel) -> int:
+    """Rows per block of ``encode_rows``: about ``_BLOCK_BYTES`` of input
+    and activations (x, z1, a1, v, F), and never fewer than 4."""
+    return max(4, _BLOCK_BYTES // (8 * (m.input_dim + 2 * m.w1.shape[1] + 2 * m.feature_dim)))
+
+
+def encode_rows(m: EncoderModel, X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """``forward_features`` of X[rows] (of all of X without ``rows``), one
+    row block at a time into one (n, e) array, so the transient memory is
+    one block's activations whatever n is.
+
+    Every row's features equal, bit for bit, those of one pass over all n
+    rows (the tests check it): a gemm output row depends only on its input
+    row, but numpy hands a one-row product to gemv, which rounds
+    differently. So the rows go in near-equal blocks of at most
+    ``_block_rows`` rows, and no block has one row unless n is 1.
+    """
+    n = X.shape[0] if rows is None else rows.size
+    out = np.empty((n, m.feature_dim))
+    blocks = max(1, -(-n // _block_rows(m)))
+    bounds = [n * i // blocks for i in range(blocks + 1)]
+    for start, stop in zip(bounds, bounds[1:]):
+        out[start:stop] = forward_features(m, X[start:stop] if rows is None
+                                           else X[rows[start:stop]])
+    return out
 
 
 def forward_logits(m: EncoderModel, x: np.ndarray) -> np.ndarray:
@@ -169,7 +209,7 @@ def backward(m: EncoderModel, x: np.ndarray,
         d_probs = np.asarray(d_probs, dtype=np.float64)
         if d_probs.shape != (B, m.num_classes):
             raise DimensionMismatchError("d_probs shape mismatch")
-        p = acts.probs if acts.probs is not None else softmax(feats @ m.hw + m.hb)
+        p = acts.probs if acts.probs is not None else head_probs(m, feats)
         # softmax Jacobian-vector product
         inner = (p * d_probs).sum(axis=1, keepdims=True)
         d_logits = p * d_probs - p * inner

@@ -270,6 +270,23 @@ class TestCompare:
         methods = {r[0] for r in body}
         assert methods == {"fixmatch", "aplt"}
 
+    @pytest.mark.parametrize("tau, silent", [(None, True), (0.05, False)])
+    def test_says_when_the_consistency_term_never_fired(self, tmp_path, dataset_csv,
+                                                        capsys, tau, silent):
+        out = tmp_path / "cmp"
+        sets = [] if tau is None else ["--set", f"fixmatch.tau={tau}"]
+        assert cli.main(["compare", "--data", str(dataset_csv), "--out", str(out),
+                         *FAST, *sets]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        passed = [json.loads(line)["pass_count"]
+                  for line in (out / "metrics_fixmatch.ndjson").read_text().splitlines()
+                  if json.loads(line)["kind"] == "epoch"]
+        assert (not any(passed)) == silent
+        notes = [line for line in lines if "consistency term never contributed" in line]
+        expected = 0.95 if tau is None else tau
+        assert notes == ([f"fixmatch: no unlabeled row passed fixmatch.tau={expected} in any "
+                          "epoch, so its consistency term never contributed"] if silent else [])
+
 
 class TestAblate:
     def test_seven_rows_with_seed_column_append_and_force(self, tmp_path,

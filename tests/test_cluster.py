@@ -193,9 +193,9 @@ class TestIncrementalLloyd:
         screened = []
         nearest = cluster._nearest
 
-        def counting(F, centroids):
-            screened.append(F.shape[0])
-            return nearest(F, centroids)
+        def counting(F, centroids, rows=None):
+            screened.append(F.shape[0] if rows is None else rows.size)
+            return nearest(F, centroids, rows)
 
         monkeypatch.setattr(cluster, "_nearest", counting)
         res = cluster.ss_kmeans(F_l, F_u, np.zeros((0, e)), labels, CFG)
@@ -249,33 +249,32 @@ class TestExtractAllFeatures:
         ds = data.apply_split(ds, data.SplitSpec(labeled_ratio=0.5, seed=0))
         m = nn.EncoderModel.init(4, 8, 3, 2, np.random.default_rng(1))
         cfg = cluster.ClusterConfig(aug_copies=K)
-        X = ds.features
-        return X[ds.labeled_mask], X[~ds.labeled_mask], m, cfg
+        return ds.features, ds.labeled_indices(), ds.unlabeled_indices(), m, cfg
 
     def test_no_copies_gives_empty_augmented_set(self):
-        X_l, X_u, m, cfg = self.make(K=0)
-        _, _, F_sl = cluster.extract_all_features(m, X_l, X_u, cfg, np.random.default_rng(2))
+        X, lab, unl, m, cfg = self.make(K=0)
+        _, _, F_sl = cluster.extract_all_features(m, X, lab, unl, cfg, np.random.default_rng(2))
         assert F_sl.shape[0] == 0
 
     def test_flag_off_gives_empty_augmented_set(self):
         # an ablation row without +LA clusters with no augmented copies
-        X_l, X_u, m, _ = self.make(K=3)
+        X, lab, unl, m, _ = self.make(K=3)
         cfg = engine._row_config(config.RunConfig(), "SSL+SSKM(S)+SAT").cluster
-        _, _, F_sl = cluster.extract_all_features(m, X_l, X_u, cfg, np.random.default_rng(2))
+        _, _, F_sl = cluster.extract_all_features(m, X, lab, unl, cfg, np.random.default_rng(2))
         assert F_sl.shape[0] == 0
 
     def test_copy_count(self):
-        X_l, X_u, m, cfg = self.make(K=3)
-        F_l, F_u, F_sl = cluster.extract_all_features(m, X_l, X_u, cfg,
+        X, lab, unl, m, cfg = self.make(K=3)
+        F_l, F_u, F_sl = cluster.extract_all_features(m, X, lab, unl, cfg,
                                                       np.random.default_rng(2))
         assert F_l.shape[0] == 10
         assert F_u.shape[0] == 10
         assert F_sl.shape[0] == 30
 
     def test_identical_rng_identical_copies(self):
-        X_l, X_u, m, cfg = self.make(K=2)
-        a = cluster.extract_all_features(m, X_l, X_u, cfg, np.random.default_rng(7))[2]
-        b = cluster.extract_all_features(m, X_l, X_u, cfg, np.random.default_rng(7))[2]
+        X, lab, unl, m, cfg = self.make(K=2)
+        a = cluster.extract_all_features(m, X, lab, unl, cfg, np.random.default_rng(7))[2]
+        b = cluster.extract_all_features(m, X, lab, unl, cfg, np.random.default_rng(7))[2]
         assert np.array_equal(a, b)
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import pickle
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -205,6 +206,37 @@ class TestEvaluate:
         assert proto_acc is None and param_acc is not None
 
 
+def test_offline_passes_peak_memory_is_bounded():
+    """Feature extraction and evaluation hold one row block's activations at
+    a time: at n_u = 50,000 a one-pass encoder would add about 75 MiB (z1, a1,
+    v and F at once) over their outputs."""
+    n_l, n_u, d, C = 1200, 50000, 32, 12
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(n_l + n_u, d))
+    lab, unl = np.arange(n_l), np.arange(n_l, n_l + n_u)
+    y = rng.integers(0, C, size=n_u)
+    m = nn.EncoderModel.init(d, 64, 32, C, rng)
+    bank = cluster.PrototypeBank(rho=rng.normal(size=(C, 32)), counts=np.ones(C, dtype=int))
+    slack = 4 * 2**20
+    tracemalloc.start()
+    try:
+        out = cluster.extract_all_features(m, X, lab, unl, cluster.ClusterConfig(),
+                                           np.random.default_rng(1))
+        _, extract_peak = tracemalloc.get_traced_memory()
+        outputs = sum(F.nbytes for F in out)
+        del out
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        proto_acc, param_acc = engine.evaluate(m, bank, X, y, unl)
+        _, evaluate_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert extract_peak < outputs + slack
+    # the features, the head's logits and its probabilities
+    assert evaluate_peak - before < 8 * n_u * (32 + 2 * C) + slack
+    assert 0.0 <= proto_acc <= 1.0 and 0.0 <= param_acc <= 1.0
+
+
 class TestAblationGrid:
     def test_grid_rows_and_ssl_equivalence(self):
         ds = small_dataset()
@@ -404,8 +436,8 @@ class TestEncoderPassesPerStep:
         trainer = engine._Trainer(small_dataset(), small_config(), "aplt")
         trainer.offline_phase(0)
         calls = count_encoder_passes(monkeypatch)
-        proto_acc, param_acc = engine.evaluate(trainer.model, trainer.bank,
-                                               trainer.X_test, trainer.y_test)
+        proto_acc, param_acc = engine.evaluate(trainer.model, trainer.bank, trainer.X,
+                                               trainer.y_test, trainer.test_idx)
         assert proto_acc is not None and param_acc is not None
         assert calls == {"forward": 1, "backward": 0}
 

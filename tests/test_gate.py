@@ -1,7 +1,8 @@
-"""The behaviour contract on every test run: the first five lines of the
-byte-identity gate (``tools/gate_outputs.py``), the ``hard12`` dataset and
-the seed-0 aplt and fixmatch runs on it, must hash as
-``tools/gate_hashes.txt`` records. The full check of all 44 lines is
+"""The behaviour contract on every test run: part of the byte-identity gate
+(``tools/gate_outputs.py``) must hash as ``tools/gate_hashes.txt`` records.
+That part is the first five lines, the ``hard12`` dataset and the seed-0
+aplt and fixmatch runs on it, and the five C=100 lines, which cover the
+many-class offline path. The full check of all 44 lines is
 ``tools/gate_outputs.py --check tools/gate_hashes.txt OUTDIR``."""
 
 import importlib.util
@@ -19,20 +20,36 @@ def _load_gate():
     return gate
 
 
-def test_seed_zero_runs_hash_as_committed(tmp_path, monkeypatch):
-    gate = _load_gate()
-    monkeypatch.chdir(tmp_path)
-    got = [gate.format_line(*line) for line in itertools.islice(gate.gate(), 5)]
-    assert [line.split("\t")[:2] for line in got] == [
-        ["gen", "hard.csv"],
-        ["train aplt seed=0", "metrics.ndjson"], ["train aplt seed=0", "resolved_config.json"],
-        ["train fixmatch seed=0", "metrics.ndjson"],
-        ["train fixmatch seed=0", "resolved_config.json"]]
+def _check_against_committed(gate, lines):
+    """Formats the gate lines, checks them against the committed hashes of
+    the same runs and outputs, and returns their (run, output) keys."""
+    got = [gate.format_line(*line) for line in lines]
     keys = {line.rsplit("\t", 1)[0] for line in got}
     expected = [line for line in (ROOT / "tools" / "gate_hashes.txt").read_text().splitlines()
                 if line.startswith("#") or line.rsplit("\t", 1)[0] in keys]
     diff = gate.check(expected, gate.versions() + got)
     assert not diff, "\n".join(diff)
+    return [line.split("\t")[:2] for line in got]
+
+
+def test_seed_zero_runs_hash_as_committed(tmp_path, monkeypatch):
+    gate = _load_gate()
+    monkeypatch.chdir(tmp_path)
+    assert _check_against_committed(gate, itertools.islice(gate.gate(), 5)) == [
+        ["gen", "hard.csv"],
+        ["train aplt seed=0", "metrics.ndjson"], ["train aplt seed=0", "resolved_config.json"],
+        ["train fixmatch seed=0", "metrics.ndjson"],
+        ["train fixmatch seed=0", "resolved_config.json"]]
+
+
+def test_c100_runs_hash_as_committed(tmp_path, monkeypatch):
+    gate = _load_gate()
+    monkeypatch.chdir(tmp_path)
+    assert _check_against_committed(gate, gate.gate_c100()) == [
+        ["gen", "c100.csv"],
+        ["train c100", "metrics.ndjson"], ["train c100", "resolved_config.json"],
+        ["train c100 cluster.method=km", "metrics.ndjson"],
+        ["train c100 cluster.method=km", "resolved_config.json"]]
 
 
 def test_check_lists_the_lines_that_differ_with_both_builds():

@@ -115,6 +115,72 @@ class TestForwardLogits:
         assert (p >= 0).all()
 
 
+def three_buffer_softmax(logits):
+    """The softmax before it worked in one buffer: the reference."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    ex = np.exp(shifted)
+    return ex / ex.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_one_buffer_softmax_equals_three_buffer_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    B, C = int(rng.integers(1, 200)), int(rng.integers(1, 120))
+    logits = rng.normal(size=(B, C)) * 10.0 ** rng.uniform(-3, 3.5)
+    cells = rng.random((B, C))
+    logits[cells < 0.05] = 1e300
+    logits[cells > 0.95] = -np.inf
+    logits[0] = -np.inf  # a row with no finite logit is all NaN either way
+    before = logits.copy()
+    with np.errstate(invalid="ignore"):  # -inf - -inf
+        got, expected = nn.softmax(logits), three_buffer_softmax(logits)
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(logits, before, equal_nan=True)
+
+
+class TestEncodeRows:
+    """Blocked encoding gives every row the features of one pass over all
+    rows, bit for bit."""
+
+    def model(self):
+        return nn.EncoderModel.init(32, 64, 32, 12, np.random.default_rng(3))
+
+    @pytest.mark.parametrize("extra", ["-1", "0", "+1", "3x+5"])
+    def test_equals_one_pass(self, extra):
+        m = self.model()
+        block = nn._block_rows(m)
+        n = {"-1": block - 1, "0": block, "+1": block + 1, "3x+5": 3 * block + 5}[extra]
+        X = np.random.default_rng(4).normal(size=(n, 32))
+        got = nn.encode_rows(m, X)
+        assert got.shape == (n, 32)
+        assert np.array_equal(got, nn.forward(m, X).feats)
+
+    def test_gathered_rows_equal_one_pass_over_the_subset(self):
+        m = self.model()
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(4 * nn._block_rows(m), 32))
+        rows = np.sort(rng.choice(X.shape[0], size=2 * nn._block_rows(m) + 1, replace=False))
+        assert np.array_equal(nn.encode_rows(m, X, rows), nn.forward(m, X[rows]).feats)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 10])
+    def test_small_blocks_never_leave_a_one_row_tail(self, monkeypatch, n):
+        m = self.model()
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)
+        assert nn._block_rows(m) == 4
+        sizes = []
+        forward_features = nn.forward_features
+
+        def counted(m, x):
+            sizes.append(x.shape[0])
+            return forward_features(m, x)
+
+        monkeypatch.setattr(nn, "forward_features", counted)
+        X = np.random.default_rng(6).normal(size=(n, 32))
+        assert np.array_equal(nn.encode_rows(m, X), nn.forward(m, X).feats)
+        assert sum(sizes) == n and max(sizes) <= 4
+        assert n < 2 or min(sizes) >= 2
+
+
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(5)
