@@ -67,10 +67,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _seed_list(raw: str) -> list[int]:
     try:
-        return [int(s) for s in raw.split(",")]
+        seeds = [int(s) for s in raw.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {raw!r}") from None
+    if len(set(seeds)) < len(seeds):
+        raise argparse.ArgumentTypeError(f"each seed may appear once, got {raw!r}")
+    return seeds
 
 
 def _out_dir(raw: str) -> Path:
@@ -119,6 +122,31 @@ def _resolve_from_args(args) -> tuple[config_mod.RunConfig, dict]:
         resolved["dataset"] = {"csv": args.data}
         cfg = replace(cfg, dataset=resolved["dataset"])
     return cfg, resolved
+
+
+def _changed_keys(old, new, path: str = "") -> list[str]:
+    """Dotted keys whose values differ between two resolved configs."""
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return [] if old == new else [path.rstrip(".")]
+    return [key for name in sorted(set(old) | set(new))
+            for key in _changed_keys(old.get(name), new.get(name), f"{path}{name}.")]
+
+
+def _check_appendable(out: Path, resolved: dict) -> None:
+    """An ablation table grows only under the config stored next to it; the
+    seed may differ, since the table has a seed column."""
+    try:
+        stored = json.loads((out / "resolved_config.json").read_text())
+    except (OSError, ValueError):
+        stored = None
+    if not isinstance(stored, dict):
+        raise ConfigError(f"{out / 'ablation.csv'} has no readable resolved_config.json "
+                          "to append under; pass --force to start a new table")
+    changed = [k for k in _changed_keys(stored, resolved) if k != "seed"]
+    if changed:
+        raise ConfigError(f"{out / 'ablation.csv'} was written under another config "
+                          f"(differs in {', '.join(changed)}); pass --force to start "
+                          "a new table")
 
 
 def _write_resolved(out: Path, resolved: dict) -> None:
@@ -244,13 +272,15 @@ def cmd_compare(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg, resolved = _resolve_from_args(args)
+    out = _out_dir(args.out)
+    table = out / "ablation.csv"
+    fresh = args.force or not table.exists()
+    if not fresh:
+        _check_appendable(out, resolved)
     ds = _load_dataset(cfg)
     records = engine.run_ablation_grid(ds, cfg, seeds=args.seeds)
-    out = _out_dir(args.out)
     _write_resolved(out, resolved)
-    table = out / "ablation.csv"
     fields = ["row", "seed", "accuracy", "coverage", "pseudo_label_acc"]
-    fresh = args.force or not table.exists()
     with open(table, "a" if not fresh else "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if fresh:

@@ -48,8 +48,8 @@ class EvalConfig:
     test_fraction: float = 0.2
 
     def __post_init__(self):
-        if not (0.0 <= self.test_fraction < 1.0):
-            raise InvalidParameterError("test_fraction must lie in [0, 1)")
+        if not (0.0 < self.test_fraction < 1.0):
+            raise InvalidParameterError("test_fraction must lie in (0, 1)")
 
 
 @dataclass(frozen=True)

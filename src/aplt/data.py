@@ -2,9 +2,9 @@
 
 A dataset carries every sample's true label, but after a split only the
 labeled subset may feed training; the remaining true labels exist purely for
-evaluation-time scoring (pseudo-label accuracy, test accuracy). Nothing on
-the training path is allowed to read them, and ``poison_eval_labels`` exists
-so tests can prove it.
+evaluation-time scoring (pseudo-label accuracy, test accuracy). A run hands
+them to its held-out probe (``engine._HeldOut``) and to nothing else, and
+``poison_eval_labels`` exists so tests can prove it.
 """
 
 from __future__ import annotations

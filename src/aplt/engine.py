@@ -14,8 +14,8 @@ finish the continuations on a pool of worker processes.
 
 Per-epoch and per-event records go into RunMetrics; serialization is
 timestamp-free so identical configs and seeds produce byte-identical logs.
-True labels of unlabeled samples are touched only by evaluation metrics,
-never by anything that feeds a loss or the optimizer.
+The true labels of unlabeled and held-out rows stay in the held-out probe
+(``_HeldOut``), which only scores; the trainer never holds them.
 """
 
 from __future__ import annotations
@@ -112,8 +112,6 @@ def evaluate(m: nn.EncoderModel, bank, X: np.ndarray, y: np.ndarray,
     The encoder runs in row blocks (``nn.encode_rows``). The head and the
     prototype scores are each one product over all rows: a blocked head
     product would round differently."""
-    if (X.shape[0] if rows is None else rows.size) == 0:
-        return None, None
     feats = nn.encode_rows(m, X, rows)
     param_acc = float((nn.head_probs(m, feats).argmax(axis=1) == y).mean())
     proto_acc = None
@@ -122,8 +120,31 @@ def evaluate(m: nn.EncoderModel, bank, X: np.ndarray, y: np.ndarray,
     return proto_acc, param_acc
 
 
-def _float_or_none(x):
-    return None if x is None else float(x)
+class _HeldOut:
+    """The only holder of evaluation labels: those of the unlabeled training
+    pool and of the test rows, a label-blind draw from the unlabeled rows.
+    A trainer gets the pool's indices and asks this probe for every score."""
+
+    def __init__(self, ds: FeatureDataset, fraction: float, key):
+        unl = ds.unlabeled_indices()
+        n_test = int(np.floor(fraction * ds.n + 0.5))
+        if not 0 < n_test < unl.size:
+            raise InvalidParameterError(
+                f"eval.test_fraction={fraction} holds out {n_test} of {ds.n} rows, but the "
+                f"test split and the training pool each need one of the {unl.size} "
+                "unlabeled rows at least")
+        self.test_idx = np.sort(np.random.default_rng(key).choice(unl, n_test, replace=False))
+        self.pool = np.setdiff1d(unl, self.test_idx)
+        self.pool_true = ds.true_labels[self.pool]
+        self.y_test = ds.true_labels[self.test_idx]
+
+    def correct(self, at: np.ndarray, labels: np.ndarray) -> int:
+        """How many ``labels`` are right at pool positions ``at``."""
+        return int((labels == self.pool_true[at]).sum())
+
+    def scores(self, m: nn.EncoderModel, bank, X: np.ndarray):
+        """``evaluate`` of a model and a bank on the test rows of X."""
+        return evaluate(m, bank, X, self.y_test, self.test_idx)
 
 
 class _Trainer:
@@ -133,29 +154,17 @@ class _Trainer:
         if mode not in MODES:
             raise InvalidParameterError(f"unknown mode {mode!r}")
         validate_for_training(ds)
-        self.cfg = cfg
-        self.mode = mode
-        seq = np.random.SeedSequence(cfg.seed)
-        k_model, k_split, k_train, k_cluster = seq.spawn(4)
+        self.cfg, self.mode = cfg, mode
+        k_model, k_split, k_train, k_cluster = np.random.SeedSequence(cfg.seed).spawn(4)
         self.rng_train = np.random.default_rng(k_train)
         self.rng_cluster = np.random.default_rng(k_cluster)
 
-        unl = ds.unlabeled_indices()
-        n_test = int(np.floor(cfg.eval.test_fraction * ds.n + 0.5))
-        if n_test >= unl.size:
-            raise InvalidParameterError(
-                "test split would leave no unlabeled training samples")
-        rng_split = np.random.default_rng(k_split)
-        # label-blind draw: the leakage guard forbids reading unlabeled labels
-        test_idx = np.sort(rng_split.choice(unl, size=n_test, replace=False))
+        self.probe = _HeldOut(ds, cfg.eval.test_fraction, k_split)
         # one copy of the rows: every pass gathers them from X by index
         self.X = ds.features
         self.lab = ds.labeled_indices()
-        self.unl = np.setdiff1d(unl, test_idx)
-        self.test_idx = test_idx
         self.y_l = ds.true_labels[self.lab]
-        self.u_true = ds.true_labels[self.unl]      # evaluation-only
-        self.y_test = ds.true_labels[test_idx]
+        self.unl = self.probe.pool
         self.C = ds.num_classes
 
         self.model = nn.EncoderModel.init(
@@ -163,9 +172,7 @@ class _Trainer:
             np.random.default_rng(k_model))
         self.opt = nn.OptimizerState(momentum=cfg.optimizer.momentum,
                                      weight_decay=cfg.optimizer.weight_decay)
-        self.bank = None
-        self.pseudo = None
-        self._bank_digest = None
+        self.bank = self.pseudo = self._bank_digest = None
         self.metrics = RunMetrics()
         self.epoch = 0                               # the next epoch train() runs
 
@@ -185,26 +192,24 @@ class _Trainer:
         pseudo = cluster_mod.filter_pseudo_labels(result, thresholds, ccfg)
         bank = cluster_mod.build_prototypes(F_l, self.y_l, F_u[pseudo.indices],
                                             pseudo.labels, self.C, build_epoch=epoch)
-        self.bank = bank
-        self.pseudo = pseudo
-        self._bank_digest = bank.digest()
+        self.bank, self.pseudo, self._bank_digest = bank, pseudo, bank.digest()
 
-        kept_true = self.u_true[pseudo.indices]
+        kept = pseudo.indices.size
         empty = np.flatnonzero(pseudo.tau_local == 0.0)
         self.metrics.events.append({
             "epoch": epoch,
             "iterations_run": int(result.iterations_run),
             "coverage": float(pseudo.coverage),
-            "kept": int(pseudo.indices.size),
+            "kept": kept,
             "n_unlabeled": int(pseudo.n_unlabeled),
             "tau_global": float(pseudo.tau_global),
             "tau_local": [float(t) for t in pseudo.tau_local],
-            "pseudo_label_acc": (float((pseudo.labels == kept_true).mean())
-                                 if pseudo.indices.size else None),
+            "pseudo_label_acc": (self.probe.correct(pseudo.indices, pseudo.labels) / kept
+                                 if kept else None),
             "objective": float(result.objective),
             "monotonic": bool(result.monotonic),
             "empty_threshold_classes": [int(c) for c in empty],
-            "bank_digest": bank.digest(),
+            "bank_digest": self._bank_digest,
             "pseudo_digest": pseudo.digest(),
         })
 
@@ -229,9 +234,7 @@ class _Trainer:
                 self.offline_phase(epoch)
 
             sums = {"logits": 0.0, "margin": 0.0, "total": 0.0}
-            pass_count = 0
-            passed_correct = 0
-            steps = 0
+            pass_count = passed_correct = steps = 0
             for chunk in self._epoch_chunks():
                 step_logits, step_margin, uns = self._train_step(chunk, lr, lam, view_fn)
                 sums["logits"] += step_logits
@@ -240,14 +243,13 @@ class _Trainer:
                 steps += 1
                 if uns is not None and uns.pass_count:
                     pass_count += uns.pass_count
-                    truth = self.u_true[chunk[uns.passed]]
-                    passed_correct += int((uns.pseudo_labels[uns.passed] == truth).sum())
+                    passed_correct += self.probe.correct(chunk[uns.passed],
+                                                         uns.pseudo_labels[uns.passed])
 
             if self.bank is not None and self.bank.digest() != self._bank_digest:
                 raise ApltError("prototype bank mutated during online training")
 
-            proto_acc, param_acc = evaluate(self.model, self.bank, self.X, self.y_test,
-                                            self.test_idx)
+            proto_acc, param_acc = self.probe.scores(self.model, self.bank, self.X)
             last_ev = self.metrics.events[-1] if self.metrics.events else None
             self.metrics.epochs.append({
                 "epoch": epoch,
@@ -260,12 +262,11 @@ class _Trainer:
                 "pass_count": pass_count,
                 "fixmatch_pass_frac": (pass_count / max(self.unl.size, 1)
                                        if self.mode != "labeled_only" else None),
-                "fixmatch_pseudo_acc": (passed_correct / pass_count
-                                        if pass_count else None),
+                "fixmatch_pseudo_acc": passed_correct / pass_count if pass_count else None,
                 "offline_coverage": last_ev["coverage"] if last_ev else None,
                 "offline_pseudo_acc": last_ev["pseudo_label_acc"] if last_ev else None,
-                "test_acc_proto": _float_or_none(proto_acc),
-                "test_acc_param": _float_or_none(param_acc),
+                "test_acc_proto": proto_acc,
+                "test_acc_param": param_acc,
                 "bank_digest": self._bank_digest,
                 "pseudo_digest": self.pseudo.digest() if self.pseudo else None,
             })
@@ -285,9 +286,8 @@ class _Trainer:
         if (self.epoch > self.cfg.schedule.warmup_epochs or not same_warmup
                 or (mode == "labeled_only") != (self.mode == "labeled_only")):
             raise InvalidParameterError(f"cannot branch a {mode} run from this {self.mode} run")
-        # the data splits are read-only, so every branch shares them
-        shared = (self.X, self.lab, self.y_l, self.unl, self.u_true, self.test_idx,
-                  self.y_test)
+        # the data splits and the probe are read-only, so every branch shares them
+        shared = (self.X, self.lab, self.y_l, self.unl, self.probe)
         twin = copy.deepcopy(self, memo={id(a): a for a in shared})
         twin.cfg, twin.mode = cfg, mode
         for rec in twin.metrics.epochs:
@@ -298,20 +298,19 @@ class _Trainer:
         """Trains the remaining epochs and scores the final model."""
         total = self.cfg.schedule.total_epochs
         self.train(total)
-        proto_acc, param_acc = evaluate(self.model, self.bank, self.X, self.y_test,
-                                        self.test_idx)
+        proto_acc, param_acc = self.probe.scores(self.model, self.bank, self.X)
         self.metrics.final = {
             "mode": self.mode,
             "seed": int(self.cfg.seed),
             "epochs": total,
             "offline_events": len(self.metrics.events),
-            "test_acc_proto": _float_or_none(proto_acc),
-            "test_acc_param": _float_or_none(param_acc),
+            "test_acc_proto": proto_acc,
+            "test_acc_param": param_acc,
             # headline number: prototype path when it exists, head otherwise
-            "test_acc": _float_or_none(proto_acc if proto_acc is not None else param_acc),
+            "test_acc": proto_acc if proto_acc is not None else param_acc,
         }
         return RunResult(metrics=self.metrics, model=self.model, bank=self.bank,
-                         pseudo=self.pseudo, test_indices=self.test_idx)
+                         pseudo=self.pseudo, test_indices=self.probe.test_idx)
 
     def _epoch_chunks(self):
         # every mode takes the same number of optimizer steps per epoch;

@@ -111,6 +111,26 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "config error: " in err and message in err
 
+    @pytest.mark.parametrize("command, fraction, message", [
+        ("train", "0", "test_fraction must lie in (0, 1)"),
+        ("ablate", "0", "test_fraction must lie in (0, 1)"),
+        # 60 rows, 42 of them unlabeled: 0.005 of them rounds to no row, and
+        # 0.9 of them leaves no unlabeled row to train on
+        ("train", "0.005", "eval.test_fraction=0.005 holds out 0 of 60 rows"),
+        ("ablate", "0.005", "eval.test_fraction=0.005 holds out 0 of 60 rows"),
+        ("train", "0.9", "eval.test_fraction=0.9 holds out 54 of 60 rows")],
+        ids=["train_zero", "ablate_zero", "train_rounds_to_zero", "ablate_rounds_to_zero",
+             "train_leaves_no_pool"])
+    def test_empty_test_split_exits_one_without_outputs(self, tmp_path, dataset_csv,
+                                                        capsys, command, fraction, message):
+        out = tmp_path / "run"
+        rc = cli.main([command, "--data", str(dataset_csv), "--out", str(out), *FAST,
+                       "--set", f"eval.test_fraction={fraction}"])
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "config error: " in err and message in err
+
     def test_bad_config_key_exits_one(self, tmp_path, dataset_csv):
         out = tmp_path / "run"
         rc = cli.main(["train", "--data", str(dataset_csv), "--out", str(out),
@@ -317,8 +337,12 @@ class TestAblate:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 7
 
-    @pytest.mark.parametrize("seeds", ["0,a", "0,,1", "1.5"])
-    def test_bad_seed_list_is_usage_error(self, tmp_path, dataset_csv, capsys, seeds):
+    @pytest.mark.parametrize("seeds, message", [
+        pytest.param(seeds, f"expected comma-separated integers, got {seeds!r}", id=seeds)
+        for seeds in ("0,a", "0,,1", "1.5")] + [
+        pytest.param("0,0", "each seed may appear once, got '0,0'", id="0,0")])
+    def test_bad_seed_list_is_usage_error(self, tmp_path, dataset_csv, capsys, seeds,
+                                          message):
         out = tmp_path / "abl"
         with pytest.raises(SystemExit) as exc:
             cli.main(["ablate", "--data", str(dataset_csv), "--out", str(out),
@@ -326,8 +350,33 @@ class TestAblate:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert "usage:" in err
-        assert f"argument --seeds: expected comma-separated integers, got {seeds!r}" in err
+        assert f"argument --seeds: {message}" in err
         assert not out.exists()
+
+    def test_append_only_under_the_stored_config(self, tmp_path, dataset_csv, capsys):
+        out = tmp_path / "abl"
+        args = ["ablate", "--data", str(dataset_csv), "--out", str(out), *FAST]
+        assert cli.main(args + ["--seeds", "0"]) == 0
+        table, stored = out / "ablation.csv", out / "resolved_config.json"
+        before = table.read_bytes(), stored.read_bytes()
+        capsys.readouterr()
+        # another value is refused and leaves both files as they were; another
+        # seed appends
+        rc = cli.main(args + ["--seeds", "1", "--set", "margin.lambda=0.5",
+                              "--set", "cluster.method=km"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error: " in err and "cluster.method, margin.lambda" in err
+        assert "--force" in err
+        assert (table.read_bytes(), stored.read_bytes()) == before
+        assert cli.main(args + ["--seed", "5", "--seeds", "1"]) == 0
+        assert len(table.read_text().splitlines()) == 1 + 14
+        # a table with no stored config is refused too
+        stored.unlink()
+        grown = table.read_bytes()
+        assert cli.main(args + ["--seeds", "2"]) == 1
+        assert "no readable resolved_config.json" in capsys.readouterr().err
+        assert table.read_bytes() == grown and not stored.exists()
 
 
 # values whose JSON type does not match their key's default; each must be
@@ -411,6 +460,11 @@ class TestConfigResolution:
             config.resolve({"mode": "sideways"})
         with pytest.raises(ConfigError):
             config.resolve({"eval": {"test_fraction": 1.0}})
+
+    @pytest.mark.parametrize("fraction", [0.0, 0])
+    def test_test_fraction_lies_strictly_between_zero_and_one(self, fraction):
+        with pytest.raises(ConfigError, match=r"test_fraction must lie in \(0, 1\)"):
+            config.resolve({"eval": {"test_fraction": fraction}})
 
     @pytest.mark.parametrize("override", BAD_TYPES + [
         "seed=true", "seed=1.0", "mode=1", "schedule.sync_mode=1",

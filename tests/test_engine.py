@@ -132,6 +132,36 @@ class TestRun:
         poisoned_acc = [e["pseudo_label_acc"] for e in res_poisoned.metrics.events]
         assert clean_acc != poisoned_acc
 
+    def test_trainer_state_is_label_blind(self):
+        """Only the held-out probe and the metrics may hold what the labels of
+        unlabeled and held-out rows decide: every other trainer attribute
+        pickles to the same bytes when those labels are scrambled, at
+        construction, after warm-up, on a branch and after an offline event."""
+        ds = small_dataset()
+        poisoned = data.poison_eval_labels(ds, seed=1234)
+        cfg = small_config(seed=3)
+        warmup = cfg.schedule.warmup_epochs
+
+        def label_blind(a, b):
+            assert not np.array_equal(a.probe.pool_true, b.probe.pool_true)
+            state = [{name: pickle.dumps(value) for name, value in vars(t).items()
+                      if name not in ("probe", "metrics")} for t in (a, b)]
+            assert state[0].keys() == state[1].keys()
+            for name in state[0]:
+                assert state[0][name] == state[1][name], name
+
+        clean, dirty = (engine._Trainer(d, cfg, "fixmatch") for d in (ds, poisoned))
+        label_blind(clean, dirty)
+        for t in (clean, dirty):
+            t.train(warmup)
+        label_blind(clean, dirty)
+        clean, dirty = (t.branch(cfg, "aplt") for t in (clean, dirty))
+        label_blind(clean, dirty)
+        for t in (clean, dirty):
+            t.train(warmup + 1)
+        assert [e["epoch"] for e in clean.metrics.events] == [warmup]
+        label_blind(clean, dirty)
+
     def test_validation_errors_surface(self):
         ds = small_dataset()
         fully_labeled = data.generate_synthetic(2, 3, 10, 0.1, seed=0)
@@ -436,8 +466,7 @@ class TestEncoderPassesPerStep:
         trainer = engine._Trainer(small_dataset(), small_config(), "aplt")
         trainer.offline_phase(0)
         calls = count_encoder_passes(monkeypatch)
-        proto_acc, param_acc = engine.evaluate(trainer.model, trainer.bank, trainer.X,
-                                               trainer.y_test, trainer.test_idx)
+        proto_acc, param_acc = trainer.probe.scores(trainer.model, trainer.bank, trainer.X)
         assert proto_acc is not None and param_acc is not None
         assert calls == {"forward": 1, "backward": 0}
 
