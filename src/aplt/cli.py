@@ -85,13 +85,14 @@ def _out_dir(raw: str) -> Path:
 
 
 def _read_csv(path, num_classes: int | None = None) -> data_mod.FeatureDataset:
-    """A dataset CSV; a row of the wrong width is a bad input file (exit 1)."""
+    """A dataset CSV; a row of the wrong width is a bad input file (exit 1).
+    Every load error already names the file."""
     if not Path(path).is_file():
         raise ConfigError(f"dataset file not found: {path}")
     try:
         return data_mod.load_csv(path, num_classes=num_classes)
     except DimensionMismatchError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+        raise DataFormatError(str(exc)) from None
 
 
 def _load_dataset(cfg: config_mod.RunConfig):

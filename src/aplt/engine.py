@@ -110,8 +110,10 @@ def evaluate(m: nn.EncoderModel, bank, X: np.ndarray, y: np.ndarray,
     samples X[rows] (all of X without ``rows``).
 
     The encoder runs in row blocks (``nn.encode_rows``). The head and the
-    prototype scores are each one product over all rows: a blocked head
-    product would round differently."""
+    prototype scores are each one product over all rows, since a blocked
+    head product would round differently. They are made one after the
+    other and the softmax works in the logits' buffer, so evaluation holds
+    one (n, C) array at a time."""
     feats = nn.encode_rows(m, X, rows)
     param_acc = float((nn.head_probs(m, feats).argmax(axis=1) == y).mean())
     proto_acc = None

@@ -118,12 +118,13 @@ class Activations(NamedTuple):
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row softmax in one new buffer: shift by the row max, exponentiate and
-    normalize in place."""
-    out = logits - logits.max(axis=1, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=1, keepdims=True)
-    return out
+    """Row softmax computed in the buffer ``logits`` and returned: shift by
+    the row max, exponentiate and normalize in place. Every caller passes a
+    temporary of its own."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def head_probs(m: EncoderModel, feats: np.ndarray) -> np.ndarray:
@@ -161,10 +162,15 @@ def encode_rows(m: EncoderModel, X: np.ndarray, rows: np.ndarray | None = None) 
     one block's activations whatever n is.
 
     Every row's features equal, bit for bit, those of one pass over all n
-    rows (the tests check it): a gemm output row depends only on its input
-    row, but numpy hands a one-row product to gemv, which rounds
-    differently. So the rows go in near-equal blocks of at most
-    ``_block_rows`` rows, and no block has one row unless n is 1.
+    rows (the tests check it). That holds for the encoder's own products,
+    whose right operands are ``w1`` and ``w2``: measured with OpenBLAS
+    0.3.31 (Haswell kernels), their gemm output rows did not depend on how
+    many rows a block had. It is not a property of gemm in general. On the
+    same build a transposed right operand (``dv @ w2.T``, ``F @ rho.T``)
+    rounded differently for some row counts, and so did the 32×100 head
+    ``hw``. A one-row product always differs, because numpy hands it to
+    gemv. So the rows go in near-equal blocks of at most ``_block_rows``
+    rows, and no block has one row unless n is 1.
     """
     n = X.shape[0] if rows is None else rows.size
     out = np.empty((n, m.feature_dim))

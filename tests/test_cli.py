@@ -272,7 +272,7 @@ class TestEval:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "config error: row 3: features must be finite" in captured.err
+        assert f"config error: {path}: row 3: features must be finite" in captured.err
 
 
 class TestCompare:

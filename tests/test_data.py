@@ -65,6 +65,18 @@ class TestGenerateSynthetic:
         off = gaps[~np.eye(5, dtype=bool)]
         assert off.min() == pytest.approx(1.0, abs=1e-9)
 
+    def test_gap_search_holds_no_class_by_class_tensor(self):
+        C, d = 500, 32
+        tracemalloc.start()
+        try:
+            ds = data.generate_synthetic(C, d, 4, 0.25, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.num_classes == C
+        # a (C, C, d) difference tensor alone would be 64 MB
+        assert peak < 4 * ds.features.nbytes
+
 
 class TestApplySplit:
     def test_half_ratio_balanced_two_class(self):
@@ -219,7 +231,7 @@ class TestCsvRoundTrip:
             warnings.simplefilter("error")  # numpy's no-data warning must not leak
             with pytest.raises(error) as info:
                 data.load_csv(path, num_classes=num_classes)
-        assert str(info.value) == message
+        assert str(info.value) == f"{path}: {message}"
 
     def test_quoted_fields_are_unquoted(self, tmp_path):
         path = tmp_path / "quoted.csv"
@@ -229,12 +241,18 @@ class TestCsvRoundTrip:
         assert ds.true_labels.tolist() == [1, 0]
 
     def test_load_memory_is_a_small_multiple_of_the_features(self, tmp_path):
-        n, d = 10_000, 32
+        """The rows once, plus one parse block of about 1 MiB: with 40,000 x
+        32 features (10 MB) that is about 1.16x them, where a whole-file
+        record array and a contiguous copy came to 2.2x."""
+        n, d, distinct = 40_000, 32, 100
         rng = np.random.default_rng(0)
-        ds = data.FeatureDataset(rng.normal(size=(n, d)), rng.integers(0, 100, size=n),
-                                 rng.random(n) < 0.1, 100)
+        ds = data.FeatureDataset(rng.normal(size=(distinct, d)),
+                                 rng.integers(0, 100, size=distinct),
+                                 rng.random(distinct) < 0.1, 100)
         path = tmp_path / "big.csv"
         data.save_csv(ds, path)
+        header, *rows = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "".join(rows) * (n // distinct))
         tracemalloc.start()
         try:
             back = data.load_csv(path)
@@ -242,7 +260,98 @@ class TestCsvRoundTrip:
         finally:
             tracemalloc.stop()
         assert back.n == n
-        assert peak <= 2.5 * ds.features.nbytes
+        assert back.features[-distinct:].tobytes() == ds.features.tobytes()
+        assert peak <= 1.2 * back.features.nbytes
+
+    def test_line_count_reads_the_file_in_small_pieces(self, tmp_path):
+        """A 1,200 x 32 file (0.8 MB) fits in one parse block, so the peak is
+        the arrays and the block's records, about 2.6x the features. Counting
+        lines in 1 MiB reads held the whole file and a mask of it: 6x."""
+        n, d = 1200, 32
+        rng = np.random.default_rng(1)
+        ds = data.FeatureDataset(rng.normal(size=(n, d)), rng.integers(0, 12, size=n),
+                                 rng.random(n) < 0.1, 12)
+        data.save_csv(ds, tmp_path / "small.csv")
+        tracemalloc.start()
+        try:
+            data.load_csv(tmp_path / "small.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * ds.features.nbytes
+
+
+def write_rows(path, rows, line_end="\n"):
+    """A two-feature CSV of ``rows`` (strings, "" for a blank line)."""
+    path.write_bytes(line_end.join(["id,label,labeled,f0,f1", *rows, ""]).encode())
+
+
+def good_row(i, label=0):
+    return f"{i},{label},{i % 2},{i * 0.5},{-i / 3}"
+
+
+class TestLoadBlocks:
+    """Files longer than one parse block; ``block_of_two`` shrinks the block
+    to two records, so each case spans several, and the line count to reads
+    of 7 bytes, so some reads split a CR LF pair."""
+
+    @pytest.fixture
+    def block_of_two(self, monkeypatch):
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 2 * (24 + 8 * 2))
+        monkeypatch.setattr(data, "_READ_BYTES", 7)
+
+    def test_blank_run_longer_than_a_block_is_not_the_end(self, tmp_path, block_of_two):
+        rows = [good_row(i) for i in range(3)] + [""] * 7 + [good_row(i) for i in range(3, 8)]
+        write_rows(tmp_path / "gap.csv", rows)
+        ds = data.load_csv(tmp_path / "gap.csv")
+        assert ds.n == 8
+        assert ds.features[:, 0].tolist() == [i * 0.5 for i in range(8)]
+        assert ds.features.flags.c_contiguous and ds.features.flags.owndata
+
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_every_line_end_loads_the_same_arrays(self, tmp_path, line_end, block_of_two):
+        rng = np.random.default_rng(5)
+        ds = data.FeatureDataset(rng.normal(size=(9, 2)), rng.integers(0, 3, size=9),
+                                 rng.random(9) < 0.5, 3)
+        data.save_csv(ds, tmp_path / "lf.csv")
+        lines = (tmp_path / "lf.csv").read_text().splitlines()
+        lines.insert(4, "")
+        (tmp_path / "ends.csv").write_bytes(line_end.join(lines).encode())  # no final break
+        back = data.load_csv(tmp_path / "ends.csv")
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.true_labels.tobytes() == ds.true_labels.tobytes()
+        assert back.labeled_mask.tobytes() == ds.labeled_mask.tobytes()
+
+    @pytest.mark.parametrize("bad,num_classes,error,message", [
+        ("7,0,1,1.5", None, DimensionMismatchError, "row 11: expected 2 feature columns, got 1"),
+        ("7,0,1,1.5,x", None, DataFormatError, "row 11: column f1: cannot parse 'x' as float64"),
+        ("7,0,3,1.5,2", None, DataFormatError, "row 11: labeled flag must be 0 or 1"),
+        ("7,4,1,1.5,2", 3, DataFormatError, "row 11: class index 4 >= C=3"),
+        ("7,0,1,1.5,-inf", None, DataFormatError, "row 11: features must be finite"),
+    ], ids=["width", "value", "flag", "class", "non_finite"])
+    def test_later_block_error_names_its_physical_line(self, tmp_path, block_of_two, bad,
+                                                       num_classes, error, message):
+        rows = [good_row(i) for i in range(4)] + ["", ""] + [good_row(i) for i in range(4, 7)]
+        write_rows(tmp_path / "late.csv", rows + [bad, good_row(8)])
+        with pytest.raises(error) as info:
+            data.load_csv(tmp_path / "late.csv", num_classes=num_classes)
+        assert str(info.value) == f"{tmp_path / 'late.csv'}: {message}"
+
+    def test_earlier_class_error_beats_later_non_finite_in_one_block(self, tmp_path,
+                                                                     block_of_two):
+        rows = [good_row(0), good_row(1), good_row(2, label=5), "3,0,1,nan,1"]
+        write_rows(tmp_path / "both.csv", rows)
+        with pytest.raises(DataFormatError) as info:
+            data.load_csv(tmp_path / "both.csv", num_classes=3)
+        assert str(info.value).endswith(": row 4: class index 5 >= C=3")
+
+    def test_a_line_that_does_not_parse_is_reported_first(self, tmp_path, block_of_two):
+        """As one parse of the whole file did: a bad flag in the first block
+        waits until every later block has parsed."""
+        rows = [good_row(0), "1,0,2,1,1"] + [good_row(i) for i in range(2, 6)] + ["6,0,1,1"]
+        write_rows(tmp_path / "order.csv", rows)
+        with pytest.raises(DimensionMismatchError, match=": row 8: expected 2 feature columns"):
+            data.load_csv(tmp_path / "order.csv")
 
 
 def test_poison_touches_only_unlabeled_labels():

@@ -262,9 +262,28 @@ def test_offline_passes_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert extract_peak < outputs + slack
-    # the features, the head's logits and its probabilities
-    assert evaluate_peak - before < 8 * n_u * (32 + 2 * C) + slack
+    # the features and the head's probabilities, made in its logits' buffer
+    assert evaluate_peak - before < 8 * n_u * (32 + C) + slack
     assert 0.0 <= proto_acc <= 1.0 and 0.0 <= param_acc <= 1.0
+
+
+def test_evaluate_holds_one_class_score_array():
+    """With C=100 an (n, C) array is three times the features: evaluation
+    holds one of them, never the logits and the probabilities at once, nor
+    the probabilities next to the prototype scores."""
+    n, d, e, C = 20_000, 32, 32, 100
+    rng = np.random.default_rng(3)
+    X, y = rng.normal(size=(n, d)), rng.integers(0, C, size=n)
+    m = nn.EncoderModel.init(d, 64, e, C, rng)
+    bank = cluster.PrototypeBank(rho=rng.normal(size=(C, e)), counts=np.ones(C, dtype=int))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        engine.evaluate(m, bank, X, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 8 * n * (e + C) + 2**20
 
 
 class TestAblationGrid:
