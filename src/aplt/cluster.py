@@ -45,8 +45,8 @@ _NORM_FLOOR = 1e-12
 # Budget for one row block's (rows, C, e) float64 recheck tensor.
 _BLOCK_BYTES = 4 << 20
 
-# Values per block of the row-wise work in a Lloyd round (class sums,
-# distance refresh, ``_sq_dist_sum``). Blocks this small reuse freed heap
+# Values per block of the row-wise work in a Lloyd round (class sums and
+# squared distances, ``_sq_dists``). Blocks this small reuse freed heap
 # memory, where whole-array temporaries were mapped and faulted in afresh.
 _SUM_ITEMS = 1 << 14
 
@@ -254,6 +254,20 @@ def _row_step(e: int) -> int:
     return max(1, _SUM_ITEMS // e)
 
 
+def _sq_dists(F: np.ndarray, centers: np.ndarray, y: np.ndarray,
+              rows: np.ndarray | None = None) -> np.ndarray:
+    """Squared distance of every row F[rows[i]] (F[i] without ``rows``) to
+    centers[y[i]], as ``einsum("ij,ij->i", D, D)`` over the differences D,
+    in blocks of ``_row_step`` rows."""
+    out = np.empty(y.size)
+    step = _row_step(F.shape[1])
+    for start in range(0, y.size, step):
+        part = slice(start, start + step)
+        D = (F[part] if rows is None else F[rows[part]]) - centers[y[part]]
+        out[part] = np.einsum("ij,ij->i", D, D)
+    return out
+
+
 def _class_sums(C: int, e: int, *blocks):
     """Per-class feature sums and member counts over (features, labels)
     blocks, adding rows in block order."""
@@ -264,52 +278,21 @@ def _class_sums(C: int, e: int, *blocks):
     return sums, counts
 
 
-def _sq_dist_sum(F: np.ndarray, centers: np.ndarray, y: np.ndarray) -> float:
-    """``float(((F - centers[y]) ** 2).sum())``, bit for bit, without its
-    (n, e) temporaries.
-
-    numpy sums a contiguous array pairwise: it halves the count, rounded
-    down to a multiple of 8, until at most 128 values remain. Each half is
-    summed on its own, so the values are made and summed one block of at
-    most ``_SUM_ITEMS`` at a time and the halves are added as numpy would.
-    """
-    return float(_sq_dist_part(F, centers, y, 0, F.size))
-
-
-def _sq_dist_part(F, centers, y, start, size):
-    """numpy's pairwise sum of the flat values [start, start + size) of
-    (F - centers[y]) ** 2."""
-    if size > _SUM_ITEMS:
-        half = size // 2 - size // 2 % 8
-        return (_sq_dist_part(F, centers, y, start, half)
-                + _sq_dist_part(F, centers, y, start + half, size - half))
-    e = F.shape[1]
-    first, last = start // e, -(-(start + size) // e)
-    block = F[first:last] - centers[y[first:last]]
-    block *= block
-    return block.ravel()[start - first * e:start - first * e + size].sum()
-
-
-def _copy_labels(F_sl: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Labels of the copy-major stacked labeled copies in F_sl."""
-    if F_sl.shape[0] % labels.shape[0]:
-        raise InvalidParameterError("F_sl rows must tile the labeled set")
-    return np.tile(labels, F_sl.shape[0] // labels.shape[0])
-
-
-def _lloyd(F: np.ndarray, centers: np.ndarray, base_sums: np.ndarray,
-           base_counts: np.ndarray, objective, cfg: ClusterConfig) -> ClusterResult:
+def _lloyd(F: np.ndarray, centers: np.ndarray, anchors: tuple,
+           cfg: ClusterConfig) -> ClusterResult:
     """Lloyd rounds over the rows of F, starting from ``centers``.
 
     Each round assigns every row to its nearest centre, then moves every
-    centre to the unit-normalized mean of its base sum and count (the
-    anchors) plus its assigned rows; a centre with neither restarts at the
-    row farthest from its own centre. ``objective(assign, centers, d2)`` is
-    traced on the new centres, where d2 holds each row's squared distance
-    to its centre; a rise of more than 1e-9 over the previous round clears
-    ``monotonic``. Stops when the largest centre movement falls below
-    ``tol`` or after ``max_iters`` rounds, and returns the final
-    nearest-centre assignment of every row of F.
+    centre to the unit-normalized mean of its anchors, the rows of the
+    (features, labels) blocks in ``anchors``, plus its assigned rows; a
+    centre with neither restarts at the row farthest from its own centre.
+    The objective, traced on the new centres, is the sum over anchor blocks
+    of their rows' squared distances to their class centre, plus that of
+    d2, each row's squared distance to its centre (``_sq_dists`` for both);
+    a rise of more than 1e-9 over the previous round clears ``monotonic``.
+    Stops when the largest centre movement falls below ``tol`` or after
+    ``max_iters`` rounds, and returns the final nearest-centre assignment
+    of every row of F.
 
     Every output equals, bit for bit, a full recompute of every round:
     - Only classes whose membership changed are summed again (or empty
@@ -324,8 +307,13 @@ def _lloyd(F: np.ndarray, centers: np.ndarray, base_sums: np.ndarray,
       lo² − up² > 2·slack the exact sums of ``_nearest`` cannot reorder,
       so its answer would be the current one.
     """
-    e = F.shape[1]
-    C = centers.shape[0]
+    C, e = centers.shape
+    base_sums, base_counts = _class_sums(C, e, *anchors)
+
+    def objective(centers, d2):
+        anchored = sum(_sq_dists(F_a, centers, y).sum() for F_a, y in anchors)
+        return float(anchored + d2.sum())
+
     f_sq = np.einsum("ij,ij->i", F, F)
     assign, d2, lo2 = _nearest(F, centers)
     lo = _sqrt_down(lo2)
@@ -347,13 +335,9 @@ def _lloyd(F: np.ndarray, centers: np.ndarray, base_sums: np.ndarray,
             means[empty] = F[np.sqrt(d2).argmax()]
         new_centers = centers.copy()
         new_centers[classes] = _unit_rows(means)
-        step = _row_step(e)
-        for start in range(0, members.size, step):
-            part = members[start:start + step]
-            D = F[part] - new_centers[assign[part]]
-            d2[part] = np.einsum("ij,ij->i", D, D)
+        d2[members] = _sq_dists(F, new_centers, assign[members], members)
 
-        obj = objective(assign, new_centers, d2)
+        obj = objective(new_centers, d2)
         if trace and obj > trace[-1] + 1e-9:
             monotonic = False
         trace.append(obj)
@@ -378,8 +362,7 @@ def _lloyd(F: np.ndarray, centers: np.ndarray, base_sums: np.ndarray,
     # without a change since the last round, its traced objective stands
     return ClusterResult(centroids=centers, assignments=assign,
                          distances=np.sqrt(d2), iterations_run=iterations,
-                         objective=(objective(assign, centers, d2) if touched.any()
-                                    else trace[-1]),
+                         objective=objective(centers, d2) if touched.any() else trace[-1],
                          objective_trace=trace, monotonic=monotonic)
 
 
@@ -414,17 +397,12 @@ def ss_kmeans(F_l: np.ndarray, F_u: np.ndarray, F_sl: np.ndarray,
     if C == 0 or not present.all():
         raise MissingLabeledClassError("every class needs a labeled anchor")
 
-    sl_labels = _copy_labels(F_sl, labels)
-    anchor_sums, anchor_counts = _class_sums(C, F_l.shape[1], (F_l, labels),
-                                             (F_sl, sl_labels))
-
-    def objective(assign, centroids, d2):
-        return (_sq_dist_sum(F_l, centroids, labels)
-                + _sq_dist_sum(F_sl, centroids, sl_labels)
-                + _sq_dist_sum(F_u, centroids, assign))
-
-    return _lloyd(F_u, _unit_rows(anchor_sums / anchor_counts[:, None]),
-                  anchor_sums, anchor_counts, objective, cfg)
+    if F_sl.shape[0] % labels.size:
+        raise InvalidParameterError("F_sl rows must tile the labeled set")
+    # F_sl stacks the labeled copies copy-major
+    anchors = ((F_l, labels), (F_sl, np.tile(labels, F_sl.shape[0] // labels.size)))
+    sums, counts = _class_sums(C, F_l.shape[1], *anchors)
+    return _lloyd(F_u, _unit_rows(sums / counts[:, None]), anchors, cfg)
 
 
 def adaptive_thresholds(result: ClusterResult, C: int):
@@ -506,8 +484,7 @@ def pure_kmeans(F_l: np.ndarray, F_u: np.ndarray, labels: np.ndarray, C: int,
         centers[k] = X[mind.argmax()]
         mind = np.minimum(mind, np.linalg.norm(X - centers[k], axis=1))
 
-    result = _lloyd(X, centers, np.zeros_like(centers), np.zeros(C, dtype=np.int64),
-                    lambda assign, centers, d2: float(d2.sum()), cfg)
+    result = _lloyd(X, centers, (), cfg)
     cluster_to_class = _majority_map(result.assignments[:n_l], labels, C)
     return replace(result,
                    centroids=result.centroids[_inverse_or_identity(cluster_to_class, C)],

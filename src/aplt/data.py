@@ -211,7 +211,7 @@ def _data_lines(path):
     """(physical line number, line) of every non-empty line after the header.
 
     load_csv's error paths rescan the file with it to name the row."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         fh.readline()
         for lineno, line in enumerate(fh, start=2):
             if line != "\n":
@@ -236,10 +236,11 @@ def _line_error(path, lineno: int, line: str, names: list) -> ValueError:
     return DataFormatError(f"{path}: row {lineno}: cannot parse the line")
 
 
-def _parse_error(path, names: list, dtype) -> ValueError:
+def _parse_error(path, names: list, dtype, skip: int) -> ValueError:
     """The error for a block that does not parse: that of the first data
-    line which does not parse on its own, found by reading the file again."""
-    for lineno, line in _data_lines(path):
+    line which does not parse on its own, found by reading the file again
+    past the ``skip`` records before the block."""
+    for lineno, line in itertools.islice(_data_lines(path), skip, None):
         try:
             _parse_rows([line], dtype)
         except ValueError:
@@ -278,9 +279,18 @@ def load_csv(path, num_classes: int | None = None) -> FeatureDataset:
     straight into arrays sized from a line count, so a load holds the rows
     once plus one block. A line that does not parse is reported before a
     value that breaks the schema, as one parse of the whole file would.
-    Every error names the file and its physical line number as
-    ``PATH: row N``."""
-    with open(path) as fh:
+    Every error names the file, and its physical line number as
+    ``PATH: row N`` where one is at fault; a file that is not UTF-8 text
+    is a DataFormatError too."""
+    try:
+        return _load_rows(path, num_classes)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _load_rows(path, num_classes: int | None) -> FeatureDataset:
+    """``load_csv`` of a file that decodes as UTF-8."""
+    with open(path, encoding="utf-8") as fh:
         first = fh.readline()
         if not first:
             raise DataFormatError(f"{path}: empty file")
@@ -303,7 +313,7 @@ def load_csv(path, num_classes: int | None = None) -> FeatureDataset:
             try:
                 rows = _parse_rows(fh, dtype, want)
             except ValueError:
-                raise _parse_error(path, header, dtype) from None
+                raise _parse_error(path, header, dtype, n) from None
             got = rows.size
             feats[n:n + got] = rows["f"]
             labels[n:n + got] = rows["label"]

@@ -328,16 +328,16 @@ class _Trainer:
         lidx = self._labeled_batch(chunk.size)
         x_l = self.X[self.lab[lidx]]
         total = fm_mod.supervised_loss(m, x_l, self.y_l[lidx], cfg.augment, self.rng_train)
-        uns = None
+        uns = x_u = None
         if self.mode != "labeled_only":
-            uns = fm_mod.unlabeled_loss(m, self.X[self.unl[chunk]], cfg.fixmatch,
-                                        cfg.augment, self.rng_train)
+            x_u = self.X[self.unl[chunk]]
+            uns = fm_mod.unlabeled_loss(m, x_u, cfg.fixmatch, cfg.augment, self.rng_train)
             total = fm_mod.warmup_objective(total, uns)
         grad = total.grad
         margin_value = 0.0
-        if self.bank is not None:
+        if self.bank is not None:  # only aplt runs build one, so x_u is set
             xl_v = view_fn(x_l, cfg.augment, self.rng_train)
-            xu_v = view_fn(self.X[self.unl[chunk]], cfg.augment, self.rng_train)
+            xu_v = view_fn(x_u, cfg.augment, self.rng_train)
             acts_l = nn.forward(m, xl_v)
             acts_u = nn.forward(m, xu_v)
             msup = proto_mod.margin_loss_labeled(self.bank, acts_l.feats, self.y_l[lidx],

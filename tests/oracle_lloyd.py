@@ -148,6 +148,13 @@ def _unit_rows(a):
     return a / np.maximum(np.linalg.norm(a, axis=1, keepdims=True), 1e-12)
 
 
+def _row_sq_dists(F, targets):
+    """Each row's squared distance to its target row, from the whole (n, e)
+    difference."""
+    D = F - targets
+    return np.einsum("ij,ij->i", D, D)
+
+
 def _class_sums(C, e, *blocks):
     sums = np.zeros((C, e))
     counts = np.zeros(C, dtype=np.int64)
@@ -202,9 +209,9 @@ def full_ss_kmeans(F_l, F_u, F_sl, labels, cfg, C):
         return _unit_rows(sums / counts[:, None])
 
     def objective(assign, centroids):
-        return (float(((F_l - centroids[labels]) ** 2).sum())
-                + float(((F_sl - centroids[sl_labels]) ** 2).sum())
-                + float(((F_u - centroids[assign]) ** 2).sum()))
+        return float(_row_sq_dists(F_l, centroids[labels]).sum()
+                     + _row_sq_dists(F_sl, centroids[sl_labels]).sum()
+                     + _row_sq_dists(F_u, centroids[assign]).sum())
 
     return full_lloyd(F_u, _unit_rows(anchor_sums / anchor_counts[:, None]),
                       update, objective, cfg)
@@ -230,8 +237,7 @@ def full_pure_kmeans(F_l, F_u, labels, C, cfg):
         return _unit_rows(new_centers)
 
     def objective(assign, centers):
-        D = X - centers[assign]
-        return float(np.einsum("ij,ij->i", D, D).sum())
+        return float(_row_sq_dists(X, centers[assign]).sum())
 
     result = full_lloyd(X, centers, update, objective, cfg)
     cluster_to_class = cluster._majority_map(result.assignments[:n_l], labels, C)

@@ -111,6 +111,19 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "config error: " in err and message in err
 
+    @pytest.mark.parametrize("line", [0, 2], ids=["header", "data_row"])
+    def test_file_that_is_not_utf8_exits_one_without_outputs(self, tmp_path, capsys, line):
+        lines = ["id,label,labeled,f0,f1", "0,0,1,1.0,2.0", "1,1,1,1.0,2.0"]
+        lines[line] += "\xff"
+        path = tmp_path / "latin.csv"
+        path.write_bytes("\n".join(lines + [""]).encode("latin-1"))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--data", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"config error: {path}: not UTF-8 text" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command, fraction, message", [
         ("train", "0", "test_fraction must lie in (0, 1)"),
         ("ablate", "0", "test_fraction must lie in (0, 1)"),
@@ -273,6 +286,20 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"config error: {path}: row 3: features must be finite" in captured.err
+
+    def test_file_that_is_not_utf8_exits_one(self, tmp_path, dataset_csv, capsys):
+        out = tmp_path / "run"
+        cli.main(["train", "--data", str(dataset_csv), "--out", str(out), *FAST])
+        path = tmp_path / "latin.csv"
+        path.write_bytes(dataset_csv.read_bytes().replace(b"\n1,", b"\n1\xff,", 1))
+        capsys.readouterr()
+        rc = cli.main(["eval", "--checkpoint", str(out / "checkpoint.npz"),
+                       "--data", str(path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: {path}: not UTF-8 text" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestCompare:

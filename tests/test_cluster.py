@@ -205,18 +205,29 @@ class TestIncrementalLloyd:
         assert max(screened[1:]) < n_u
 
 
-class TestSqDistSum:
+class TestObjective:
     @pytest.mark.parametrize("seed", range(30))
-    def test_equals_numpy_sum_bit_for_bit(self, monkeypatch, seed):
-        rng = np.random.default_rng(seed)
-        n, e, C = int(rng.integers(0, 3000)), int(rng.integers(1, 50)), int(rng.integers(1, 20))
-        F = rng.normal(size=(n, e)) * 10.0 ** rng.uniform(-5, 5)
-        centers = rng.normal(size=(C, e))
-        y = rng.integers(0, C, size=n)
-        expected = float(((F - centers[y]) ** 2).sum())
-        for items in (cluster._SUM_ITEMS, 128, 129, 1000):
-            monkeypatch.setattr(cluster, "_SUM_ITEMS", items)
-            assert cluster._sq_dist_sum(F, centers, y) == expected
+    def test_is_the_flat_sum_of_squared_distances(self, seed):
+        """Both k-means report the sum of every row's squared distance to
+        its centre: an anchor's class centre, or a row's assigned one."""
+        rng = np.random.default_rng(900 + seed)
+        C, e, copies = int(rng.integers(2, 13)), int(rng.integers(1, 41)), seed % 3
+        n_l, n_u = C + int(rng.integers(0, 20)), int(rng.integers(1, 2000))
+        F_l, F_u, labels = random_instance(rng, n_l=n_l, n_u=n_u, C=C, e=e)
+        F_l, F_u = (F * 10.0 ** rng.uniform(-3, 3) for F in (F_l, F_u))
+        F_sl = np.tile(F_l, (copies, 1)) + 0.1 * rng.normal(size=(copies * n_l, e))
+
+        res = cluster.ss_kmeans(F_l, F_u, F_sl, labels, CFG)
+        F = np.concatenate([F_l, F_sl, F_u])
+        y = np.concatenate([np.tile(labels, 1 + copies), res.assignments])
+        flat = float(((F - res.centroids[y]) ** 2).sum())
+        assert res.objective == pytest.approx(flat, rel=1e-12)
+
+        res = cluster.pure_kmeans(F_l, F_u, labels, C, CFG)
+        X = np.concatenate([F_l, F_u])
+        y = full_nearest(X, res.centroids)[0]
+        flat = float(((X - res.centroids[y]) ** 2).sum())
+        assert res.objective == pytest.approx(flat, rel=1e-12)
 
 
 @pytest.mark.parametrize("ties", [False, True])

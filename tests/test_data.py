@@ -353,6 +353,40 @@ class TestLoadBlocks:
         with pytest.raises(DimensionMismatchError, match=": row 8: expected 2 feature columns"):
             data.load_csv(tmp_path / "order.csv")
 
+    def test_parse_error_reparses_only_the_failing_block(self, tmp_path, block_of_two,
+                                                         monkeypatch):
+        rows = [good_row(i) for i in range(9)] + ["9,0,1,1.5,x"]
+        write_rows(tmp_path / "tail.csv", rows)
+        parsed = []
+        parse = data._parse_rows
+
+        def counting(lines, dtype, max_rows=None):
+            parsed.append((isinstance(lines, list), dtype.names is not None))
+            return parse(lines, dtype, max_rows)
+
+        monkeypatch.setattr(data, "_parse_rows", counting)
+        with pytest.raises(DataFormatError, match=": row 11: column f1: cannot parse 'x'"):
+            data.load_csv(tmp_path / "tail.csv")
+        # five blocks of two records, then the failing block's two lines on
+        # their own, then the bad line's five values one at a time
+        assert parsed.count((False, True)) == 5
+        assert parsed.count((True, True)) == 2
+        assert parsed.count((True, False)) == 5
+
+
+@pytest.mark.parametrize("where", ["header", "first_row", "past_first_read"])
+def test_file_that_is_not_utf8_is_a_format_error(tmp_path, where):
+    """Whether the header read, a block parse or the rescan that names a bad
+    line meets the byte."""
+    rows = [good_row(i) for i in range(2000 if where == "past_first_read" else 3)]
+    lines = ["id,label,labeled,f0,f1", *rows, "7,0,1,1.5,2"]
+    lines[0 if where == "header" else -1] += "\xff"
+    path = tmp_path / "latin.csv"
+    path.write_bytes("\n".join(lines + [""]).encode("latin-1"))
+    with pytest.raises(DataFormatError) as info:
+        data.load_csv(path)
+    assert str(info.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
 
 def test_poison_touches_only_unlabeled_labels():
     ds = data.generate_synthetic(4, 3, 30, 0.2, seed=2)
