@@ -232,10 +232,8 @@ def cmd_compare(args) -> int:
     ds = _load_dataset(cfg)
     out = _out_dir(args.out)
 
-    # both methods share one warm-up and differ only after it
-    warm = engine.warm_up(ds, cfg)
-    methods = ("fixmatch", "aplt")
-    results = dict(zip(methods, engine.finish_all([warm.branch(cfg, m) for m in methods])))
+    methods = ("fixmatch", "aplt")  # one warm-up key, so one warm-up
+    results = dict(zip(methods, engine.run_cells(ds, [(cfg, m) for m in methods])))
     _write_resolved(out, resolved)
     rows_path = out / "trajectory.csv"
     with open(rows_path, "w", newline="") as fh:

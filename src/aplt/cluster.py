@@ -201,7 +201,7 @@ def _slack(e: int, f_sq: np.ndarray, c_sq: np.ndarray) -> np.ndarray:
 
 def extract_all_features(m: nn.EncoderModel, X: np.ndarray, labeled: np.ndarray,
                          unlabeled: np.ndarray, cfg: ClusterConfig, rng: np.random.Generator,
-                         aug: augment.AugmentConfig | None = None):
+                         aug: augment.AugmentConfig):
     """Features of the labeled rows X[labeled], of the unlabeled rows
     X[unlabeled] and of augmented copies of the labeled rows.
 
@@ -210,8 +210,6 @@ def extract_all_features(m: nn.EncoderModel, X: np.ndarray, labeled: np.ndarray,
     np.tile(labels, aug_copies). Every set is encoded in row blocks
     (``nn.encode_rows``), each copy into its own slice of F_sl.
     """
-    if aug is None:
-        aug = augment.AugmentConfig()
     F_l = nn.encode_rows(m, X, labeled)
     F_u = nn.encode_rows(m, X, unlabeled)
     n_l = F_l.shape[0]
@@ -382,7 +380,7 @@ def _lower(lo: np.ndarray, move: np.ndarray, assign: np.ndarray, e: int) -> np.n
 
 def ss_kmeans(F_l: np.ndarray, F_u: np.ndarray, F_sl: np.ndarray,
               labels: np.ndarray, cfg: ClusterConfig,
-              num_classes: int | None = None) -> ClusterResult:
+              num_classes: int) -> ClusterResult:
     """Lloyd iterations with labeled memberships pinned to ground truth.
 
     Centroids start at the per-class anchor means; each round assigns every
@@ -392,16 +390,14 @@ def ss_kmeans(F_l: np.ndarray, F_u: np.ndarray, F_sl: np.ndarray,
     distances with labeled memberships fixed.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    C = num_classes if num_classes is not None else (int(labels.max()) + 1 if labels.size else 0)
-    present = np.bincount(labels, minlength=C) > 0 if C else np.zeros(0, dtype=bool)
-    if C == 0 or not present.all():
+    if num_classes == 0 or not (np.bincount(labels, minlength=num_classes) > 0).all():
         raise MissingLabeledClassError("every class needs a labeled anchor")
 
     if F_sl.shape[0] % labels.size:
         raise InvalidParameterError("F_sl rows must tile the labeled set")
     # F_sl stacks the labeled copies copy-major
     anchors = ((F_l, labels), (F_sl, np.tile(labels, F_sl.shape[0] // labels.size)))
-    sums, counts = _class_sums(C, F_l.shape[1], *anchors)
+    sums, counts = _class_sums(num_classes, F_l.shape[1], *anchors)
     return _lloyd(F_u, _unit_rows(sums / counts[:, None]), anchors, cfg)
 
 

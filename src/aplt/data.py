@@ -236,15 +236,40 @@ def _line_error(path, lineno: int, line: str, names: list) -> ValueError:
     return DataFormatError(f"{path}: row {lineno}: cannot parse the line")
 
 
-def _parse_error(path, names: list, dtype, skip: int) -> ValueError:
-    """The error for a block that does not parse: that of the first data
-    line which does not parse on its own, found by reading the file again
-    past the ``skip`` records before the block."""
-    for lineno, line in itertools.islice(_data_lines(path), skip, None):
-        try:
-            _parse_rows([line], dtype)
-        except ValueError:
+def _parses(numbered_lines, dtype) -> bool:
+    """Whether the lines of (line number, line) pairs parse as one list."""
+    try:
+        _parse_rows([line for _, line in numbered_lines], dtype)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_error(path, names: list, dtype, skip: int, count: int) -> ValueError:
+    """The error for a block of ``count`` records, after ``skip`` records,
+    that does not parse: that of the first data line from the block on that
+    does not parse alone. Lines without a quote parse together as they parse
+    alone, so halving skips the good lines before it in O(log count)
+    parses; a quote can carry a field over to the next line, so a block that
+    holds one is searched line by line. A byte that is not UTF-8 is
+    reported only if no line before it fails."""
+    lines = itertools.islice(_data_lines(path), skip, None)
+    block, undecodable = [], None
+    try:
+        block.extend(itertools.islice(lines, count))
+    except UnicodeDecodeError as exc:
+        undecodable = exc
+    lo = 0  # every line of block[:lo] parses on its own
+    if not any('"' in line for _, line in block):
+        hi = len(block)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if _parses(block[lo:mid], dtype) else (lo, mid)
+    for lineno, line in itertools.chain(block[lo:], lines):
+        if not _parses([(lineno, line)], dtype):
             return _line_error(path, lineno, line, names)
+    if undecodable is not None:
+        raise undecodable
     return DataFormatError(f"{path}: cannot parse the file")
 
 
@@ -313,7 +338,7 @@ def _load_rows(path, num_classes: int | None) -> FeatureDataset:
             try:
                 rows = _parse_rows(fh, dtype, want)
             except ValueError:
-                raise _parse_error(path, header, dtype, n) from None
+                raise _parse_error(path, header, dtype, n, want) from None
             got = rows.size
             feats[n:n + got] = rows["f"]
             labels[n:n + got] = rows["label"]

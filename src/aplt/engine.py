@@ -7,10 +7,10 @@ enforces by re-hashing the bank every epoch. Online steps always optimize
 the thresholded-consistency objective and, once a bank exists, add the
 prototype margin terms scaled by lambda.
 
-Nothing before the first offline event reads the clustering or margin
-settings, so runs that differ only there share their warm-up: the ablation
-grid and ``compare`` train it once and branch a copy per continuation, and
-finish the continuations on a pool of worker processes.
+Runs with equal ``_warmup_key``s train the same warm-up, since nothing
+before the first offline event reads the rest. ``run_cells``, behind
+``compare`` and the ablation grid, trains each such warm-up once, branches
+the other runs from it and finishes all on a pool of worker processes.
 
 Per-epoch and per-event records go into RunMetrics; serialization is
 timestamp-free so identical configs and seeds produce byte-identical logs.
@@ -99,8 +99,6 @@ class RunResult:
     metrics: RunMetrics
     model: nn.EncoderModel
     bank: cluster_mod.PrototypeBank | None
-    pseudo: cluster_mod.PseudoLabelSet | None
-    test_indices: np.ndarray
 
 
 def evaluate(m: nn.EncoderModel, bank, X: np.ndarray, y: np.ndarray,
@@ -274,19 +272,14 @@ class _Trainer:
             })
             self.epoch = epoch + 1
 
-    def branch(self, cfg, mode: str | None = None) -> "_Trainer":
+    def branch(self, cfg, mode: str) -> "_Trainer":
         """A copy of this run that goes on under ``cfg`` and ``mode``.
 
         Only a warm-up can be shared: this run may not have gone past
-        warm-up, and ``cfg`` may differ from its config only in what warm-up
-        never reads (the cluster and margin sections and the mode). labeled_only trains
-        warm-up differently, so it branches only from itself. The copied
-        epoch records are relabeled with the new mode."""
-        mode = mode or cfg.mode
-        same_warmup = replace(cfg, mode=self.cfg.mode, cluster=self.cfg.cluster,
-                              margin=self.cfg.margin) == self.cfg
-        if (self.epoch > self.cfg.schedule.warmup_epochs or not same_warmup
-                or (mode == "labeled_only") != (self.mode == "labeled_only")):
+        warm-up, and the two runs' ``_warmup_key``s must be equal. The
+        copied epoch records are relabeled with the new mode."""
+        if (mode not in MODES or self.epoch > self.cfg.schedule.warmup_epochs
+                or _warmup_key(cfg, mode) != _warmup_key(self.cfg, self.mode)):
             raise InvalidParameterError(f"cannot branch a {mode} run from this {self.mode} run")
         # the data splits and the probe are read-only, so every branch shares them
         shared = (self.X, self.lab, self.y_l, self.unl, self.probe)
@@ -311,8 +304,7 @@ class _Trainer:
             # headline number: prototype path when it exists, head otherwise
             "test_acc": proto_acc if proto_acc is not None else param_acc,
         }
-        return RunResult(metrics=self.metrics, model=self.model, bank=self.bank,
-                         pseudo=self.pseudo, test_indices=self.probe.test_idx)
+        return RunResult(metrics=self.metrics, model=self.model, bank=self.bank)
 
     def _epoch_chunks(self):
         # every mode takes the same number of optimizer steps per epoch;
@@ -363,12 +355,12 @@ def run(ds: FeatureDataset, cfg, mode: str | None = None) -> RunResult:
     return _Trainer(ds, cfg, mode or cfg.mode).finish()
 
 
-def warm_up(ds: FeatureDataset, cfg) -> _Trainer:
-    """A FixMatch run of ``cfg`` trained to the end of warm-up, ready to
-    branch into any fixmatch or aplt continuation of the same warm-up."""
-    trainer = _Trainer(ds, cfg, "fixmatch")
-    trainer.train(cfg.schedule.warmup_epochs)
-    return trainer
+def _warmup_key(cfg, mode: str):
+    """What a run's warm-up reads: its config less the mode and the cluster
+    and margin sections, and whether it trains on labeled rows only. Runs
+    with equal keys train the same warm-up bit for bit. The key does not
+    hash, since ``cfg.dataset`` is a dict."""
+    return replace(cfg, mode="", cluster=None, margin=None), mode == "labeled_only"
 
 
 def _pool_size(n_tasks: int) -> int:
@@ -389,7 +381,7 @@ class _Collect(logging.Handler):
 
 
 def _finish_in_worker(trainer: _Trainer):
-    """A branch's metrics and the ``aplt`` log records it emitted; an error
+    """A run's metrics and the ``aplt`` log records it emitted; an error
     carries the records as ``log_records``. The worker holds only a forked
     copy of the caller's handlers and streams, so the records go back to the
     caller instead of to those."""
@@ -435,16 +427,15 @@ def _one_blas_thread() -> None:
 
 
 def finish_all(trainers: list) -> list[RunMetrics]:
-    """Finishes every branch and returns their metrics in order.
+    """Finishes every run and returns their metrics in order.
 
-    Branches run on a pool of forked workers, one per usable CPU at most
+    Runs go to a pool of forked workers, one per usable CPU at most
     (``fork`` because an unguarded script that calls ``cli.main`` cannot be
     re-imported by ``spawn``). A worker returns only the metrics; an error in
-    any branch is raised here, after the branches not yet started are
-    cancelled. The ``aplt`` log records a worker emits are handled here, in
-    branch order, so they reach this process's handlers as they would
-    in-process. With one worker, or no ``fork``, the branches run in this
-    process."""
+    any run is raised here, after the runs not yet started are cancelled.
+    The ``aplt`` log records a worker emits are handled here, in run order,
+    so they reach this process's handlers as they would in-process. With one
+    worker, or no ``fork``, the runs go on in this process."""
     # imported here: a train run does not need them, and they add to its
     # start-up time and memory
     import multiprocessing as mp
@@ -481,17 +472,31 @@ def _row_config(cfg, row: str):
     )
 
 
+def run_cells(ds: FeatureDataset, cells) -> list[RunMetrics]:
+    """The metrics of every (cfg, mode) cell, in order. The first cell of
+    each ``_warmup_key`` trains the warm-up, every later cell of that key
+    branches from it, and ``finish_all`` finishes them all."""
+    keys, trainers = [], []
+    for cfg, mode in cells:
+        key = _warmup_key(cfg, mode)
+        if key in keys:
+            trainer = trainers[keys.index(key)].branch(cfg, mode)
+        else:
+            trainer = _Trainer(ds, cfg, mode)
+            trainer.train(cfg.schedule.warmup_epochs)
+        keys.append(key)
+        trainers.append(trainer)
+    return finish_all(trainers)
+
+
 def run_ablation_grid(ds: FeatureDataset, cfg, seeds=None) -> list[dict]:
-    """All seven component-toggle rows, one record per (row, seed). The rows
-    differ only after warm-up, so each seed trains warm-up once and every
-    row of that seed branches from it."""
+    """All seven component-toggle rows, one record per (row, seed), run as
+    ``run_cells``: the rows of a seed share its warm-up."""
     seeds = [cfg.seed] if seeds is None else [int(s) for s in seeds]
-    warm = {seed: warm_up(ds, replace(cfg, seed=seed)) for seed in seeds}
     cells = [(row, seed) for row in ABLATION_ROWS for seed in seeds]
-    branches = [warm[seed].branch(replace(_row_config(cfg, row), seed=seed))
-                for row, seed in cells]
+    configs = [replace(_row_config(cfg, row), seed=seed) for row, seed in cells]
     records = []
-    for (row, seed), metrics in zip(cells, finish_all(branches)):
+    for (row, seed), metrics in zip(cells, run_cells(ds, [(c, c.mode) for c in configs])):
         last_ev = metrics.events[-1] if metrics.events else None
         records.append({
             "row": row,

@@ -9,6 +9,7 @@ from oracle_lloyd import (anchored_lloyd, full_nearest, full_pure_kmeans,
                           full_ss_kmeans, plain_lloyd)
 
 CFG = cluster.ClusterConfig()
+AUG = augment.AugmentConfig()
 
 
 def unit_rows(a):
@@ -108,10 +109,10 @@ class TestNearest:
         rng = np.random.default_rng(41)
         F_l, F_u, labels = random_instance(rng, n_l=30, n_u=400, C=6, e=8)
         F_sl = unit_rows(rng.normal(size=(60, 8)))
-        ss = cluster.ss_kmeans(F_l, F_u, F_sl, labels, CFG)
+        ss = cluster.ss_kmeans(F_l, F_u, F_sl, labels, CFG, num_classes=6)
         km = cluster.pure_kmeans(F_l, F_u, labels, 6, CFG)
         monkeypatch.setattr(cluster, "_BLOCK_BYTES", budget)
-        assert_same_result(cluster.ss_kmeans(F_l, F_u, F_sl, labels, CFG), ss)
+        assert_same_result(cluster.ss_kmeans(F_l, F_u, F_sl, labels, CFG, num_classes=6), ss)
         assert_same_result(cluster.pure_kmeans(F_l, F_u, labels, 6, CFG), km)
 
 
@@ -153,7 +154,7 @@ class TestIncrementalLloyd:
         F_sl = unit_rows(F_sl + 0.1 * rng.normal(size=F_sl.shape))
         cfg = cluster.ClusterConfig(max_iters=1 if seed % 7 == 0 else 40,
                                     tol=0.0 if seed % 11 == 0 else 1e-6)
-        assert_same_result(cluster.ss_kmeans(F_l, F_u, F_sl, labels, cfg),
+        assert_same_result(cluster.ss_kmeans(F_l, F_u, F_sl, labels, cfg, num_classes=C),
                            full_ss_kmeans(F_l, F_u, F_sl, labels, cfg, C))
 
     @pytest.mark.parametrize("seed", range(25))
@@ -198,7 +199,7 @@ class TestIncrementalLloyd:
             return nearest(F, centroids, rows)
 
         monkeypatch.setattr(cluster, "_nearest", counting)
-        res = cluster.ss_kmeans(F_l, F_u, np.zeros((0, e)), labels, CFG)
+        res = cluster.ss_kmeans(F_l, F_u, np.zeros((0, e)), labels, CFG, num_classes=C)
         assert res.iterations_run > 2
         assert screened[0] == n_u
         assert sum(screened) < (res.iterations_run + 1) * n_u
@@ -217,7 +218,7 @@ class TestObjective:
         F_l, F_u = (F * 10.0 ** rng.uniform(-3, 3) for F in (F_l, F_u))
         F_sl = np.tile(F_l, (copies, 1)) + 0.1 * rng.normal(size=(copies * n_l, e))
 
-        res = cluster.ss_kmeans(F_l, F_u, F_sl, labels, CFG)
+        res = cluster.ss_kmeans(F_l, F_u, F_sl, labels, CFG, num_classes=C)
         F = np.concatenate([F_l, F_sl, F_u])
         y = np.concatenate([np.tile(labels, 1 + copies), res.assignments])
         flat = float(((F - res.centroids[y]) ** 2).sum())
@@ -246,7 +247,7 @@ def test_kmeans_peak_memory_is_bounded(ties):
     cfg = cluster.ClusterConfig(max_iters=2)
     tracemalloc.start()
     try:
-        cluster.ss_kmeans(F_l, F_u, np.zeros((0, e)), labels, cfg)
+        cluster.ss_kmeans(F_l, F_u, np.zeros((0, e)), labels, cfg, num_classes=C)
         cluster.pure_kmeans(F_l, F_u, labels, C, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -264,28 +265,30 @@ class TestExtractAllFeatures:
 
     def test_no_copies_gives_empty_augmented_set(self):
         X, lab, unl, m, cfg = self.make(K=0)
-        _, _, F_sl = cluster.extract_all_features(m, X, lab, unl, cfg, np.random.default_rng(2))
+        _, _, F_sl = cluster.extract_all_features(m, X, lab, unl, cfg,
+                                                  np.random.default_rng(2), AUG)
         assert F_sl.shape[0] == 0
 
     def test_flag_off_gives_empty_augmented_set(self):
         # an ablation row without +LA clusters with no augmented copies
         X, lab, unl, m, _ = self.make(K=3)
         cfg = engine._row_config(config.RunConfig(), "SSL+SSKM(S)+SAT").cluster
-        _, _, F_sl = cluster.extract_all_features(m, X, lab, unl, cfg, np.random.default_rng(2))
+        _, _, F_sl = cluster.extract_all_features(m, X, lab, unl, cfg,
+                                                  np.random.default_rng(2), AUG)
         assert F_sl.shape[0] == 0
 
     def test_copy_count(self):
         X, lab, unl, m, cfg = self.make(K=3)
         F_l, F_u, F_sl = cluster.extract_all_features(m, X, lab, unl, cfg,
-                                                      np.random.default_rng(2))
+                                                      np.random.default_rng(2), AUG)
         assert F_l.shape[0] == 10
         assert F_u.shape[0] == 10
         assert F_sl.shape[0] == 30
 
     def test_identical_rng_identical_copies(self):
         X, lab, unl, m, cfg = self.make(K=2)
-        a = cluster.extract_all_features(m, X, lab, unl, cfg, np.random.default_rng(7))[2]
-        b = cluster.extract_all_features(m, X, lab, unl, cfg, np.random.default_rng(7))[2]
+        a = cluster.extract_all_features(m, X, lab, unl, cfg, np.random.default_rng(7), AUG)[2]
+        b = cluster.extract_all_features(m, X, lab, unl, cfg, np.random.default_rng(7), AUG)[2]
         assert np.array_equal(a, b)
 
 
@@ -293,7 +296,8 @@ class TestSsKmeans:
     def test_no_unlabeled_converges_immediately_to_class_means(self):
         rng = np.random.default_rng(0)
         F_l, _, labels = random_instance(rng, n_l=8, n_u=0, C=2)
-        res = cluster.ss_kmeans(F_l, np.zeros((0, 3)), np.zeros((0, 3)), labels, CFG)
+        res = cluster.ss_kmeans(F_l, np.zeros((0, 3)), np.zeros((0, 3)), labels, CFG,
+                                num_classes=2)
         assert res.iterations_run == 1
         expected = unit_rows(np.stack([F_l[labels == c].mean(axis=0)
                                        for c in range(2)]))
@@ -303,7 +307,7 @@ class TestSsKmeans:
         F_l = np.array([[1.0, 0.0], [-1.0, 0.0]])
         labels = np.array([0, 1])
         F_u = np.array([[0.9, 0.0]])
-        res = cluster.ss_kmeans(F_l, F_u, np.zeros((0, 2)), labels, CFG)
+        res = cluster.ss_kmeans(F_l, F_u, np.zeros((0, 2)), labels, CFG, num_classes=2)
         assert res.assignments.tolist() == [0]
 
     def test_missing_anchor_class_rejected(self):
@@ -318,7 +322,7 @@ class TestSsKmeans:
         n_u = int(rng.integers(1, 9))
         F_l, F_u, labels = random_instance(rng, n_l=5, n_u=n_u, C=2)
         F_sl = unit_rows(rng.normal(size=(10, 3))) if seed % 3 == 0 else np.zeros((0, 3))
-        res = cluster.ss_kmeans(F_l, F_u, F_sl, labels, CFG)
+        res = cluster.ss_kmeans(F_l, F_u, F_sl, labels, CFG, num_classes=2)
         o_assign, o_dist, o_centroids, o_obj, o_iters = anchored_lloyd(
             F_l, F_u, F_sl, labels, 2, CFG.max_iters, CFG.tol)
         assert np.array_equal(res.assignments, o_assign)
@@ -330,7 +334,7 @@ class TestSsKmeans:
     def test_objective_trace_recorded(self):
         rng = np.random.default_rng(3)
         F_l, F_u, labels = random_instance(rng, n_l=6, n_u=20, C=2)
-        res = cluster.ss_kmeans(F_l, F_u, np.zeros((0, 3)), labels, CFG)
+        res = cluster.ss_kmeans(F_l, F_u, np.zeros((0, 3)), labels, CFG, num_classes=2)
         assert len(res.objective_trace) == res.iterations_run
 
 
@@ -580,7 +584,7 @@ def test_anchor_stability_and_soft_monotonicity():
     rng = np.random.default_rng(77)
     for _ in range(10):
         F_l, F_u, labels = random_instance(rng, n_l=8, n_u=30, C=3, e=4)
-        res = cluster.ss_kmeans(F_l, F_u, np.zeros((0, 4)), labels, CFG)
+        res = cluster.ss_kmeans(F_l, F_u, np.zeros((0, 4)), labels, CFG, num_classes=3)
         # anchors enter every update under their ground-truth class by
         # construction; their nearest centroid after convergence is almost
         # always their own class, but the hard guarantee is membership

@@ -1,4 +1,6 @@
 import csv
+import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -353,6 +355,18 @@ class TestLoadBlocks:
         with pytest.raises(DimensionMismatchError, match=": row 8: expected 2 feature columns"):
             data.load_csv(tmp_path / "order.csv")
 
+    def test_parse_error_after_a_row_over_two_lines(self, tmp_path, block_of_two):
+        """A quoted field carries the first record over two lines, so the
+        second block's records start a line later than its record count
+        says; the search still reaches the bad line past the lines it
+        reads as that block."""
+        rows = ['0,0,1,"1.5', '",2', good_row(1), good_row(2), "3,0,1,x,2"]
+        write_rows(tmp_path / "spill.csv", rows)
+        with pytest.raises(DataFormatError) as info:
+            data.load_csv(tmp_path / "spill.csv")
+        assert str(info.value) == (f"{tmp_path / 'spill.csv'}: row 6: column f0: "
+                                   "cannot parse 'x' as float64")
+
     def test_parse_error_reparses_only_the_failing_block(self, tmp_path, block_of_two,
                                                          monkeypatch):
         rows = [good_row(i) for i in range(9)] + ["9,0,1,1.5,x"]
@@ -372,6 +386,84 @@ class TestLoadBlocks:
         assert parsed.count((False, True)) == 5
         assert parsed.count((True, True)) == 2
         assert parsed.count((True, False)) == 5
+
+
+def test_parse_error_halves_the_failing_block(tmp_path, monkeypatch):
+    """A block of 1,024 records with a bad value on its last line: naming
+    it takes O(log block) parses of the block's lines, then the bad line's
+    columns one at a time, not one parse per line."""
+    block = 1024
+    monkeypatch.setattr(data, "_BLOCK_BYTES", block * (24 + 8 * 2))
+    write_rows(tmp_path / "tail.csv", [good_row(i) for i in range(2 * block - 1)]
+               + [f"{2 * block - 1},0,1,1.5,abc"])
+    calls = []
+    parse = data._parse_rows
+
+    def counting(lines, dtype, max_rows=None):
+        calls.append((isinstance(lines, list), dtype.names is not None))
+        return parse(lines, dtype, max_rows)
+
+    monkeypatch.setattr(data, "_parse_rows", counting)
+    with pytest.raises(DataFormatError) as info:
+        data.load_csv(tmp_path / "tail.csv")
+    assert str(info.value) == (f"{tmp_path / 'tail.csv'}: row {2 * block + 1}: "
+                               "column f1: cannot parse 'abc' as float64")
+    assert calls.count((False, True)) == 2  # the two blocks, from the file
+    assert calls.count((True, True)) <= math.ceil(math.log2(block)) + 1
+    assert calls.count((True, False)) == 5  # id, label, labeled, f0, f1
+
+
+def line_by_line_error(path, names, dtype, skip, count):
+    """The parse error as a search that parses every line from the failing
+    block on by itself reports it."""
+    for lineno, line in itertools.islice(data._data_lines(path), skip, None):
+        try:
+            data._parse_rows([line], dtype)
+        except ValueError:
+            return data._line_error(path, lineno, line, names)
+    return DataFormatError(f"{path}: cannot parse the file")
+
+
+# lines a malformed file is made of besides good rows. A quote can carry a
+# field over to the next line: '5,0,1,"1.5' and '",2' each fail on their
+# own, but together they are one good row.
+FUZZ_LINES = ["", "  ", "1,0,1,x,2", "2,0,1,1.5", "3,0,1,1,2,4", '4,0,1,"1.5",2',
+              '5,0,1,"1.5', '",2', '5,0,1,"1.5\n",2', '5,0,1,"1.5,2', '"', "6,1.0,1,1,2",
+              "8,0,1,1,-2"]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_parse_error_equals_a_line_by_line_search(tmp_path, monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    lines = ["id,label,labeled,f0,f1"]
+    for i in range(int(rng.integers(1, 30))):
+        bad = rng.random() < 0.15
+        lines.append(FUZZ_LINES[rng.integers(0, len(FUZZ_LINES))] if bad else good_row(i))
+    path = tmp_path / "fuzz.csv"
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(data, "_BLOCK_BYTES", int(rng.integers(1, 9)) * (24 + 8 * 2))
+    errors = []
+    for parse_error in (data._parse_error, line_by_line_error):
+        monkeypatch.setattr(data, "_parse_error", parse_error)
+        try:
+            data.load_csv(path)
+            errors.append(None)
+        except (DataFormatError, DimensionMismatchError) as exc:
+            errors.append((type(exc), str(exc)))
+    assert errors[0] == errors[1]
+
+
+def test_bad_line_before_a_byte_that_is_not_utf8_is_named(tmp_path):
+    """The block's lines are read past the bad line into the next pieces
+    the decoder reads, where the byte is; the bad line is still reported,
+    as a line-by-line search reports it."""
+    rows = [good_row(0), "1,0,1,1.5,x"] + [good_row(i) for i in range(2, 2000)]
+    path = tmp_path / "late_byte.csv"
+    path.write_bytes("\n".join(["id,label,labeled,f0,f1", *rows, "9,0,1,1,2\xff", ""])
+                     .encode("latin-1"))
+    with pytest.raises(DataFormatError) as info:
+        data.load_csv(path)
+    assert str(info.value) == f"{path}: row 3: column f1: cannot parse 'x' as float64"
 
 
 @pytest.mark.parametrize("where", ["header", "first_row", "past_first_read"])

@@ -4,7 +4,7 @@ import json
 import logging
 import pickle
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +27,13 @@ SMALL_ARGS = [a for o in SMALL for a in ("--set", o)]
 def small_config(*overrides, seed=0):
     cfg, _ = config.resolve(None, [f"seed={seed}", *SMALL, *overrides])
     return cfg
+
+
+def warmed_up(ds, cfg, mode="fixmatch"):
+    """A run of ``cfg`` trained to the end of its warm-up, ready to branch."""
+    trainer = engine._Trainer(ds, cfg, mode)
+    trainer.train(cfg.schedule.warmup_epochs)
+    return trainer
 
 
 class TestPhaseSchedule:
@@ -122,8 +129,9 @@ class TestRun:
         for name in nn.PARAM_NAMES:
             assert np.array_equal(getattr(res_clean.model, name),
                                   getattr(res_poisoned.model, name))
-        assert np.array_equal(res_clean.pseudo.indices, res_poisoned.pseudo.indices)
-        assert np.array_equal(res_clean.pseudo.labels, res_poisoned.pseudo.labels)
+        # the pseudo-label sets: their indices and labels
+        assert [e["pseudo_digest"] for e in res_clean.metrics.events] == \
+            [e["pseudo_digest"] for e in res_poisoned.metrics.events]
         for a, b in zip(res_clean.metrics.epochs, res_poisoned.metrics.epochs):
             assert a["loss_total"] == b["loss_total"]
             assert a["pass_count"] == b["pass_count"]
@@ -183,13 +191,16 @@ class TestRun:
 class TestPrototypeMembers:
     def test_last_bank_counts_its_members(self):
         ds = small_dataset()
-        res = engine.run(ds, small_config())
+        cfg = small_config()
+        res = engine.run(ds, cfg)
+        last = res.metrics.events[-1]
         n_labeled = int(ds.labeled_mask.sum())
-        n_unlabeled_train = ds.n - n_labeled - res.test_indices.size
-        assert res.pseudo.n_unlabeled == n_unlabeled_train
+        n_test = int(np.floor(cfg.eval.test_fraction * ds.n + 0.5))
+        n_unlabeled_train = ds.n - n_labeled - n_test
+        assert last["n_unlabeled"] == n_unlabeled_train
         # the threshold drops some rows, and the bank counts only survivors
-        assert res.pseudo.indices.size < n_unlabeled_train
-        assert res.bank.counts.sum() == n_labeled + res.pseudo.indices.size
+        assert last["kept"] < n_unlabeled_train
+        assert res.bank.counts.sum() == n_labeled + last["kept"]
 
 
 class TestEvaluate:
@@ -251,7 +262,7 @@ def test_offline_passes_peak_memory_is_bounded():
     tracemalloc.start()
     try:
         out = cluster.extract_all_features(m, X, lab, unl, cluster.ClusterConfig(),
-                                           np.random.default_rng(1))
+                                           np.random.default_rng(1), augment.AugmentConfig())
         _, extract_peak = tracemalloc.get_traced_memory()
         outputs = sum(F.nbytes for F in out)
         del out
@@ -325,6 +336,21 @@ class TestAblationGrid:
         assert not bare.cluster.use_adaptive_threshold
 
 
+def count_sgd_steps(monkeypatch):
+    """A list that gains one entry per optimizer step, with every run made
+    in this process."""
+    calls = []
+    sgd_step = nn.sgd_step
+
+    def counted(*args):
+        calls.append(1)
+        return sgd_step(*args)
+
+    monkeypatch.setattr(nn, "sgd_step", counted)
+    monkeypatch.setattr(engine, "_pool_size", lambda n: 1)
+    return calls
+
+
 def _grid_via_full_runs(ds, cfg, seeds):
     """The ablation records as each row's own unbranched run gives them."""
     records = []
@@ -351,7 +377,7 @@ class TestBranchedGrid:
     def test_branch_log_equals_unbranched_log(self):
         ds = small_dataset()
         cfg = small_config()
-        warm = engine.warm_up(ds, cfg)
+        warm = warmed_up(ds, cfg)
         for mode in ("fixmatch", "aplt"):
             branched = warm.branch(cfg, mode).finish().metrics.to_ndjson()
             assert branched == engine.run(ds, cfg, mode=mode).metrics.to_ndjson()
@@ -362,7 +388,7 @@ class TestBranchedGrid:
         # steps its own theta and momentum and leaves the warm-up's bits alone
         ds = small_dataset()
         cfg = small_config()
-        warm = engine.warm_up(ds, cfg)
+        warm = warmed_up(ds, cfg)
         twin = warm.branch(cfg, "aplt")
         if via_pickle:
             twin = pickle.loads(pickle.dumps(twin))
@@ -393,16 +419,8 @@ class TestBranchedGrid:
     def test_optimizer_steps_are_warmup_once_plus_seven_continuations(self, monkeypatch):
         ds = small_dataset()
         cfg, _ = config.resolve(None, ["fixmatch.batch_size=16"])  # default schedule
-        steps_per_epoch = engine.warm_up(ds, cfg).metrics.epochs[0]["steps"]
-        calls = []
-        sgd_step = nn.sgd_step
-
-        def counted(*args):
-            calls.append(1)
-            return sgd_step(*args)
-
-        monkeypatch.setattr(nn, "sgd_step", counted)
-        monkeypatch.setattr(engine, "_pool_size", lambda n: 1)
+        steps_per_epoch = warmed_up(ds, cfg).metrics.epochs[0]["steps"]
+        calls = count_sgd_steps(monkeypatch)
         engine.run_ablation_grid(ds, cfg, seeds=[0, 1])
         assert len(calls) == 2 * (15 + 7 * 40) * steps_per_epoch  # 295 epochs a seed
 
@@ -491,28 +509,56 @@ class TestEncoderPassesPerStep:
 
 
 class TestWarmupSharing:
-    WARMUP_BLIND = {"cluster", "margin", "mode"}
-
     def test_rows_and_compare_modes_share_every_field_warmup_reads(self):
         cfg, _ = config.resolve(None, [])
-        configs = [engine._row_config(cfg, row) for row in engine.ABLATION_ROWS]
-        configs += [replace(cfg, mode=mode) for mode in ("fixmatch", "aplt")]
-        names = {f.name for f in fields(config.RunConfig)}
-        assert self.WARMUP_BLIND < names
-        for name in sorted(names - self.WARMUP_BLIND):
-            assert all(getattr(c, name) == getattr(cfg, name) for c in configs), name
+        cells = [(c, c.mode) for c in (engine._row_config(cfg, row)
+                                       for row in engine.ABLATION_ROWS)]
+        cells += [(cfg, mode) for mode in ("fixmatch", "aplt")]
+        keys = [engine._warmup_key(c, mode) for c, mode in cells]
+        assert len(keys) == 9
+        assert all(key == keys[0] for key in keys)
 
     def test_branch_refuses_what_warmup_does_not_share(self):
         ds = small_dataset()
         cfg = small_config()
-        warm = engine.warm_up(ds, cfg)
+        warm = warmed_up(ds, cfg)
         faster = replace(cfg, optimizer=replace(cfg.optimizer, base_lr=0.01))
-        for other_cfg, mode in ((faster, "aplt"), (cfg, "labeled_only")):
+        for other_cfg, mode in ((faster, "aplt"), (cfg, "labeled_only"), (cfg, "nonsense")):
             with pytest.raises(InvalidParameterError, match="cannot branch"):
                 warm.branch(other_cfg, mode)
         warm.train(cfg.schedule.warmup_epochs + 1)
         with pytest.raises(InvalidParameterError, match="cannot branch"):
             warm.branch(cfg, "aplt")
+
+
+class TestRunCells:
+    def test_one_warmup_per_key_and_every_log_equals_its_own_run(self, monkeypatch):
+        ds = small_dataset()
+        cells = [(small_config(seed=seed), mode) for seed in (0, 1)
+                 for mode in ("fixmatch", "aplt", "labeled_only")]
+        cells.append((small_config("optimizer.base_lr=0.01"), "aplt"))
+        sched = cells[0][0].schedule
+        steps_per_epoch = warmed_up(ds, cells[0][0]).metrics.epochs[0]["steps"]
+        calls = count_sgd_steps(monkeypatch)
+        logs = [metrics.to_ndjson() for metrics in engine.run_cells(ds, cells)]
+        # seed 0 and seed 1 train one warm-up each for fixmatch and aplt and
+        # one for labeled_only, and the other base_lr one more
+        warmups = 5
+        assert len(calls) == (warmups * sched.warmup_epochs
+                              + len(cells) * sched.main_epochs) * steps_per_epoch
+        assert logs == [engine.run(ds, cfg, mode).metrics.to_ndjson() for cfg, mode in cells]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_cell_listed_twice_gives_two_independent_results(self, monkeypatch, workers):
+        monkeypatch.setattr(engine, "_pool_size", lambda n: workers)
+        cfg = small_config()
+        a, b = engine.run_cells(small_dataset(), [(cfg, "aplt")] * 2)
+        assert a is not b
+        assert a.to_ndjson() == b.to_ndjson()
+        a.epochs[0]["lr"] = None
+        a.events.clear()
+        assert b.epochs[0]["lr"] is not None and b.events
+        assert b.to_ndjson() == engine.run(small_dataset(), cfg).metrics.to_ndjson()
 
 
 class TestBaselineFixmatch:

@@ -1,10 +1,12 @@
 """The behaviour contract on every test run: part of the byte-identity gate
 (``tools/gate_outputs.py``) must hash as ``tools/gate_hashes.txt`` records.
 That part is the first five lines, the ``hard12`` dataset and the seed-0
-aplt and fixmatch runs on it, the three ``compare`` lines, which cover a
-warm-up branched into two runs finished on the worker pool, and the five
-C=100 lines, which cover the many-class offline path. The full check of all
-44 lines is ``tools/gate_outputs.py --check tools/gate_hashes.txt OUTDIR``."""
+aplt and fixmatch runs on it; the ``ablate`` line, whose 14 cells share one
+warm-up a seed; the three ``compare`` lines, two cells that share one
+warm-up (both cell lists go through ``engine.run_cells`` and its worker
+pool); and the five C=100 lines, which cover the many-class offline path.
+The full check of all 44 lines is
+``tools/gate_outputs.py --check tools/gate_hashes.txt OUTDIR``."""
 
 import importlib.util
 import itertools
@@ -41,6 +43,12 @@ def test_seed_zero_runs_hash_as_committed(tmp_path, monkeypatch):
         ["train aplt seed=0", "metrics.ndjson"], ["train aplt seed=0", "resolved_config.json"],
         ["train fixmatch seed=0", "metrics.ndjson"],
         ["train fixmatch seed=0", "resolved_config.json"]]
+
+
+def test_ablate_grid_hashes_as_committed(tmp_path, monkeypatch):
+    gate = _load_gate()
+    monkeypatch.chdir(tmp_path)
+    assert _check_against_committed(gate, gate.gate_ablate()) == [["ablate", "ablation.csv"]]
 
 
 def test_compare_branches_hash_as_committed(tmp_path, monkeypatch):

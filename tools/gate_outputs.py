@@ -101,9 +101,7 @@ def gate_hard12():
         ndjson = engine.run(ds, cfg, mode="labeled_only").metrics.to_ndjson()
         yield f"labeled_only seed={seed}", ".metrics.to_ndjson()", _sha(ndjson.encode())
 
-    _cli("ablate", "--data", "hard.csv", "--out", "ablate", "--seeds", "0,1", "--force")
-    yield "ablate", "ablation.csv", _sha(Path("ablate", "ablation.csv").read_bytes())
-
+    yield from gate_ablate()
     yield from gate_compare()
 
     # eval reads the CSV through the CLI, so its stdout covers the loader
@@ -111,12 +109,27 @@ def gate_hard12():
     yield "eval train0", "stdout", _sha(printed.encode())
 
 
-def gate_compare():
-    """The three ``compare`` outputs: one warm-up, branched into fixmatch and
-    aplt and finished on the worker pool. It generates the ``hard12`` dataset
-    if the current directory does not hold it yet, so it can run alone."""
+def _hard12_csv():
+    """Generates the ``hard12`` dataset unless the current directory holds it."""
     if not Path("hard.csv").exists():
         _cli(*HARD12_GEN)
+
+
+def gate_ablate():
+    """The ``ablate`` output: the seven-row grid over seeds 0 and 1, 14 cells
+    with one warm-up a seed, finished on the worker pool. It generates the
+    ``hard12`` dataset if the current directory does not hold it yet, so it
+    can run alone."""
+    _hard12_csv()
+    _cli("ablate", "--data", "hard.csv", "--out", "ablate", "--seeds", "0,1", "--force")
+    yield "ablate", "ablation.csv", _sha(Path("ablate", "ablation.csv").read_bytes())
+
+
+def gate_compare():
+    """The three ``compare`` outputs: two cells, fixmatch and aplt, that share
+    one warm-up and are finished on the worker pool. Like ``gate_ablate``,
+    it can run alone."""
+    _hard12_csv()
     _cli("compare", "--data", "hard.csv", "--out", "compare")
     for output in ("trajectory.csv", "metrics_fixmatch.ndjson", "metrics_aplt.ndjson"):
         yield "compare", output, _sha(Path("compare", output).read_bytes())
