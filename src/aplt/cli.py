@@ -73,6 +73,8 @@ def _seed_list(raw: str) -> list[int]:
             f"expected comma-separated integers, got {raw!r}") from None
     if len(set(seeds)) < len(seeds):
         raise argparse.ArgumentTypeError(f"each seed may appear once, got {raw!r}")
+    if min(seeds) < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be nonnegative, got {raw!r}")
     return seeds
 
 

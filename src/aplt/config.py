@@ -157,6 +157,8 @@ def resolve(file_config: dict | None = None, overrides: list[str] | None = None)
     _check_types(resolved, base)
     if resolved["mode"] not in ("aplt", "fixmatch"):
         raise ConfigError(f"mode must be aplt or fixmatch, got {resolved['mode']!r}")
+    if resolved["seed"] < 0:
+        raise ConfigError(f"seed must be nonnegative, got {resolved['seed']}")
 
     sections = {}
     for name, value in resolved.items():
@@ -173,9 +175,13 @@ def resolve(file_config: dict | None = None, overrides: list[str] | None = None)
 
 def load_file(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None

@@ -1,5 +1,8 @@
 """Feature-vector datasets: synthetic generation, CSV IO, labeled/unlabeled splits.
 
+A dataset CSV holds one record per line with its fields split at commas and
+no quoting, so a load error names the physical line the parser stopped on.
+
 A dataset carries every sample's true label, but after a split only the
 labeled subset may feed training; the remaining true labels exist purely for
 evaluation-time scoring (pseudo-label accuracy, test accuracy). A run hands
@@ -9,8 +12,6 @@ them to its held-out probe (``engine._HeldOut``) and to nothing else, and
 
 from __future__ import annotations
 
-import csv
-import itertools
 import warnings
 from dataclasses import dataclass, replace
 
@@ -68,6 +69,8 @@ class SplitSpec:
     def __post_init__(self):
         if not (0.0 < self.labeled_ratio < 1.0):
             raise InvalidParameterError("labeled_ratio must lie in (0, 1)")
+        if self.seed < 0:
+            raise InvalidParameterError(f"split seed must be nonnegative, got {self.seed}")
 
 
 def generate_synthetic(C: int, d: int, n_per_class: int, overlap: float,
@@ -87,6 +90,8 @@ def generate_synthetic(C: int, d: int, n_per_class: int, overlap: float,
         raise InvalidParameterError("need at least 4 samples per class")
     if overlap < 0:
         raise InvalidParameterError("overlap must be nonnegative")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be nonnegative, got {seed}")
 
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(C, d))
@@ -181,14 +186,15 @@ _READ_BYTES = 1 << 16
 
 
 def _parse_rows(lines, dtype, max_rows=None):
-    """Data lines (a file handle, or a list) parsed to ``dtype`` records, at
-    most ``max_rows`` of them, leaving a handle at the line after the last.
-    Integer columns reject ``1.0``, quoted fields are unquoted, and empty
-    lines are skipped and not counted."""
+    """Data lines (an iterable of strings) parsed to ``dtype`` records, at
+    most ``max_rows`` of them. Integer columns reject ``1.0``, a quote is
+    part of its field, and empty lines are skipped and not counted. numpy
+    reads one line at a time: it reads no line past the last record it
+    returns and stops on the line it fails on."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data", UserWarning)
-        return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar=None,
                           comments=None, ndmin=1, max_rows=max_rows)
 
 
@@ -207,20 +213,19 @@ def _count_lines(path) -> int:
     return lines + (last not in b"\r\n")
 
 
-def _data_lines(path):
-    """(physical line number, line) of every non-empty line after the header.
-
-    load_csv's error paths rescan the file with it to name the row."""
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()
-        for lineno, line in enumerate(fh, start=2):
-            if line != "\n":
-                yield lineno, line
+def _numbered(fh, last: list, blanks: list):
+    """The lines after the header as the parser reads them; ``last`` keeps
+    the number and text of the last one read, ``blanks`` each blank's number."""
+    for lineno, line in enumerate(fh, start=2):
+        last[:] = lineno, line
+        if line == "\n":
+            blanks.append(lineno)
+        yield line
 
 
 def _line_error(path, lineno: int, line: str, names: list) -> ValueError:
     """The error that a data line which does not parse on its own is reported as."""
-    row = next(csv.reader([line]))
+    row = line.rstrip("\n").split(",")
     if len(row) != len(names):
         return DimensionMismatchError(f"{path}: row {lineno}: expected {len(names) - 3} "
                                       f"feature columns, got {max(len(row) - 3, 0)}")
@@ -234,43 +239,6 @@ def _line_error(path, lineno: int, line: str, names: list) -> ValueError:
             return DataFormatError(f"{path}: row {lineno}: column {name}: cannot parse "
                                    f"{value!r} as {kind.name}")
     return DataFormatError(f"{path}: row {lineno}: cannot parse the line")
-
-
-def _parses(numbered_lines, dtype) -> bool:
-    """Whether the lines of (line number, line) pairs parse as one list."""
-    try:
-        _parse_rows([line for _, line in numbered_lines], dtype)
-    except ValueError:
-        return False
-    return True
-
-
-def _parse_error(path, names: list, dtype, skip: int, count: int) -> ValueError:
-    """The error for a block of ``count`` records, after ``skip`` records,
-    that does not parse: that of the first data line from the block on that
-    does not parse alone. Lines without a quote parse together as they parse
-    alone, so halving skips the good lines before it in O(log count)
-    parses; a quote can carry a field over to the next line, so a block that
-    holds one is searched line by line. A byte that is not UTF-8 is
-    reported only if no line before it fails."""
-    lines = itertools.islice(_data_lines(path), skip, None)
-    block, undecodable = [], None
-    try:
-        block.extend(itertools.islice(lines, count))
-    except UnicodeDecodeError as exc:
-        undecodable = exc
-    lo = 0  # every line of block[:lo] parses on its own
-    if not any('"' in line for _, line in block):
-        hi = len(block)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if _parses(block[lo:mid], dtype) else (lo, mid)
-    for lineno, line in itertools.chain(block[lo:], lines):
-        if not _parses([(lineno, line)], dtype):
-            return _line_error(path, lineno, line, names)
-    if undecodable is not None:
-        raise undecodable
-    return DataFormatError(f"{path}: cannot parse the file")
 
 
 def _first_problem(rows, num_classes: int | None):
@@ -305,8 +273,10 @@ def load_csv(path, num_classes: int | None = None) -> FeatureDataset:
     once plus one block. A line that does not parse is reported before a
     value that breaks the schema, as one parse of the whole file would.
     Every error names the file, and its physical line number as
-    ``PATH: row N`` where one is at fault; a file that is not UTF-8 text
-    is a DataFormatError too."""
+    ``PATH: row N`` where one is at fault: the line the parser stopped on,
+    or a bad record's index plus the blank lines before it. The file is
+    not read again to find it. A file that is not UTF-8 text is a
+    DataFormatError too."""
     try:
         return _load_rows(path, num_classes)
     except UnicodeDecodeError as exc:
@@ -319,7 +289,7 @@ def _load_rows(path, num_classes: int | None) -> FeatureDataset:
         first = fh.readline()
         if not first:
             raise DataFormatError(f"{path}: empty file")
-        header = next(csv.reader([first]))
+        header = first.rstrip("\n").split(",")
         if len(header) < 4 or header[:3] != ["id", "label", "labeled"]:
             raise DataFormatError(f"{path}: header must start with id,label,labeled,f0,...")
         d = len(header) - 3
@@ -332,13 +302,17 @@ def _load_rows(path, num_classes: int | None) -> FeatureDataset:
         labels = np.empty(size, dtype=np.int64)
         labeled = np.empty(size, dtype=bool)
         block = max(1, _BLOCK_BYTES // dtype.itemsize)
+        last, blanks = [1, first], []
+        lines = _numbered(fh, last, blanks)
         n, problem = 0, None
         while n < size:
             want = min(block, size - n)
             try:
-                rows = _parse_rows(fh, dtype, want)
+                rows = _parse_rows(lines, dtype, want)
+            except UnicodeDecodeError:
+                raise
             except ValueError:
-                raise _parse_error(path, header, dtype, n, want) from None
+                raise _line_error(path, *last, header) from None
             got = rows.size
             feats[n:n + got] = rows["f"]
             labels[n:n + got] = rows["label"]
@@ -354,7 +328,10 @@ def _load_rows(path, num_classes: int | None) -> FeatureDataset:
         raise DataFormatError(f"{path}: file has a header but no data rows")
     if problem is not None:
         k, what = problem
-        lineno, _ = next(itertools.islice(_data_lines(path), k, None))
+        lineno = 2 + k  # record k's line, one later for each blank line up to it
+        for blank in blanks:
+            if blank <= lineno:
+                lineno += 1
         raise DataFormatError(f"{path}: row {lineno}: {what}")
     if n < size:  # blank lines were counted; no view of these arrays exists
         for a in (feats, labels, labeled):

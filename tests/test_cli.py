@@ -480,6 +480,38 @@ class TestConfigResolution:
         assert not out.exists()
         assert "config error: dataset.synthetic.classes must be int" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, message", [
+        (["train", "--data", "{csv}", "--out", "{out}", "--seed", "-1"],
+         "config error: seed must be nonnegative, got -1"),
+        (["ablate", "--data", "{csv}", "--out", "{out}", "--seeds", "-1"],
+         "argument --seeds: seeds must be nonnegative, got '-1'"),
+        (["gen", "--out", "{out}/gen.csv", "--seed", "-5"],
+         "config error: seed must be nonnegative, got -5"),
+        (["gen", "--out", "{out}/gen.csv", "--labeled-ratio", "0.1", "--split-seed", "-5"],
+         "config error: split seed must be nonnegative, got -5"),
+        (["train", "--data", "{csv}", "--out", "{out}", "--config", "{dir}"],
+         "config error: cannot read config file {dir}: Is a directory"),
+        (["train", "--data", "{csv}", "--out", "{out}", "--config", "{latin}"],
+         "config error: config file {latin} is not UTF-8 text (invalid start byte)"),
+    ], ids=["train_seed", "ablate_seeds", "gen_seed", "gen_split_seed", "config_dir",
+            "config_not_utf8"])
+    def test_bad_seed_or_unreadable_config_exits_one_without_outputs(
+            self, tmp_path, dataset_csv, capsys, command, message):
+        """Each is a one-line error (``ablate --seeds`` a usage error, as
+        its other malformed values are), not a traceback from numpy or
+        ``open``."""
+        names = {"csv": dataset_csv, "out": tmp_path / "run", "dir": tmp_path / "conf.d",
+                 "latin": tmp_path / "latin.json"}
+        names["dir"].mkdir()
+        names["latin"].write_bytes(b'{"seed": 1}\xff')
+        try:
+            rc = cli.main([arg.format(**names) for arg in command])
+        except SystemExit as exc:  # argparse's usage errors
+            rc = exc.code
+        assert rc == 1
+        assert message.format(**names) in capsys.readouterr().err
+        assert not names["out"].exists()
+
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
             config.resolve({"fixmatch": {"tau": 2.0}})

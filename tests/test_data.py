@@ -1,6 +1,4 @@
 import csv
-import itertools
-import math
 import tracemalloc
 import warnings
 
@@ -235,12 +233,18 @@ class TestCsvRoundTrip:
                 data.load_csv(path, num_classes=num_classes)
         assert str(info.value) == f"{path}: {message}"
 
-    def test_quoted_fields_are_unquoted(self, tmp_path):
+    @pytest.mark.parametrize("header,body,message", [
+        ("id,label,labeled,f0,f1", '0,0,1,1,2\n4,0,1,"1.5",2\n',
+         "row 3: column f0: cannot parse '\"1.5\"' as float64"),
+        ('id,label,labeled,"f0","f1"', "0,0,1,1,2\n",
+         "feature columns must be named f0..f{d-1}"),
+    ], ids=["quoted_field", "quoted_header"])
+    def test_a_quote_is_part_of_its_field(self, tmp_path, header, body, message):
         path = tmp_path / "quoted.csv"
-        path.write_text('id,label,labeled,"f0"\n"0","1",1,"1.5"\n1,0,1,-2\n')
-        ds = data.load_csv(path)
-        assert ds.features.tolist() == [[1.5], [-2.0]]
-        assert ds.true_labels.tolist() == [1, 0]
+        path.write_text(header + "\n" + body)
+        with pytest.raises(DataFormatError) as info:
+            data.load_csv(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_load_memory_is_a_small_multiple_of_the_features(self, tmp_path):
         """The rows once, plus one parse block of about 1 MiB: with 40,000 x
@@ -355,17 +359,23 @@ class TestLoadBlocks:
         with pytest.raises(DimensionMismatchError, match=": row 8: expected 2 feature columns"):
             data.load_csv(tmp_path / "order.csv")
 
-    def test_parse_error_after_a_row_over_two_lines(self, tmp_path, block_of_two):
-        """A quoted field carries the first record over two lines, so the
-        second block's records start a line later than its record count
-        says; the search still reaches the bad line past the lines it
-        reads as that block."""
-        rows = ['0,0,1,"1.5', '",2', good_row(1), good_row(2), "3,0,1,x,2"]
+    @pytest.mark.parametrize("rows,records,line", [
+        (['0,0,1,"1.5', '",2', good_row(1), "3,0,3,1,2"], 2, 2),
+        ([good_row(0), '1,0,1,"1.5', '",2', good_row(2), "3,0,1,x,2"], 2, 3),
+        ([good_row(0), '1,0,1,"1.5', '",2', "2,0,1,x,2"], None, 3),
+    ], ids=["bad_flag_later", "bad_value_later", "default_block"])
+    def test_a_field_does_not_run_over_to_the_next_line(self, tmp_path, monkeypatch,
+                                                        rows, records, line):
+        """A quote does not carry a field over a line break, so the first
+        line of a would-be quoted field over two lines is the one named,
+        whatever the block size and whatever breaks later."""
+        if records is not None:
+            monkeypatch.setattr(data, "_BLOCK_BYTES", records * (24 + 8 * 2))
         write_rows(tmp_path / "spill.csv", rows)
-        with pytest.raises(DataFormatError) as info:
+        with pytest.raises(DimensionMismatchError) as info:
             data.load_csv(tmp_path / "spill.csv")
-        assert str(info.value) == (f"{tmp_path / 'spill.csv'}: row 6: column f0: "
-                                   "cannot parse 'x' as float64")
+        assert str(info.value) == (f"{tmp_path / 'spill.csv'}: row {line}: "
+                                   "expected 2 feature columns, got 1")
 
     def test_parse_error_reparses_only_the_failing_block(self, tmp_path, block_of_two,
                                                          monkeypatch):
@@ -381,17 +391,18 @@ class TestLoadBlocks:
         monkeypatch.setattr(data, "_parse_rows", counting)
         with pytest.raises(DataFormatError, match=": row 11: column f1: cannot parse 'x'"):
             data.load_csv(tmp_path / "tail.csv")
-        # five blocks of two records, then the failing block's two lines on
-        # their own, then the bad line's five values one at a time
+        # five blocks of two records, then the bad line's five values one at
+        # a time; no line of the failing block is parsed again
         assert parsed.count((False, True)) == 5
-        assert parsed.count((True, True)) == 2
+        assert parsed.count((True, True)) == 0
         assert parsed.count((True, False)) == 5
 
 
-def test_parse_error_halves_the_failing_block(tmp_path, monkeypatch):
+def test_parse_error_in_a_large_block_parses_only_the_bad_lines_columns(tmp_path,
+                                                                        monkeypatch):
     """A block of 1,024 records with a bad value on its last line: naming
-    it takes O(log block) parses of the block's lines, then the bad line's
-    columns one at a time, not one parse per line."""
+    it takes the bad line's columns one at a time, and no parse of the
+    block's lines again."""
     block = 1024
     monkeypatch.setattr(data, "_BLOCK_BYTES", block * (24 + 8 * 2))
     write_rows(tmp_path / "tail.csv", [good_row(i) for i in range(2 * block - 1)]
@@ -409,54 +420,132 @@ def test_parse_error_halves_the_failing_block(tmp_path, monkeypatch):
     assert str(info.value) == (f"{tmp_path / 'tail.csv'}: row {2 * block + 1}: "
                                "column f1: cannot parse 'abc' as float64")
     assert calls.count((False, True)) == 2  # the two blocks, from the file
-    assert calls.count((True, True)) <= math.ceil(math.log2(block)) + 1
+    assert calls.count((True, True)) == 0
     assert calls.count((True, False)) == 5  # id, label, labeled, f0, f1
 
 
-def line_by_line_error(path, names, dtype, skip, count):
-    """The parse error as a search that parses every line from the failing
-    block on by itself reports it."""
-    for lineno, line in itertools.islice(data._data_lines(path), skip, None):
+TWO_FEATURES = np.dtype([("id", np.int64), ("label", np.int64), ("labeled", np.int64),
+                         ("f", np.float64, (2,))])
+
+
+def counted(lines, read):
+    """``lines`` one at a time, appending each to ``read`` as it is read."""
+    for line in lines:
+        read.append(line)
+        yield line
+
+
+def test_parse_reads_exactly_the_lines_of_its_records():
+    """load_csv names a line from what numpy has read, so numpy must read
+    no line past the last record of a block, blank lines included."""
+    lines = ["\n", "0,0,1,1,2\n", "\n", "1,0,1,1,2\n", "2,0,1,1,2\n", "\n", "\n",
+             "3,0,1,1,2\n", "\n"]
+    read = []
+    source = counted(lines, read)
+    for want, ids, upto in ((1, [0], 2), (2, [1, 2], 5), (2, [3], 9)):
+        rows = data._parse_rows(source, TWO_FEATURES, want)
+        assert rows["id"].tolist() == ids
+        assert read == lines[:upto]
+
+
+@pytest.mark.parametrize("bad", ["1,0,1,x,2", "1,0,1,1", "1,0,1,1,2,3", "1.0,0,1,1,2",
+                                 "1,0,1,,2"],
+                         ids=["value", "short_row", "long_row", "float_in_int", "empty"])
+def test_parse_stops_on_the_line_it_fails_on(bad):
+    lines = ["0,0,1,1,2\n", "\n", bad + "\n", "2,0,1,1,2\n", "3,0,1,1,2\n"]
+    read = []
+    with pytest.raises(ValueError):
+        data._parse_rows(counted(lines, read), TWO_FEATURES, 4)
+    assert read == lines[:3]
+
+
+def line_by_line_outcome(path, num_classes):
+    """What loading a two-feature file should give, found one line at a
+    time: the error of the first non-empty data line that does not parse
+    on its own (named by ``_line_error``), else that of the first record
+    that breaks the schema, else the features, labels and labeled mask as
+    bytes."""
+    names = ["id", "label", "labeled", "f0", "f1"]
+    with open(path, encoding="utf-8") as fh:
+        lines = list(enumerate(fh, start=1))[1:]
+    records = []
+    for lineno, line in lines:
+        if line == "\n":
+            continue
         try:
-            data._parse_rows([line], dtype)
+            records.append((lineno, data._parse_rows([line], TWO_FEATURES)[0]))
         except ValueError:
-            return data._line_error(path, lineno, line, names)
-    return DataFormatError(f"{path}: cannot parse the file")
+            exc = data._line_error(path, lineno, line, names)
+            return type(exc), str(exc)
+    if not records:
+        return DataFormatError, f"{path}: file has a header but no data rows"
+    for lineno, record in records:
+        label, flag = int(record["label"]), int(record["labeled"])
+        if flag not in (0, 1):
+            what = "labeled flag must be 0 or 1"
+        elif label < 0:
+            what = "negative class index"
+        elif not np.isfinite(record["f"]).all():
+            what = "features must be finite"
+        elif num_classes is not None and label >= num_classes:
+            what = f"class index {label} >= C={num_classes}"
+        else:
+            continue
+        return DataFormatError, f"{path}: row {lineno}: {what}"
+    return (np.array([r["f"] for _, r in records]).tobytes(),
+            np.array([r["label"] for _, r in records], dtype=np.int64).tobytes(),
+            np.array([r["labeled"] == 1 for _, r in records]).tobytes())
 
 
-# lines a malformed file is made of besides good rows. A quote can carry a
-# field over to the next line: '5,0,1,"1.5' and '",2' each fail on their
-# own, but together they are one good row.
+def load_outcome(path, num_classes):
+    """``load_csv``'s error as (type, message), or its arrays as bytes."""
+    try:
+        ds = data.load_csv(path, num_classes)
+    except (DataFormatError, DimensionMismatchError) as exc:
+        return type(exc), str(exc)
+    return ds.features.tobytes(), ds.true_labels.tobytes(), ds.labeled_mask.tobytes()
+
+
+# lines a malformed file is made of besides good rows. A quote is part of
+# its field, so every quoted line is a bad line, and '5,0,1,"1.5' with
+# '",2' is two bad lines, not one row.
 FUZZ_LINES = ["", "  ", "1,0,1,x,2", "2,0,1,1.5", "3,0,1,1,2,4", '4,0,1,"1.5",2',
               '5,0,1,"1.5', '",2', '5,0,1,"1.5\n",2', '5,0,1,"1.5,2', '"', "6,1.0,1,1,2",
               "8,0,1,1,-2"]
 
+# lines that parse but break the schema of a file with 3 classes
+SCHEMA_LINES = ["7,0,2,1,2", "7,-1,1,1,2", "7,0,1,nan,2", "7,3,1,1,2"]
+
 
 @pytest.mark.parametrize("seed", range(60))
 def test_parse_error_equals_a_line_by_line_search(tmp_path, monkeypatch, seed):
+    """The whole outcome of a load equals the line-by-line reference on
+    fuzzed files: bad lines, schema breaks, runs of blank lines, LF or
+    CR LF line ends, and parse blocks of 1 to 8 records."""
     rng = np.random.default_rng(seed)
     lines = ["id,label,labeled,f0,f1"]
     for i in range(int(rng.integers(1, 30))):
-        bad = rng.random() < 0.15
-        lines.append(FUZZ_LINES[rng.integers(0, len(FUZZ_LINES))] if bad else good_row(i))
+        if rng.random() < 0.2:
+            lines += [""] * int(rng.integers(1, 4))  # a run of blank lines
+        pick = rng.random()
+        if pick < 0.1:
+            lines.append(FUZZ_LINES[rng.integers(0, len(FUZZ_LINES))])
+        elif pick < 0.2:
+            lines.append(SCHEMA_LINES[rng.integers(0, len(SCHEMA_LINES))])
+        else:
+            lines.append(good_row(i, label=int(rng.integers(0, 3))))
+    line_end = "\r\n" if rng.random() < 0.5 else "\n"
     path = tmp_path / "fuzz.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes((line_end.join(lines) + line_end).encode())
     monkeypatch.setattr(data, "_BLOCK_BYTES", int(rng.integers(1, 9)) * (24 + 8 * 2))
-    errors = []
-    for parse_error in (data._parse_error, line_by_line_error):
-        monkeypatch.setattr(data, "_parse_error", parse_error)
-        try:
-            data.load_csv(path)
-            errors.append(None)
-        except (DataFormatError, DimensionMismatchError) as exc:
-            errors.append((type(exc), str(exc)))
-    assert errors[0] == errors[1]
+    num_classes = 3 if rng.random() < 0.5 else None
+    assert load_outcome(path, num_classes) == line_by_line_outcome(path, num_classes)
 
 
 def test_bad_line_before_a_byte_that_is_not_utf8_is_named(tmp_path):
-    """The block's lines are read past the bad line into the next pieces
-    the decoder reads, where the byte is; the bad line is still reported,
-    as a line-by-line search reports it."""
+    """The parser stops on the bad line before the decoder reads the piece
+    of the file that holds the byte, so the bad line is reported, as a
+    line-by-line search reports it."""
     rows = [good_row(0), "1,0,1,1.5,x"] + [good_row(i) for i in range(2, 2000)]
     path = tmp_path / "late_byte.csv"
     path.write_bytes("\n".join(["id,label,labeled,f0,f1", *rows, "9,0,1,1,2\xff", ""])
@@ -468,8 +557,8 @@ def test_bad_line_before_a_byte_that_is_not_utf8_is_named(tmp_path):
 
 @pytest.mark.parametrize("where", ["header", "first_row", "past_first_read"])
 def test_file_that_is_not_utf8_is_a_format_error(tmp_path, where):
-    """Whether the header read, a block parse or the rescan that names a bad
-    line meets the byte."""
+    """Whether the decoder meets the byte while the header is read or while
+    a block is parsed."""
     rows = [good_row(i) for i in range(2000 if where == "past_first_read" else 3)]
     lines = ["id,label,labeled,f0,f1", *rows, "7,0,1,1.5,2"]
     lines[0 if where == "header" else -1] += "\xff"
