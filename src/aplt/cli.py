@@ -83,7 +83,17 @@ def _out_dir(raw: str) -> Path:
     root = os.environ.get(OUT_ROOT_ENV)
     if root and not path.is_absolute():
         path = Path(root) / path
-    return path
+    return _check_out(path)
+
+
+def _check_out(out: Path) -> Path:
+    """``out``, once a directory can be made there: its nearest existing
+    ancestor is a directory. Nothing is made yet, so a later config error
+    leaves no output behind."""
+    existing = next((p for p in (out, *out.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"cannot write to {out}: {existing} is not a directory")
+    return out
 
 
 def _read_csv(path, num_classes: int | None = None) -> data_mod.FeatureDataset:
@@ -175,6 +185,8 @@ def _write_run_outputs(out: Path, resolved: dict, result: engine.RunResult):
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
+    out = Path(args.out)
+    _check_out(out.parent)
     if args.preset:
         params = dict(PRESETS[args.preset])
     else:
@@ -191,7 +203,6 @@ def cmd_gen(args) -> int:
         ds = data_mod.apply_split(ds, spec)
         manifest["split"] = {"labeled_ratio": args.labeled_ratio,
                              "seed": args.split_seed, "stratified": True}
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     data_mod.save_csv(ds, out)
     manifest["checksum_sha256"] = hashlib.sha256(out.read_bytes()).hexdigest()
@@ -205,9 +216,10 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, resolved = _resolve_from_args(args)
+    out = _out_dir(args.out)
     ds = _load_dataset(cfg)
     result = engine.run(ds, cfg)
-    _write_run_outputs(_out_dir(args.out), resolved, result)
+    _write_run_outputs(out, resolved, result)
     final = result.metrics.final
     print(f"mode={final['mode']} seed={final['seed']} "
           f"test_acc={final['test_acc']} (proto={final['test_acc_proto']}, "
@@ -231,8 +243,8 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg, resolved = _resolve_from_args(args)
-    ds = _load_dataset(cfg)
     out = _out_dir(args.out)
+    ds = _load_dataset(cfg)
 
     methods = ("fixmatch", "aplt")  # one warm-up key, so one warm-up
     results = dict(zip(methods, engine.run_cells(ds, [(cfg, m) for m in methods])))

@@ -184,4 +184,4 @@ def load_file(path) -> dict:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None

@@ -9,8 +9,8 @@ prototype margin terms scaled by lambda.
 
 Runs with equal ``_warmup_key``s train the same warm-up, since nothing
 before the first offline event reads the rest. ``run_cells``, behind
-``compare`` and the ablation grid, trains each such warm-up once, branches
-the other runs from it and finishes all on a pool of worker processes.
+``compare`` and the ablation grid, trains each such warm-up once. Every run
+branches from it in the pool worker that finishes it (see ``finish_all``).
 
 Per-epoch and per-event records go into RunMetrics; serialization is
 timestamp-free so identical configs and seeds produce byte-identical logs.
@@ -380,8 +380,16 @@ class _Collect(logging.Handler):
         self.records.append(record)
 
 
-def _finish_in_worker(trainer: _Trainer):
-    """A run's metrics and the ``aplt`` log records it emitted; an error
+_WARMUPS: list = []  # a pool worker's inherited warm-ups; see _inherit
+
+
+def _finish_cell(warmups: list, k: int, cfg, mode: str) -> RunMetrics:
+    """The metrics of the cell (k, cfg, mode): warm-up k's branch, finished."""
+    return warmups[k].branch(cfg, mode).finish().metrics
+
+
+def _finish_in_worker(cell):
+    """A cell's metrics and the ``aplt`` log records it emitted; an error
     carries the records as ``log_records``. The worker holds only a forked
     copy of the caller's handlers and streams, so the records go back to the
     caller instead of to those."""
@@ -390,7 +398,7 @@ def _finish_in_worker(trainer: _Trainer):
     saved = logger.handlers, logger.propagate
     logger.handlers, logger.propagate = [collect], False
     try:
-        return trainer.finish().metrics, collect.records
+        return _finish_cell(_WARMUPS, *cell), collect.records
     except Exception as exc:
         exc.log_records = collect.records
         raise
@@ -403,8 +411,14 @@ def _handle(records) -> None:
         logging.getLogger(record.name).handle(record)
 
 
+def _inherit(warmups: list) -> None:
+    """Pool initializer: keeps the warm-ups that ``fork`` hands over unpickled."""
+    _WARMUPS[:] = warmups
+    _one_blas_thread()
+
+
 def _one_blas_thread() -> None:
-    """Pool initializer: one OpenBLAS thread per worker. Otherwise each
+    """One OpenBLAS thread per pool worker. Otherwise each
     worker's BLAS helper threads spin on the CPUs the other workers need;
     on a 2-vCPU VM that made the 5-seed default grid 1.3x slower. Best
     effort: a BLAS that is not OpenBLAS keeps its own setting."""
@@ -426,29 +440,30 @@ def _one_blas_thread() -> None:
         pass
 
 
-def finish_all(trainers: list) -> list[RunMetrics]:
-    """Finishes every run and returns their metrics in order.
+def finish_all(warmups: list, cells: list) -> list[RunMetrics]:
+    """The metrics of every (warm-up index, cfg, mode) cell, in order.
 
-    Runs go to a pool of forked workers, one per usable CPU at most
+    Cells go to a pool of forked workers, one per usable CPU at most
     (``fork`` because an unguarded script that calls ``cli.main`` cannot be
-    re-imported by ``spawn``). A worker returns only the metrics; an error in
-    any run is raised here, after the runs not yet started are cancelled.
-    The ``aplt`` log records a worker emits are handled here, in run order,
-    so they reach this process's handlers as they would in-process. With one
-    worker, or no ``fork``, the runs go on in this process."""
+    re-imported by ``spawn``). Workers inherit the warm-ups and their data
+    pages by ``fork``; a cell goes as its index and config, its metrics come
+    back. An error in any cell is raised here, after the cells not yet
+    started are cancelled. A worker's ``aplt`` log records are handled here,
+    in cell order, as they would be in-process. With one worker, or no
+    ``fork``, ``_finish_cell`` runs the cells in this process."""
     # imported here: a train run does not need them, and they add to its
     # start-up time and memory
     import multiprocessing as mp
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = _pool_size(len(trainers))
+    workers = _pool_size(len(cells))
     if workers <= 1 or "fork" not in mp.get_all_start_methods():
-        return [t.finish().metrics for t in trainers]
+        return [_finish_cell(warmups, *cell) for cell in cells]
     pool = ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"),
-                               initializer=_one_blas_thread)
+                               initializer=_inherit, initargs=(warmups,))
     results = []
     try:
-        for metrics, records in pool.map(_finish_in_worker, trainers):
+        for metrics, records in pool.map(_finish_in_worker, cells):
             _handle(records)
             results.append(metrics)
         return results
@@ -473,20 +488,17 @@ def _row_config(cfg, row: str):
 
 
 def run_cells(ds: FeatureDataset, cells) -> list[RunMetrics]:
-    """The metrics of every (cfg, mode) cell, in order. The first cell of
-    each ``_warmup_key`` trains the warm-up, every later cell of that key
-    branches from it, and ``finish_all`` finishes them all."""
-    keys, trainers = [], []
+    """The metrics of every (cfg, mode) cell, in order: each ``_warmup_key``'s
+    warm-up is trained once, and ``finish_all`` branches every cell from it."""
+    keys, warmups, indexed = [], [], []
     for cfg, mode in cells:
         key = _warmup_key(cfg, mode)
-        if key in keys:
-            trainer = trainers[keys.index(key)].branch(cfg, mode)
-        else:
-            trainer = _Trainer(ds, cfg, mode)
-            trainer.train(cfg.schedule.warmup_epochs)
-        keys.append(key)
-        trainers.append(trainer)
-    return finish_all(trainers)
+        if key not in keys:
+            keys.append(key)
+            warmups.append(_Trainer(ds, cfg, mode))
+            warmups[-1].train(cfg.schedule.warmup_epochs)
+        indexed.append((keys.index(key), cfg, mode))
+    return finish_all(warmups, indexed)
 
 
 def run_ablation_grid(ds: FeatureDataset, cfg, seeds=None) -> list[dict]:

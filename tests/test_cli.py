@@ -493,17 +493,32 @@ class TestConfigResolution:
          "config error: cannot read config file {dir}: Is a directory"),
         (["train", "--data", "{csv}", "--out", "{out}", "--config", "{latin}"],
          "config error: config file {latin} is not UTF-8 text (invalid start byte)"),
+        (["train", "--data", "{csv}", "--out", "{out}", "--config", "{comma}"],
+         "config error: config file {comma} is not valid JSON: Expecting property name"),
+        (["train", "--data", "{csv}", "--out", "{file}"],
+         "config error: cannot write to {file}: {file} is not a directory"),
+        (["compare", "--data", "{csv}", "--out", "{file}/sub"],
+         "config error: cannot write to {file}/sub: {file} is not a directory"),
+        (["ablate", "--data", "{csv}", "--out", "{file}/sub", "--seeds", "0"],
+         "config error: cannot write to {file}/sub: {file} is not a directory"),
+        (["gen", "--out", "{file}/x.csv"],
+         "config error: cannot write to {file}: {file} is not a directory"),
     ], ids=["train_seed", "ablate_seeds", "gen_seed", "gen_split_seed", "config_dir",
-            "config_not_utf8"])
+            "config_not_utf8", "config_not_json", "train_out_file", "compare_out_under_file",
+            "ablate_out_under_file", "gen_out_under_file"])
     def test_bad_seed_or_unreadable_config_exits_one_without_outputs(
             self, tmp_path, dataset_csv, capsys, command, message):
         """Each is a one-line error (``ablate --seeds`` a usage error, as
         its other malformed values are), not a traceback from numpy or
-        ``open``."""
+        ``open``, and an ``--out`` that cannot be a directory is refused
+        before any data is read."""
         names = {"csv": dataset_csv, "out": tmp_path / "run", "dir": tmp_path / "conf.d",
-                 "latin": tmp_path / "latin.json"}
+                 "latin": tmp_path / "latin.json", "comma": tmp_path / "comma.json",
+                 "file": tmp_path / "afile"}
         names["dir"].mkdir()
         names["latin"].write_bytes(b'{"seed": 1}\xff')
+        names["comma"].write_text('{"seed": 1,}')
+        names["file"].write_text("not a directory\n")
         try:
             rc = cli.main([arg.format(**names) for arg in command])
         except SystemExit as exc:  # argparse's usage errors

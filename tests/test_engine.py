@@ -384,8 +384,9 @@ class TestBranchedGrid:
 
     @pytest.mark.parametrize("via_pickle", [False, True])
     def test_branch_owns_its_parameters(self, via_pickle):
-        # a branch, and a branch pickled as finish_all sends it to a worker,
-        # steps its own theta and momentum and leaves the warm-up's bits alone
+        # a branch steps its own theta and momentum and leaves the warm-up's
+        # bits alone; the pickled case guards EncoderModel.__reduce__, which
+        # branch's deep copy goes through
         ds = small_dataset()
         cfg = small_config()
         warm = warmed_up(ds, cfg)
@@ -471,6 +472,43 @@ class TestBranchedGrid:
         # the failing branch's warnings still reach the caller, at any pool size
         assert err.count("WARNING aplt.test: margin term turns nan") == 1
         assert not (out / "ablation.csv").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_caller_branches_only_without_a_pool(self, monkeypatch, workers):
+        # forked workers count their own branch calls in their own copy of
+        # the list, so the caller's list holds only its own
+        calls = []
+        branch = engine._Trainer.branch
+
+        def counted(self, cfg, mode):
+            calls.append(mode)
+            return branch(self, cfg, mode)
+
+        monkeypatch.setattr(engine._Trainer, "branch", counted)
+        monkeypatch.setattr(engine, "_pool_size", lambda n: workers)
+        records = engine.run_ablation_grid(small_dataset(), small_config(), seeds=[0, 1])
+        assert len(calls) == (len(records) if workers == 1 else 0)
+
+    def test_the_caller_holds_no_copy_of_the_features_beyond_its_warmups(self,
+                                                                         monkeypatch):
+        # the features dominate a trainer's pickle here: 6,000 x 64 float64
+        # against an encoder of 64 -> 16 -> 8 units
+        ds = small_dataset(C=3, d=64, n_per_class=2000)
+        cfg = small_config("model.hidden=16", "model.embed=8", "fixmatch.batch_size=256",
+                           "schedule.warmup_epochs=1", "schedule.main_epochs=1",
+                           "schedule.offline_every=1")
+        monkeypatch.setattr(engine, "_pool_size", lambda n: 2)
+        tracemalloc.start()
+        try:
+            warmups = [warmed_up(ds, replace(cfg, seed=seed)) for seed in (0, 1)]
+            _, warmup_peak = tracemalloc.get_traced_memory()
+            del warmups
+            tracemalloc.reset_peak()
+            engine.run_ablation_grid(ds, cfg, seeds=[0, 1])
+            _, grid_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid_peak - warmup_peak < ds.features.nbytes
 
 
 class TestEncoderPassesPerStep:
