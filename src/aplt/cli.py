@@ -96,11 +96,17 @@ def _check_out(out: Path) -> Path:
     return out
 
 
+def _need_file(path, what: str) -> None:
+    """A config error unless ``path`` is a regular file, naming one that exists as not a file."""
+    if not Path(path).is_file():
+        problem = "path is not a file" if Path(path).exists() else "file not found"
+        raise ConfigError(f"{what} {problem}: {path}")
+
+
 def _read_csv(path, num_classes: int | None = None) -> data_mod.FeatureDataset:
     """A dataset CSV; a row of the wrong width is a bad input file (exit 1).
     Every load error already names the file."""
-    if not Path(path).is_file():
-        raise ConfigError(f"dataset file not found: {path}")
+    _need_file(path, "dataset")
     try:
         return data_mod.load_csv(path, num_classes=num_classes)
     except DimensionMismatchError as exc:
@@ -187,6 +193,8 @@ def _write_run_outputs(out: Path, resolved: dict, result: engine.RunResult):
 def cmd_gen(args) -> int:
     out = Path(args.out)
     _check_out(out.parent)
+    if out.is_dir():
+        raise ConfigError(f"cannot write to {out}: it is a directory")
     if args.preset:
         params = dict(PRESETS[args.preset])
     else:
@@ -228,8 +236,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if not Path(args.checkpoint).is_file():
-        raise ConfigError(f"checkpoint file not found: {args.checkpoint}")
+    _need_file(args.checkpoint, "checkpoint")
     model, bank, _ = nn.load_checkpoint(args.checkpoint)
     ds = _read_csv(args.data, num_classes=model.num_classes)
     if ds.dim != model.input_dim:

@@ -290,10 +290,13 @@ class _Trainer:
         return twin
 
     def finish(self) -> RunResult:
-        """Trains the remaining epochs and scores the final model."""
+        """Trains the remaining epochs and reports the final model's scores."""
         total = self.cfg.schedule.total_epochs
         self.train(total)
-        proto_acc, param_acc = self.probe.scores(self.model, self.bank, self.X)
+        # the last epoch's record scored this model and bank already
+        last = self.metrics.epochs[-1] if self.metrics.epochs else None
+        proto_acc, param_acc = ((last["test_acc_proto"], last["test_acc_param"]) if last
+                                else self.probe.scores(self.model, self.bank, self.X))
         self.metrics.final = {
             "mode": self.mode,
             "seed": int(self.cfg.seed),
@@ -318,8 +321,8 @@ class _Trainer:
         and the unlabeled consistency term (None in labeled_only mode)."""
         m, cfg = self.model, self.cfg
         lidx = self._labeled_batch(chunk.size)
-        x_l = self.X[self.lab[lidx]]
-        total = fm_mod.supervised_loss(m, x_l, self.y_l[lidx], cfg.augment, self.rng_train)
+        x_l, y_l = self.X[self.lab[lidx]], self.y_l[lidx]
+        total = fm_mod.supervised_loss(m, x_l, y_l, cfg.augment, self.rng_train)
         uns = x_u = None
         if self.mode != "labeled_only":
             x_u = self.X[self.unl[chunk]]
@@ -332,13 +335,14 @@ class _Trainer:
             xu_v = view_fn(x_u, cfg.augment, self.rng_train)
             acts_l = nn.forward(m, xl_v)
             acts_u = nn.forward(m, xu_v)
-            msup = proto_mod.margin_loss_labeled(self.bank, acts_l.feats, self.y_l[lidx],
-                                                 cfg.margin)
+            msup = proto_mod.margin_loss_labeled(self.bank, acts_l.feats, y_l, cfg.margin)
             munsup = proto_mod.margin_loss_unlabeled(self.bank, acts_u.feats, chunk,
                                                      self.pseudo, cfg.margin)
             margin_value = msup.value + munsup.value
-            grad = (grad + lam * nn.backward(m, xl_v, d_feats=msup.d_feats, acts=acts_l)
-                    + lam * nn.backward(m, xu_v, d_feats=munsup.d_feats, acts=acts_u))
+            # grad + lam * g_l + lam * g_u, added in place in that order
+            for x_v, loss, acts in ((xl_v, msup, acts_l), (xu_v, munsup, acts_u)):
+                g = nn.backward(m, x_v, d_feats=loss.d_feats, acts=acts)
+                grad += np.multiply(lam, g, out=g)
         self._finite_or_die(total.value + lam * margin_value, "total loss")
         nn.sgd_step(m, self.opt, grad, lr)
         return total.value, margin_value, uns

@@ -48,33 +48,36 @@ class BatchLoss:
 
 
 def _masked_ce(m: nn.EncoderModel, x: np.ndarray, targets: np.ndarray,
-               kept: np.ndarray):
+               kept: np.ndarray | None):
     """Cross-entropy of the head's prediction on x against targets, and its
     flat parameter gradient. Rows where ``kept`` is False contribute zero loss
-    and zero gradient but stay in the batch-size denominator; with no row
-    kept, the encoder does not run at all."""
-    if not kept.any():
-        return 0.0, np.zeros_like(m.theta)
+    and zero gradient but stay in the batch-size denominator; ``kept=None``
+    keeps every row. With no row kept, the encoder does not run at all."""
+    if kept is not None and not np.count_nonzero(kept):
+        return 0.0, np.zeros(m.theta.size)
     B = x.shape[0]
     rows = np.arange(B)
     acts = nn.forward(m, x, head=True)
     py = np.maximum(acts.probs[rows, targets], _P_FLOOR)
-    value = float((kept * -np.log(py)).sum() / B)
-    d_probs = np.zeros_like(acts.probs)
-    d_probs[rows, targets] = np.where(kept, -1.0 / (B * py), 0.0)
-    return value, nn.backward(m, x, d_probs=d_probs, acts=acts)
+    nll, d_py = -np.log(py), -1.0 / (B * py)
+    if kept is not None:
+        nll *= kept
+        d_py = np.where(kept, d_py, 0.0)
+    d_probs = np.zeros(acts.probs.shape)
+    d_probs[rows, targets] = d_py
+    return float(np.add.reduce(nll) / B), nn.backward(m, x, d_probs=d_probs, acts=acts)
 
 
 def supervised_loss(m: nn.EncoderModel, x: np.ndarray, y: np.ndarray,
                     aug: augment.AugmentConfig,
                     rng: np.random.Generator) -> BatchLoss:
     """Mean cross-entropy of the weak view against ground-truth labels."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = nn.as_rows(x)
     B = x.shape[0]
     if B == 0:
         raise EmptyBatchError("supervised_loss on empty batch")
     value, grad = _masked_ce(m, augment.weak(x, aug, rng),
-                             np.asarray(y, dtype=np.int64), np.ones(B, dtype=bool))
+                             np.asarray(y, dtype=np.int64), None)
     return BatchLoss(value=value, pass_count=B, grad=grad)
 
 
@@ -87,19 +90,20 @@ def unlabeled_loss(m: nn.EncoderModel, x: np.ndarray, cfg: FixMatchConfig,
     cross-entropy with argmax(q). The sum is averaged over the full batch
     size, masked-out rows included.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = nn.as_rows(x)
     if x.shape[0] == 0:
         raise EmptyBatchError("unlabeled_loss on empty batch")
     q = nn.forward_logits(m, augment.weak(x, aug, rng))  # label source, no grad
-    passed = q.max(axis=1) >= cfg.tau
     qhat = q.argmax(axis=1)
+    passed = q[np.arange(qhat.size), qhat] >= cfg.tau  # each row's max(q)
     value, grad = _masked_ce(m, augment.strong(x, aug, rng), qhat, passed)
-    return BatchLoss(value=value, pass_count=int(passed.sum()), grad=grad,
+    return BatchLoss(value=value, pass_count=int(np.count_nonzero(passed)), grad=grad,
                      pseudo_labels=qhat, passed=passed)
 
 
 def warmup_objective(sup: BatchLoss, unsup: BatchLoss) -> BatchLoss:
-    """Sum of the two terms, gradients included."""
-    return BatchLoss(value=sup.value + unsup.value,
-                     pass_count=unsup.pass_count, grad=sup.grad + unsup.grad,
+    """Sum of the two terms, gradients included; with no row past tau, the
+    unlabeled gradient is zero and the sum's gradient is ``sup.grad`` itself."""
+    return BatchLoss(value=sup.value + unsup.value, pass_count=unsup.pass_count,
+                     grad=sup.grad + unsup.grad if unsup.pass_count else sup.grad,
                      pseudo_labels=unsup.pseudo_labels, passed=unsup.passed)

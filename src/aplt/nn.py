@@ -98,9 +98,16 @@ class OptimizerState:
     step_count: int = 0
 
 
+def as_rows(x) -> np.ndarray:
+    """``np.atleast_2d(np.asarray(x, dtype=np.float64))``, with no call for an x it would return."""
+    if type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64:
+        return x
+    return np.atleast_2d(np.asarray(x, dtype=np.float64))
+
+
 def _check_input(m: EncoderModel, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != m.input_dim:
+    x = as_rows(x)
+    if x.shape[1] != m._views["w1"].shape[0]:
         raise DimensionMismatchError(
             f"input dim {x.shape[1]} != model dim {m.input_dim}")
     return x
@@ -121,28 +128,30 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     """Row softmax computed in the buffer ``logits`` and returned: shift by
     the row max, exponentiate and normalize in place. Every caller passes a
     temporary of its own."""
-    logits -= logits.max(axis=1, keepdims=True)
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
+    logits /= np.add.reduce(logits, axis=1, keepdims=True)
     return logits
 
 
 def head_probs(m: EncoderModel, feats: np.ndarray) -> np.ndarray:
     """The head's class probabilities for the features ``feats``."""
-    logits = feats @ m.hw
-    logits += m.hb
+    logits = feats @ m._views["hw"]
+    logits += m._views["hb"]
     return softmax(logits)
 
 
 def forward(m: EncoderModel, x: np.ndarray, head: bool = False) -> Activations:
     """One encoder pass over x, plus the head's probabilities when ``head``."""
     x = _check_input(m, x)
-    z1 = x @ m.w1 + m.b1
+    w = m._views
+    z1 = x @ w["w1"] + w["b1"]
     a1 = np.maximum(z1, 0.0)
-    v = a1 @ m.w2 + m.b2
-    norms = np.maximum(np.linalg.norm(v, axis=1, keepdims=True), _NORM_FLOOR)
-    feats = v / norms
-    return Activations(z1, a1, norms, feats, head_probs(m, feats) if head else None)
+    v = a1 @ w["w2"] + w["b2"]
+    # the sum is what np.linalg.norm(v, axis=1, keepdims=True) takes the root of
+    norms = np.maximum(np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True)), _NORM_FLOOR)
+    v /= norms
+    return Activations(z1, a1, norms, v, head_probs(m, v) if head else None)
 
 
 def forward_features(m: EncoderModel, x: np.ndarray) -> np.ndarray:
@@ -205,49 +214,47 @@ def backward(m: EncoderModel, x: np.ndarray,
         raise ApltError("backward needs at least one upstream gradient")
     if acts is None:
         acts = forward(m, x, head=d_probs is not None)
-    z1, a1, norms, feats = acts.z1, acts.a1, acts.norms, acts.feats
+    z1, a1, norms, feats, probs = acts
+    w = m._views
     B = x.shape[0]
 
-    grad = np.zeros_like(m.theta)
-    g = m.params(grad)
-    dF = np.zeros_like(feats)
+    # the scalar 0.0 stands for a zero array: 0.0 + a term has its bits
+    dF, head = 0.0, (np.zeros(w["hw"].size + w["hb"].size),)
     if d_probs is not None:
         d_probs = np.asarray(d_probs, dtype=np.float64)
-        if d_probs.shape != (B, m.num_classes):
+        if d_probs.shape != (B, w["hb"].size):
             raise DimensionMismatchError("d_probs shape mismatch")
-        p = acts.probs if acts.probs is not None else head_probs(m, feats)
+        p = probs if probs is not None else head_probs(m, feats)
         # softmax Jacobian-vector product
-        inner = (p * d_probs).sum(axis=1, keepdims=True)
-        d_logits = p * d_probs - p * inner
-        np.matmul(feats.T, d_logits, out=g["hw"])
-        d_logits.sum(axis=0, out=g["hb"])
-        dF += d_logits @ m.hw.T
-
+        pd = p * d_probs
+        d_logits = pd - p * np.add.reduce(pd, axis=1, keepdims=True)
+        head = (feats.T @ d_logits, np.add.reduce(d_logits, axis=0))
+        dF += d_logits @ w["hw"].T
     if d_feats is not None:
         d_feats = np.asarray(d_feats, dtype=np.float64)
         if d_feats.shape != feats.shape:
             raise DimensionMismatchError("d_feats shape mismatch")
         dF += d_feats
 
-    dv = (dF - feats * (feats * dF).sum(axis=1, keepdims=True)) / norms
-    np.matmul(a1.T, dv, out=g["w2"])
-    dv.sum(axis=0, out=g["b2"])
-    dz1 = (dv @ m.w2.T) * (z1 > 0)
-    np.matmul(x.T, dz1, out=g["w1"])
-    dz1.sum(axis=0, out=g["b1"])
-    return grad
+    dF -= feats * np.add.reduce(feats * dF, axis=1, keepdims=True)
+    dv = np.divide(dF, norms, out=dF)
+    dz1 = dv @ w["w2"].T
+    dz1 *= z1 > 0
+    # PARAM_NAMES order, as m.theta
+    return np.concatenate((x.T @ dz1, np.add.reduce(dz1, axis=0),
+                           a1.T @ dv, np.add.reduce(dv, axis=0), *head), axis=None)
 
 
 def sgd_step(m: EncoderModel, state: OptimizerState, grad: np.ndarray, lr: float) -> None:
     """v <- mu*v + g + wd*theta ; theta <- theta - lr*v  (in place, over the
     flat vectors)."""
-    if not np.isfinite(grad).all():
+    if not np.logical_and.reduce(np.isfinite(grad)):
         first = np.flatnonzero(~np.isfinite(grad))[0]
         name = next(name for name, _, stop, _ in m._layout if first < stop)
         raise NonFiniteError(f"nonfinite gradient in {name}; aborting run")
     if state.velocity is None:
-        state.velocity = np.zeros_like(m.theta)
-    v, theta = state.velocity, m.theta
+        state.velocity = np.zeros(m._theta.size)
+    v, theta = state.velocity, m._theta
     v *= state.momentum
     v += grad
     v += state.weight_decay * theta

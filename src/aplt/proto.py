@@ -16,7 +16,7 @@ import numpy as np
 
 from .cluster import PrototypeBank, PseudoLabelSet
 from .errors import DimensionMismatchError, EmptyBatchError, InvalidParameterError
-from .nn import softmax
+from .nn import as_rows, softmax
 
 _P_FLOOR = 1e-300
 
@@ -44,7 +44,7 @@ class MarginLoss:
 
 
 def _scores(bank: PrototypeBank, F: np.ndarray) -> np.ndarray:
-    F = np.atleast_2d(np.asarray(F, dtype=np.float64))
+    F = as_rows(F)
     if F.shape[1] != bank.rho.shape[1]:
         raise DimensionMismatchError(
             f"feature dim {F.shape[1]} != prototype dim {bank.rho.shape[1]}")
@@ -57,30 +57,30 @@ def predict(bank: PrototypeBank, F: np.ndarray) -> np.ndarray:
 
 
 def _margin(bank: PrototypeBank, F: np.ndarray, targets: np.ndarray,
-            kept: np.ndarray, cfg: MarginConfig) -> MarginLoss:
+            kept: np.ndarray | None, cfg: MarginConfig) -> MarginLoss:
     """Softmax cross-entropy over prototype similarities. Rows where
     ``kept`` is False contribute zero loss and zero gradient but stay in
-    the batch-size denominator."""
+    the batch-size denominator; ``kept=None`` keeps every row."""
     B = F.shape[0]
     rows = np.arange(B)
     p = softmax(_scores(bank, F) / cfg.temperature)
-    py = np.maximum(p[rows, targets], _P_FLOOR)
-    value = float((kept * -np.log(py)).sum() / B)
+    nll = -np.log(np.maximum(p[rows, targets], _P_FLOOR))
     p[rows, targets] -= 1.0
-    p[~kept] = 0.0
-    d_feats = p @ bank.rho / (B * cfg.temperature)
-    return MarginLoss(value=value, pass_count=int(kept.sum()), d_feats=d_feats)
+    if kept is not None:
+        nll *= kept
+        p[~kept] = 0.0
+    return MarginLoss(value=float(np.add.reduce(nll) / B),
+                      pass_count=B if kept is None else int(np.count_nonzero(kept)),
+                      d_feats=p @ bank.rho / (B * cfg.temperature))
 
 
 def margin_loss_labeled(bank: PrototypeBank, F: np.ndarray, labels: np.ndarray,
                         cfg: MarginConfig) -> MarginLoss:
     """Margin cross-entropy against ground-truth targets, every row kept."""
-    F = np.atleast_2d(np.asarray(F, dtype=np.float64))
-    B = F.shape[0]
-    if B == 0:
+    F = as_rows(F)
+    if F.shape[0] == 0:
         raise EmptyBatchError("margin_loss_labeled on empty batch")
-    return _margin(bank, F, np.asarray(labels, dtype=np.int64),
-                   np.ones(B, dtype=bool), cfg)
+    return _margin(bank, F, np.asarray(labels, dtype=np.int64), None, cfg)
 
 
 def margin_loss_unlabeled(bank: PrototypeBank, F: np.ndarray,
@@ -88,9 +88,9 @@ def margin_loss_unlabeled(bank: PrototypeBank, F: np.ndarray,
                           cfg: MarginConfig) -> MarginLoss:
     """Same form with offline pseudo-labels; rows whose pseudo-label was
     discarded are masked out."""
-    F = np.atleast_2d(np.asarray(F, dtype=np.float64))
+    F = as_rows(F)
     targets = pseudo.label_lookup()[np.asarray(pool_indices, dtype=np.int64)]
     kept = targets >= 0
-    if not kept.any():  # also an empty batch
-        return MarginLoss(value=0.0, pass_count=0, d_feats=np.zeros_like(F))
+    if not np.count_nonzero(kept):  # also an empty batch
+        return MarginLoss(value=0.0, pass_count=0, d_feats=np.zeros(F.shape))
     return _margin(bank, F, np.where(kept, targets, 0), kept, cfg)

@@ -92,7 +92,7 @@ class TestTrain:
         names = {"dir": tmp_path, "csv": dataset_csv, "ckpt": ckpt, "out": tmp_path / "run"}
         rc = cli.main([arg.format(**names) for arg in command])
         assert rc == 1
-        assert "file not found: " in capsys.readouterr().err
+        assert "path is not a file: " in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("rows,message", [
@@ -503,9 +503,13 @@ class TestConfigResolution:
          "config error: cannot write to {file}/sub: {file} is not a directory"),
         (["gen", "--out", "{file}/x.csv"],
          "config error: cannot write to {file}: {file} is not a directory"),
+        (["gen", "--preset", "hard12", "--out", "{dir}"],
+         "config error: cannot write to {dir}: it is a directory"),
+        (["train", "--data", "{dir}", "--out", "{out}"],
+         "config error: dataset path is not a file: {dir}"),
     ], ids=["train_seed", "ablate_seeds", "gen_seed", "gen_split_seed", "config_dir",
             "config_not_utf8", "config_not_json", "train_out_file", "compare_out_under_file",
-            "ablate_out_under_file", "gen_out_under_file"])
+            "ablate_out_under_file", "gen_out_under_file", "gen_out_dir", "train_data_dir"])
     def test_bad_seed_or_unreadable_config_exits_one_without_outputs(
             self, tmp_path, dataset_csv, capsys, command, message):
         """Each is a one-line error (``ablate --seeds`` a usage error, as

@@ -247,6 +247,22 @@ class TestEvaluate:
         assert proto_acc is None and param_acc is not None
 
 
+@pytest.mark.parametrize("epochs", [(2, 6), (0, 0)], ids=["trained", "no_epoch"])
+def test_final_scores_reuse_the_last_epoch_record(monkeypatch, epochs):
+    """A run scores each epoch once and does not score its final model
+    again; only a run with no epoch scores it at the end."""
+    cfg = small_config(f"schedule.warmup_epochs={epochs[0]}",
+                       f"schedule.main_epochs={epochs[1]}")
+    trainer = engine._Trainer(small_dataset(), cfg, "aplt")
+    scored = []
+    monkeypatch.setattr(engine, "evaluate",
+                        lambda *args, _real=engine.evaluate: scored.append(1) or _real(*args))
+    final = trainer.finish().metrics.final
+    assert len(scored) == max(sum(epochs), 1)
+    assert (final["test_acc_proto"], final["test_acc_param"]) == trainer.probe.scores(
+        trainer.model, trainer.bank, trainer.X)
+
+
 def test_offline_passes_peak_memory_is_bounded():
     """Feature extraction and evaluation hold one row block's activations at
     a time: at n_u = 50,000 a one-pass encoder would add about 75 MiB (z1, a1,

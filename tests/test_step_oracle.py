@@ -1,0 +1,168 @@
+"""The online step's numeric path against its straightforward version
+(``oracle_step.py``), byte for byte: encoder forward and backward, the
+masked cross-entropy, the prototype margin and both augmentations. The gate
+(``tools/gate_outputs.py``) checks the same property end to end in about a
+minute and a half; these checks take seconds and name the function that
+moved."""
+
+import numpy as np
+import pytest
+
+import oracle_step as oracle
+from aplt import augment, cluster, fixmatch, nn, proto
+
+SEEDS = range(20)
+
+
+def same(a, b):
+    """Equal bytes, shape and dtype; None only against None."""
+    if a is None or b is None:
+        return a is None and b is None
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def draw_model(rng, C=None):
+    d, h, e = rng.integers(1, 9, size=3)
+    m = nn.EncoderModel.init(d, h, e, C or int(rng.integers(1, 9)), rng)
+    m.theta[:] += rng.normal(scale=0.1, size=m.theta.size)  # nonzero biases too
+    return m
+
+
+def zero_row_model(rng):
+    """A model whose encoder maps the zero row to v = 0: b1 <= 0 keeps the
+    hidden layer off there, and b2 = 0, so the row's norm is _NORM_FLOOR."""
+    m = draw_model(rng)
+    m.b1[:] = -np.abs(m.b1)
+    m.b2[:] = 0.0
+    return m
+
+
+def draw_batch(rng, m, B=None):
+    return rng.normal(size=(B or int(rng.integers(1, 70)), m.input_dim))
+
+
+def draw_bank(rng, C, e):
+    rho = rng.normal(size=(C, e))
+    rho /= np.linalg.norm(rho, axis=1, keepdims=True)
+    return cluster.PrototypeBank(rho=rho, counts=np.ones(C, dtype=np.int64))
+
+
+def cases(seed):
+    """(model, batch) pairs for one seed: a random batch, a one-row batch
+    and a batch whose first row hits the norm floor."""
+    rng = np.random.default_rng(seed)
+    m = draw_model(rng)
+    z = zero_row_model(rng)
+    zx = draw_batch(rng, z)
+    zx[0] = 0.0
+    return [(m, draw_batch(rng, m)), (m, draw_batch(rng, m, B=1)), (z, zx)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_forward_matches(seed):
+    for m, x in cases(seed):
+        for head in (False, True):
+            new, old = nn.forward(m, x, head=head), oracle.forward(m, x, head=head)
+            assert all(same(a, b) for a, b in zip(new, old))
+
+
+def test_zero_row_hits_the_norm_floor():
+    m, x = cases(0)[2]
+    acts = nn.forward(m, x)
+    assert acts.norms[0, 0] == nn._NORM_FLOOR and not acts.feats[0].any()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("upstream", ["probs", "feats", "both"])
+def test_backward_matches(seed, upstream):
+    rng = np.random.default_rng(1000 + seed)
+    for m, x in cases(seed):
+        kwargs = {}
+        if upstream in ("probs", "both"):
+            kwargs["d_probs"] = rng.normal(size=(x.shape[0], m.num_classes))
+        if upstream in ("feats", "both"):
+            kwargs["d_feats"] = rng.normal(size=(x.shape[0], m.feature_dim))
+        want = oracle.backward(m, x, **kwargs)
+        assert same(nn.backward(m, x, **kwargs), want)
+        for head in (False, True):
+            assert same(nn.backward(m, x, **kwargs, acts=nn.forward(m, x, head=head)), want)
+
+
+def masks(rng, B):
+    """None (every row kept) and the masks: all kept, random, none kept."""
+    return [None, np.ones(B, dtype=bool), rng.random(B) < 0.5, np.zeros(B, dtype=bool)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("scale", [1.0, 1e4])
+def test_masked_ce_matches(seed, scale):
+    """scale 1e4 makes the head's softmax underflow to exact zeros, so some
+    targets' probabilities are 0 and hit the log floor."""
+    rng = np.random.default_rng(2000 + seed)
+    for m, x in cases(seed):
+        m.hw[:] *= scale
+        targets = rng.integers(0, m.num_classes, size=x.shape[0])
+        for kept in masks(rng, x.shape[0]):
+            value, grad = fixmatch._masked_ce(m, x, targets, kept)
+            old_kept = np.ones(x.shape[0], dtype=bool) if kept is None else kept
+            want_value, want_grad = oracle._masked_ce(m, x, targets, old_kept)
+            assert repr(value) == repr(want_value)
+            assert same(grad, want_grad)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_margin_matches(seed):
+    rng = np.random.default_rng(3000 + seed)
+    cfg = proto.MarginConfig(temperature=float(rng.choice([0.1, 1.0])))
+    for m, x in cases(seed):
+        C = int(rng.integers(1, 9))
+        bank = draw_bank(rng, C, m.feature_dim)
+        F = nn.forward(m, x).feats
+        B = F.shape[0]
+        targets = rng.integers(0, C, size=B)
+        all_kept = np.ones(B, dtype=bool)
+        pairs = [(proto._margin(bank, F, targets, kept, cfg),
+                  oracle._margin(bank, F, targets, all_kept if kept is None else kept, cfg))
+                 for kept in masks(rng, B)]
+        pairs.append((proto.margin_loss_labeled(bank, F, targets, cfg),
+                      oracle._margin(bank, F, targets, all_kept, cfg)))
+        for new, old in pairs:
+            assert repr(new.value) == repr(old.value) and new.pass_count == old.pass_count
+            assert same(new.d_feats, old.d_feats)
+
+
+@pytest.mark.parametrize("kept_idx", [[], [0, 1, 2, 3, 4], [1, 3]],
+                         ids=["all_masked", "all_kept", "some_kept"])
+def test_unlabeled_margin_matches(kept_idx):
+    rng = np.random.default_rng(4)
+    m = draw_model(rng)
+    bank = draw_bank(rng, 3, m.feature_dim)
+    F = nn.forward(m, draw_batch(rng, m, B=5)).feats
+    pseudo = cluster.PseudoLabelSet(
+        indices=np.asarray(kept_idx, dtype=np.int64),
+        labels=np.arange(len(kept_idx), dtype=np.int64) % 3,
+        tau_adapt=np.zeros(3), tau_global=0.0, tau_local=np.zeros(3),
+        coverage=len(kept_idx) / 5, n_unlabeled=5)
+    cfg = proto.MarginConfig()
+    new = proto.margin_loss_unlabeled(bank, F, np.arange(5), pseudo, cfg)
+    targets = pseudo.label_lookup()
+    kept = targets >= 0
+    if kept.any():
+        old = oracle._margin(bank, F, np.where(kept, targets, 0), kept, cfg)
+        old_value, old_d = old.value, old.d_feats
+    else:
+        old_value, old_d = 0.0, np.zeros_like(F)
+    assert repr(new.value) == repr(old_value) and new.pass_count == len(kept_idx)
+    assert same(new.d_feats, old_d)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("mask_prob", [0.0, 0.1, 1.0])
+def test_augmentations_match_and_draw_alike(seed, mask_prob):
+    cfg = augment.AugmentConfig(strong_mask_prob=mask_prob)
+    x = np.random.default_rng(seed).normal(size=(int(seed) + 1, 6))
+    for name in ("weak", "strong"):
+        new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        new = getattr(augment, name)(x, cfg, new_rng)
+        assert same(new, getattr(oracle, name)(x, cfg, old_rng))
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state

@@ -1,0 +1,23 @@
+"""Smoke test of ``tools/step_probe.py``: a few timed steps, and call counts
+under those of the online step before its call diet (213 Python-level and
+188 C-level calls per post-warm-up step)."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_probe_counts_calls_then_times_steps():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "step_probe.py"), "--steps", "3"],
+                          capture_output=True, text=True, env=env, timeout=300, check=True)
+    counts, timing = proc.stdout.splitlines()
+    python_calls, c_calls = map(int, re.fullmatch(
+        r"calls per step: (\d+) Python-level, (\d+) C-level", counts).groups())
+    assert 0 < python_calls < 213 and 0 < c_calls < 188
+    assert re.fullmatch(r"step time over 3 steps: median \d+ us \(quartiles \d+-\d+ us\)",
+                        timing)

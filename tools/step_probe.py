@@ -1,0 +1,66 @@
+"""Calls and time of one post-warm-up APLT optimizer step at the default config.
+
+    PYTHONPATH=src python tools/step_probe.py [--steps 400] [--seed 0]
+
+Trains the default warm-up on the ``hard12`` preset at 10% labels (the gate
+data) and runs the first offline event. Then it counts one online step's
+Python-level and C-level calls (the ``call`` and ``c_call`` events of
+``sys.setprofile``) and prints the median and quartiles of ``--steps`` more
+steps' times, with one BLAS thread pinned before numpy loads.
+"""
+
+import argparse
+import itertools
+import os
+import statistics
+import sys
+import time
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from aplt import augment, cli, config, data, engine, nn  # noqa: E402
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--steps", type=int, default=400, help="timed steps")
+    parser.add_argument("--seed", type=int, default=0, help="training seed")
+    args = parser.parse_args(argv)
+    cfg, _ = config.resolve(overrides=[f"seed={args.seed}"])
+    p = cli.PRESETS["hard12"]
+    ds = data.apply_split(data.generate_synthetic(p["classes"], p["dim"], p["per_class"],
+                                                  p["overlap"], p["seed"]),
+                          data.SplitSpec(labeled_ratio=0.1))
+    trainer = engine._Trainer(ds, cfg, "aplt")
+    trainer.train(cfg.schedule.warmup_epochs)
+    trainer.offline_phase(trainer.epoch)
+    lr = nn.cosine_lr(trainer.epoch, cfg.schedule.total_epochs, cfg.optimizer.base_lr)
+    lam, view_fn = cfg.margin.lam, augment.strong
+    feed = itertools.chain.from_iterable(iter(trainer._epoch_chunks, None))  # epoch after epoch
+    trainer._train_step(next(feed), lr, lam, view_fn)  # first-call effects out of the count
+    counts = {"call": 0, "c_call": 0}
+
+    def count(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    chunk = next(feed)
+    sys.setprofile(count)
+    trainer._train_step(chunk, lr, lam, view_fn)
+    sys.setprofile(None)
+    print(f"calls per step: {counts['call']} Python-level, {counts['c_call']} C-level")
+    times = []
+    for _ in range(args.steps):
+        chunk = next(feed)
+        start = time.perf_counter()
+        trainer._train_step(chunk, lr, lam, view_fn)
+        times.append((time.perf_counter() - start) * 1e6)
+    q1, med, q3 = (statistics.quantiles(times, n=4, method="inclusive")
+                   if len(times) > 1 else times * 3)
+    print(f"step time over {len(times)} steps: median {med:.0f} us "
+          f"(quartiles {q1:.0f}-{q3:.0f} us)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
