@@ -276,7 +276,7 @@ def _class_sums(C: int, e: int, *blocks):
     return sums, counts
 
 
-def _lloyd(F: np.ndarray, centers: np.ndarray, anchors: tuple,
+def _lloyd(F: np.ndarray, centers: np.ndarray, anchors: tuple, base: tuple,
            cfg: ClusterConfig) -> ClusterResult:
     """Lloyd rounds over the rows of F, starting from ``centers``.
 
@@ -284,6 +284,7 @@ def _lloyd(F: np.ndarray, centers: np.ndarray, anchors: tuple,
     centre to the unit-normalized mean of its anchors, the rows of the
     (features, labels) blocks in ``anchors``, plus its assigned rows; a
     centre with neither restarts at the row farthest from its own centre.
+    ``base`` is the anchors' ``_class_sums``.
     The objective, traced on the new centres, is the sum over anchor blocks
     of their rows' squared distances to their class centre, plus that of
     d2, each row's squared distance to its centre (``_sq_dists`` for both);
@@ -296,7 +297,8 @@ def _lloyd(F: np.ndarray, centers: np.ndarray, anchors: tuple,
     - Only classes whose membership changed are summed again (or empty
       ones). Any other class would sum the same rows in the same order, so
       its centre keeps its exact bits and moves 0.
-    - d2 is recomputed only for rows whose assignment or centre changed.
+    - d2 is recomputed only for rows whose assignment or centre changed,
+      and so are the anchors' distances.
     - A row is searched again only when the centres moved and its bounds do
       not rule out a change (Hamerly, SDM 2010). ``up`` bounds its distance
       to its own centre from d2, ``lo`` its distance to every other centre:
@@ -306,12 +308,8 @@ def _lloyd(F: np.ndarray, centers: np.ndarray, anchors: tuple,
       so its answer would be the current one.
     """
     C, e = centers.shape
-    base_sums, base_counts = _class_sums(C, e, *anchors)
-
-    def objective(centers, d2):
-        anchored = sum(_sq_dists(F_a, centers, y).sum() for F_a, y in anchors)
-        return float(anchored + d2.sum())
-
+    base_sums, base_counts = base
+    anchor_d2 = [np.empty(y.size) for _, y in anchors]
     f_sq = np.einsum("ij,ij->i", F, F)
     assign, d2, lo2 = _nearest(F, centers)
     lo = _sqrt_down(lo2)
@@ -334,8 +332,13 @@ def _lloyd(F: np.ndarray, centers: np.ndarray, anchors: tuple,
         new_centers = centers.copy()
         new_centers[classes] = _unit_rows(means)
         d2[members] = _sq_dists(F, new_centers, assign[members], members)
+        moved = (new_centers != centers).any(axis=1) if trace else np.ones(C, dtype=bool)
+        for (F_a, y), d in zip(anchors, anchor_d2):
+            rows = np.flatnonzero(moved[y])
+            d[rows] = _sq_dists(F_a, new_centers, y[rows], rows)
+        anchored = sum(d.sum() for d in anchor_d2)
 
-        obj = objective(new_centers, d2)
+        obj = float(anchored + d2.sum())
         if trace and obj > trace[-1] + 1e-9:
             monotonic = False
         trace.append(obj)
@@ -360,7 +363,7 @@ def _lloyd(F: np.ndarray, centers: np.ndarray, anchors: tuple,
     # without a change since the last round, its traced objective stands
     return ClusterResult(centroids=centers, assignments=assign,
                          distances=np.sqrt(d2), iterations_run=iterations,
-                         objective=objective(centers, d2) if touched.any() else trace[-1],
+                         objective=float(anchored + d2.sum()) if touched.any() else trace[-1],
                          objective_trace=trace, monotonic=monotonic)
 
 
@@ -398,7 +401,7 @@ def ss_kmeans(F_l: np.ndarray, F_u: np.ndarray, F_sl: np.ndarray,
     # F_sl stacks the labeled copies copy-major
     anchors = ((F_l, labels), (F_sl, np.tile(labels, F_sl.shape[0] // labels.size)))
     sums, counts = _class_sums(num_classes, F_l.shape[1], *anchors)
-    return _lloyd(F_u, _unit_rows(sums / counts[:, None]), anchors, cfg)
+    return _lloyd(F_u, _unit_rows(sums / counts[:, None]), anchors, (sums, counts), cfg)
 
 
 def adaptive_thresholds(result: ClusterResult, C: int):
@@ -480,7 +483,7 @@ def pure_kmeans(F_l: np.ndarray, F_u: np.ndarray, labels: np.ndarray, C: int,
         centers[k] = X[mind.argmax()]
         mind = np.minimum(mind, np.linalg.norm(X - centers[k], axis=1))
 
-    result = _lloyd(X, centers, (), cfg)
+    result = _lloyd(X, centers, (), _class_sums(C, X.shape[1]), cfg)
     cluster_to_class = _majority_map(result.assignments[:n_l], labels, C)
     return replace(result,
                    centroids=result.centroids[_inverse_or_identity(cluster_to_class, C)],

@@ -6,8 +6,8 @@ no quoting, so a load error names the physical line the parser stopped on.
 A dataset carries every sample's true label, but after a split only the
 labeled subset may feed training; the remaining true labels exist purely for
 evaluation-time scoring (pseudo-label accuracy, test accuracy). A run hands
-them to its held-out probe (``engine._HeldOut``) and to nothing else, and
-``poison_eval_labels`` exists so tests can prove it.
+them to its held-out probe (``engine._HeldOut``) and to nothing else; the
+leakage tests check it on copies whose held-out labels are scrambled.
 """
 
 from __future__ import annotations
@@ -146,19 +146,6 @@ def validate_for_training(ds: FeatureDataset) -> None:
     if missing:
         raise MissingLabeledClassError(
             f"missing-labeled-class: classes {missing} have no labeled sample")
-
-
-def poison_eval_labels(ds: FeatureDataset, seed: int = 0) -> FeatureDataset:
-    """Randomize the true labels of unlabeled samples (leakage-guard harness).
-
-    Training-path outputs must be bit-identical on the poisoned copy; only
-    evaluation metrics may move.
-    """
-    rng = np.random.default_rng(seed)
-    labels = ds.true_labels.copy()
-    unl = ds.unlabeled_indices()
-    labels[unl] = rng.integers(0, ds.num_classes, size=unl.size)
-    return replace(ds, true_labels=labels)
 
 
 # ---------------------------------------------------------------------------

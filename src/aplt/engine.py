@@ -9,8 +9,9 @@ prototype margin terms scaled by lambda.
 
 Runs with equal ``_warmup_key``s train the same warm-up, since nothing
 before the first offline event reads the rest. ``run_cells``, behind
-``compare`` and the ablation grid, trains each such warm-up once. Every run
-branches from it in the pool worker that finishes it (see ``finish_all``).
+``compare`` and the ablation grid, trains each such warm-up once. Branches
+with equal ``_stream_key``s then make the same random draws, so a pool
+worker finishes them together on one copy of each draw (``_train_group``).
 
 Per-epoch and per-event records go into RunMetrics; serialization is
 timestamp-free so identical configs and seeds produce byte-identical logs.
@@ -215,18 +216,18 @@ class _Trainer:
 
     # -- online steps -------------------------------------------------------
 
-    def _labeled_batch(self, size: int) -> np.ndarray:
-        n = self.lab.size
-        return self.rng_train.choice(n, size=size, replace=n < size)
-
     def train(self, until: int) -> None:
         """Trains epochs [self.epoch, until), offline events included."""
+        _train_group([self], until)
+
+    def _epochs(self, until: int):
+        """``train`` as a coroutine: each epoch runs its offline event, steps
+        on each (chunk, ``_draw(chunk)``) sent to it, and ends on None. It
+        then waits on a last ``yield``, so no send finds it returned."""
         cfg = self.cfg
-        sched = cfg.schedule
-        total = sched.total_epochs
-        offline_at = set(sched.offline_epochs()) if self.mode == "aplt" else set()
+        total = cfg.schedule.total_epochs
+        offline_at = set(cfg.schedule.offline_epochs()) if self.mode == "aplt" else set()
         lam = cfg.margin.lam
-        view_fn = aug_mod.strong if cfg.margin.view == "strong" else aug_mod.weak
 
         for epoch in range(self.epoch, until):
             lr = nn.cosine_lr(epoch, total, cfg.optimizer.base_lr)
@@ -235,8 +236,9 @@ class _Trainer:
 
             sums = {"logits": 0.0, "margin": 0.0, "total": 0.0}
             pass_count = passed_correct = steps = 0
-            for chunk in self._epoch_chunks():
-                step_logits, step_margin, uns = self._train_step(chunk, lr, lam, view_fn)
+            while (step := (yield)) is not None:
+                chunk, views = step
+                step_logits, step_margin, uns = self._train_step(chunk, views, lr, lam)
                 sums["logits"] += step_logits
                 sums["margin"] += step_margin
                 sums["total"] += step_logits + lam * step_margin
@@ -271,6 +273,7 @@ class _Trainer:
                 "pseudo_digest": self.pseudo.digest() if self.pseudo else None,
             })
             self.epoch = epoch + 1
+        yield
 
     def branch(self, cfg, mode: str) -> "_Trainer":
         """A copy of this run that goes on under ``cfg`` and ``mode``.
@@ -316,23 +319,40 @@ class _Trainer:
         order = self.rng_train.permutation(self.unl.size)
         return [order[i:i + B] for i in range(0, order.size, B)]
 
-    def _train_step(self, chunk, lr, lam, view_fn):
-        """One optimizer step. Returns the logit-path loss, the margin loss
-        and the unlabeled consistency term (None in labeled_only mode)."""
-        m, cfg = self.model, self.cfg
-        lidx = self._labeled_batch(chunk.size)
-        x_l, y_l = self.X[self.lab[lidx]], self.y_l[lidx]
-        total = fm_mod.supervised_loss(m, x_l, y_l, cfg.augment, self.rng_train)
-        uns = x_u = None
+    def _draw(self, chunk) -> list:
+        """Every ``rng_train`` draw of a step on ``chunk``, in order: the
+        labeled batch (positions in ``lab``) and its weak view; unless
+        labeled_only, the chunk's weak and strong views; once a bank exists,
+        both margin views. Read-only: a whole stream group steps on them."""
+        cfg, rng, n = self.cfg, self.rng_train, self.lab.size
+        lidx = rng.choice(n, size=chunk.size, replace=n < chunk.size)
+        x_l = self.X[self.lab[lidx]]
+        views = [lidx, aug_mod.weak(x_l, cfg.augment, rng)]
         if self.mode != "labeled_only":
             x_u = self.X[self.unl[chunk]]
-            uns = fm_mod.unlabeled_loss(m, x_u, cfg.fixmatch, cfg.augment, self.rng_train)
+            views += (aug_mod.weak(x_u, cfg.augment, rng), aug_mod.strong(x_u, cfg.augment, rng))
+            if self.bank is not None:  # only aplt runs build one
+                view_fn = aug_mod.strong if cfg.margin.view == "strong" else aug_mod.weak
+                views += (view_fn(x_l, cfg.augment, rng), view_fn(x_u, cfg.augment, rng))
+        for a in views:
+            a.flags.writeable = False
+        return views
+
+    def _train_step(self, chunk, views, lr, lam):
+        """One optimizer step on ``_draw(chunk)``'s views. Returns the
+        logit-path loss, the margin loss and the unlabeled consistency term
+        (None in labeled_only mode)."""
+        m, cfg = self.model, self.cfg
+        y_l = self.y_l[views[0]]
+        total = fm_mod.supervised_loss(m, views[1], y_l)
+        uns = None
+        if self.mode != "labeled_only":
+            uns = fm_mod.unlabeled_loss(m, views[2], views[3], cfg.fixmatch)
             total = fm_mod.warmup_objective(total, uns)
         grad = total.grad
         margin_value = 0.0
-        if self.bank is not None:  # only aplt runs build one, so x_u is set
-            xl_v = view_fn(x_l, cfg.augment, self.rng_train)
-            xu_v = view_fn(x_u, cfg.augment, self.rng_train)
+        if self.bank is not None:
+            xl_v, xu_v = views[4:]
             acts_l = nn.forward(m, xl_v)
             acts_u = nn.forward(m, xu_v)
             msup = proto_mod.margin_loss_labeled(self.bank, acts_l.feats, y_l, cfg.margin)
@@ -367,6 +387,34 @@ def _warmup_key(cfg, mode: str):
     return replace(cfg, mode="", cluster=None, margin=None), mode == "labeled_only"
 
 
+def _stream_key(cfg, mode: str):
+    """What a run's ``rng_train`` draws read (no data, no model): branches of
+    one warm-up with equal keys draw the same permutations and views."""
+    return _warmup_key(cfg, mode), mode, cfg.margin.view
+
+
+def _train_group(group: list, until: int, collect=None) -> None:
+    """Trains epochs [group[0].epoch, until) of branches of one warm-up with
+    equal ``_stream_key``s, which step in turn on the first one's draws and
+    share its ``rng_train``. ``collect.at`` is the running trainer's index."""
+    lead, epochs = group[0], range(group[0].epoch, until)
+    for t in group:
+        t.rng_train = lead.rng_train
+    runs = [t._epochs(until) for t in group]
+
+    def send(step):
+        for i, run in enumerate(runs):
+            if collect is not None:
+                collect.at = i
+            run.send(step)
+
+    send(None)  # every run opens its first epoch
+    for _ in epochs:
+        for chunk in lead._epoch_chunks():
+            send((chunk, lead._draw(chunk)))
+        send(None)  # every run records the epoch and opens the next
+
+
 def _pool_size(n_tasks: int) -> int:
     if hasattr(os, "sched_getaffinity"):
         usable = len(os.sched_getaffinity(0))
@@ -376,43 +424,33 @@ def _pool_size(n_tasks: int) -> int:
 
 
 class _Collect(logging.Handler):
-    def __init__(self):
-        super().__init__()
-        self.records = []
+    """Keeps each record in ``cells[at]``, the list of the cell that runs."""
 
     def emit(self, record):
-        self.records.append(record)
+        self.cells[self.at].append(record)
 
 
-_WARMUPS: list = []  # a pool worker's inherited warm-ups; see _inherit
+_WARMUPS: list = []  # a pool worker's inherited warm-ups (_inherit fills it in place)
 
 
-def _finish_cell(warmups: list, k: int, cfg, mode: str) -> RunMetrics:
-    """The metrics of the cell (k, cfg, mode): warm-up k's branch, finished."""
-    return warmups[k].branch(cfg, mode).finish().metrics
-
-
-def _finish_in_worker(cell):
-    """A cell's metrics and the ``aplt`` log records it emitted; an error
-    carries the records as ``log_records``. The worker holds only a forked
-    copy of the caller's handlers and streams, so the records go back to the
-    caller instead of to those."""
+def _finish_group(cells: list, warmups: list = _WARMUPS):
+    """The metrics and ``aplt`` log records of each (k, cfg, mode) cell of a
+    stream group, branched from warm-up k and finished together. The first
+    failing cell stops the group; its error carries the records up to it."""
     logger = logging.getLogger("aplt")
     collect = _Collect()
+    collect.cells, collect.at = [[] for _ in cells], 0
     saved = logger.handlers, logger.propagate
     logger.handlers, logger.propagate = [collect], False
     try:
-        return _finish_cell(_WARMUPS, *cell), collect.records
+        group = [warmups[k].branch(cfg, mode) for k, cfg, mode in cells]
+        _train_group(group, group[0].cfg.schedule.total_epochs, collect)
+        return [t.finish().metrics for t in group], collect.cells
     except Exception as exc:
-        exc.log_records = collect.records
+        exc.log_records = [r for cell in collect.cells[:collect.at + 1] for r in cell]
         raise
     finally:
         logger.handlers, logger.propagate = saved
-
-
-def _handle(records) -> None:
-    for record in records:
-        logging.getLogger(record.name).handle(record)
 
 
 def _inherit(warmups: list) -> None:
@@ -444,38 +482,22 @@ def _one_blas_thread() -> None:
         pass
 
 
-def finish_all(warmups: list, cells: list) -> list[RunMetrics]:
-    """The metrics of every (warm-up index, cfg, mode) cell, in order.
-
-    Cells go to a pool of forked workers, one per usable CPU at most
-    (``fork`` because an unguarded script that calls ``cli.main`` cannot be
-    re-imported by ``spawn``). Workers inherit the warm-ups and their data
-    pages by ``fork``; a cell goes as its index and config, its metrics come
-    back. An error in any cell is raised here, after the cells not yet
-    started are cancelled. A worker's ``aplt`` log records are handled here,
-    in cell order, as they would be in-process. With one worker, or no
-    ``fork``, ``_finish_cell`` runs the cells in this process."""
-    # imported here: a train run does not need them, and they add to its
-    # start-up time and memory
-    import multiprocessing as mp
-    from concurrent.futures import ProcessPoolExecutor
-
-    workers = _pool_size(len(cells))
-    if workers <= 1 or "fork" not in mp.get_all_start_methods():
-        return [_finish_cell(warmups, *cell) for cell in cells]
-    pool = ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"),
-                               initializer=_inherit, initargs=(warmups,))
-    results = []
-    try:
-        for metrics, records in pool.map(_finish_in_worker, cells):
-            _handle(records)
-            results.append(metrics)
-        return results
-    except Exception as exc:
-        _handle(getattr(exc, "log_records", ()))
-        raise
-    finally:
-        pool.shutdown(cancel_futures=True)
+def _tasks(cells: list, workers: int) -> list[list[int]]:
+    """The positions of the (k, cfg, mode) cells as pool tasks: one per
+    stream group (equal k and ``_stream_key``), in near-equal parts when it
+    has more than ceil(cells / workers) cells. Largest first, and among
+    equal sizes in ``MODES`` order, which is by work per step."""
+    keys, groups = [], []
+    for i, (k, cfg, mode) in enumerate(cells):
+        key = k, _stream_key(cfg, mode)
+        if key not in keys:
+            keys.append(key)
+            groups.append([])
+        groups[keys.index(key)].append(i)
+    limit = -(-len(cells) // workers)
+    tasks = [g[len(g) * p // parts:len(g) * (p + 1) // parts]
+             for g in groups for parts in [-(-len(g) // limit)] for p in range(parts)]
+    return sorted(tasks, key=lambda t: (len(t), -MODES.index(cells[t[0]][2])), reverse=True)
 
 
 def _row_config(cfg, row: str):
@@ -492,8 +514,18 @@ def _row_config(cfg, row: str):
 
 
 def run_cells(ds: FeatureDataset, cells) -> list[RunMetrics]:
-    """The metrics of every (cfg, mode) cell, in order: each ``_warmup_key``'s
-    warm-up is trained once, and ``finish_all`` branches every cell from it."""
+    """The metrics of every (cfg, mode) cell, in order. Each ``_warmup_key``'s
+    warm-up is trained once, here; its cells finish as ``_tasks`` on a pool
+    of forked workers, one per usable CPU at most (``fork``: an unguarded
+    script that calls ``cli.main`` cannot be re-imported by ``spawn``), or
+    in this process with one worker. Workers inherit the warm-ups by
+    ``fork``. An error in a task is raised after the tasks not yet started
+    are cancelled. Log records are handled here, in cell order."""
+    # imported here: a train run does not need them, and they add to its
+    # start-up time and memory
+    import multiprocessing as mp
+    from concurrent.futures import ProcessPoolExecutor
+
     keys, warmups, indexed = [], [], []
     for cfg, mode in cells:
         key = _warmup_key(cfg, mode)
@@ -502,7 +534,30 @@ def run_cells(ds: FeatureDataset, cells) -> list[RunMetrics]:
             warmups.append(_Trainer(ds, cfg, mode))
             warmups[-1].train(cfg.schedule.warmup_epochs)
         indexed.append((keys.index(key), cfg, mode))
-    return finish_all(warmups, indexed)
+    workers = _pool_size(len(cells))
+    tasks = _tasks(indexed, workers)
+    jobs = [[indexed[i] for i in task] for task in tasks]
+    pool = None
+    if workers <= 1 or "fork" not in mp.get_all_start_methods():
+        outs = (_finish_group(job, warmups) for job in jobs)
+    else:
+        pool = ProcessPoolExecutor(min(workers, len(jobs)), mp_context=mp.get_context("fork"),
+                                   initializer=_inherit, initargs=(warmups,))
+        outs = pool.map(_finish_group, jobs)
+    done = {}  # cell position -> (metrics, log records)
+    try:
+        for task, (metrics, records) in zip(tasks, outs):
+            done.update(zip(task, zip(metrics, records)))
+    except Exception as exc:
+        done[len(cells)] = None, getattr(exc, "log_records", ())  # after the finished cells
+        raise
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        for i in sorted(done):
+            for record in done[i][1]:
+                logging.getLogger(record.name).handle(record)
+    return [done[i][0] for i in range(len(cells))]
 
 
 def run_ablation_grid(ds: FeatureDataset, cfg, seeds=None) -> list[dict]:

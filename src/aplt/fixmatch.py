@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import augment, nn
+from . import nn
 from .errors import EmptyBatchError, InvalidParameterError
 
 _P_FLOOR = 1e-300  # log/division guard; softmax underflow only
@@ -68,35 +68,30 @@ def _masked_ce(m: nn.EncoderModel, x: np.ndarray, targets: np.ndarray,
     return float(np.add.reduce(nll) / B), nn.backward(m, x, d_probs=d_probs, acts=acts)
 
 
-def supervised_loss(m: nn.EncoderModel, x: np.ndarray, y: np.ndarray,
-                    aug: augment.AugmentConfig,
-                    rng: np.random.Generator) -> BatchLoss:
-    """Mean cross-entropy of the weak view against ground-truth labels."""
+def supervised_loss(m: nn.EncoderModel, x: np.ndarray, y: np.ndarray) -> BatchLoss:
+    """Mean cross-entropy of a labeled batch's weak view x against its labels y."""
     x = nn.as_rows(x)
     B = x.shape[0]
     if B == 0:
         raise EmptyBatchError("supervised_loss on empty batch")
-    value, grad = _masked_ce(m, augment.weak(x, aug, rng),
-                             np.asarray(y, dtype=np.int64), None)
+    value, grad = _masked_ce(m, x, np.asarray(y, dtype=np.int64), None)
     return BatchLoss(value=value, pass_count=B, grad=grad)
 
 
-def unlabeled_loss(m: nn.EncoderModel, x: np.ndarray, cfg: FixMatchConfig,
-                   aug: augment.AugmentConfig,
-                   rng: np.random.Generator) -> BatchLoss:
-    """Thresholded consistency: weak view labels the strong view.
-
-    q = p(weak(x)); rows with max(q) >= tau supervise p(strong(x)) through
-    cross-entropy with argmax(q). The sum is averaged over the full batch
-    size, masked-out rows included.
+def unlabeled_loss(m: nn.EncoderModel, x: np.ndarray, x_strong: np.ndarray,
+                   cfg: FixMatchConfig) -> BatchLoss:
+    """Thresholded consistency: an unlabeled batch's weak view x labels its
+    strong view x_strong. q = p(x); rows with max(q) >= tau supervise
+    p(x_strong) through cross-entropy with argmax(q). The sum is averaged
+    over the full batch size, masked-out rows included.
     """
     x = nn.as_rows(x)
     if x.shape[0] == 0:
         raise EmptyBatchError("unlabeled_loss on empty batch")
-    q = nn.forward_logits(m, augment.weak(x, aug, rng))  # label source, no grad
+    q = nn.forward_logits(m, x)  # label source, no grad
     qhat = q.argmax(axis=1)
     passed = q[np.arange(qhat.size), qhat] >= cfg.tau  # each row's max(q)
-    value, grad = _masked_ce(m, augment.strong(x, aug, rng), qhat, passed)
+    value, grad = _masked_ce(m, x_strong, qhat, passed)
     return BatchLoss(value=value, pass_count=int(np.count_nonzero(passed)), grad=grad,
                      pseudo_labels=qhat, passed=passed)
 

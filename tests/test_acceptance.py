@@ -15,11 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from aplt import augment, cluster, config, data, engine, fixmatch, nn, proto
+from aplt import cluster, config, data, engine, fixmatch, nn, proto
 from oracle_lloyd import anchored_lloyd
-
-NO_AUG = augment.AugmentConfig(weak_sigma=0.0, strong_sigma=0.0,
-                               strong_mask_prob=0.0)
 
 HARD = dict(C=12, d=32, n_per_class=100, overlap=0.25)
 SEEDS = (0, 1, 2, 3, 4)
@@ -70,9 +67,9 @@ def _combined_case(seed):
 
 
 def _combined_loss_and_grads(m, xl, y, xu, bank, pseudo, fm_cfg, m_cfg):
-    rng = np.random.default_rng(0)  # inert: augmentations are disabled
-    sup = fixmatch.supervised_loss(m, xl, y, NO_AUG, rng)
-    uns = fixmatch.unlabeled_loss(m, xu, fm_cfg, NO_AUG, rng)
+    # each batch is its own weak and strong view: augmentation with zero sigmas
+    sup = fixmatch.supervised_loss(m, xl, y)
+    uns = fixmatch.unlabeled_loss(m, xu, xu, fm_cfg)
     logits_total = fixmatch.warmup_objective(sup, uns)
     F_l = nn.forward_features(m, xl)
     F_u = nn.forward_features(m, xu)

@@ -12,6 +12,7 @@ from aplt.errors import (
     InvalidParameterError,
     MissingLabeledClassError,
 )
+from data_helpers import poison_eval_labels
 
 
 def nearest_mean_accuracy(ds):
@@ -572,7 +573,7 @@ def test_file_that_is_not_utf8_is_a_format_error(tmp_path, where):
 def test_poison_touches_only_unlabeled_labels():
     ds = data.generate_synthetic(4, 3, 30, 0.2, seed=2)
     ds = data.apply_split(ds, data.SplitSpec(labeled_ratio=0.3, seed=0))
-    poisoned = data.poison_eval_labels(ds, seed=99)
+    poisoned = poison_eval_labels(ds, seed=99)
     lab = ds.labeled_indices()
     unl = ds.unlabeled_indices()
     assert np.array_equal(poisoned.true_labels[lab], ds.true_labels[lab])

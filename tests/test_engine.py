@@ -11,6 +11,7 @@ import pytest
 
 from aplt import augment, cli, cluster, config, data, engine, nn, proto
 from aplt.errors import InvalidParameterError
+from data_helpers import poison_eval_labels
 from model_helpers import count_encoder_passes
 
 
@@ -125,7 +126,7 @@ class TestRun:
         ds = small_dataset()
         cfg = small_config(seed=3)
         res_clean = engine.run(ds, cfg)
-        res_poisoned = engine.run(data.poison_eval_labels(ds, seed=1234), cfg)
+        res_poisoned = engine.run(poison_eval_labels(ds, seed=1234), cfg)
         for name in nn.PARAM_NAMES:
             assert np.array_equal(getattr(res_clean.model, name),
                                   getattr(res_poisoned.model, name))
@@ -146,7 +147,7 @@ class TestRun:
         pickles to the same bytes when those labels are scrambled, at
         construction, after warm-up, on a branch and after an offline event."""
         ds = small_dataset()
-        poisoned = data.poison_eval_labels(ds, seed=1234)
+        poisoned = poison_eval_labels(ds, seed=1234)
         cfg = small_config(seed=3)
         warmup = cfg.schedule.warmup_epochs
 
@@ -536,8 +537,8 @@ class TestEncoderPassesPerStep:
         if with_bank:
             trainer.offline_phase(0)
         calls = count_encoder_passes(monkeypatch)
-        _, _, uns = trainer._train_step(trainer._epoch_chunks()[0], 0.01, cfg.margin.lam,
-                                        augment.strong)
+        chunk = trainer._epoch_chunks()[0]
+        _, _, uns = trainer._train_step(chunk, trainer._draw(chunk), 0.01, cfg.margin.lam)
         return calls["forward"], calls["backward"], uns.pass_count
 
     @pytest.mark.parametrize("mode, with_bank, none_past, some_past", [
@@ -613,6 +614,95 @@ class TestRunCells:
         a.events.clear()
         assert b.epochs[0]["lr"] is not None and b.events
         assert b.to_ndjson() == engine.run(small_dataset(), cfg).metrics.to_ndjson()
+
+
+class TestStreamGroups:
+    def test_equal_stream_keys_end_with_equal_rng_states(self):
+        # each cell runs alone here, so equal states show that the key
+        # names everything its draws read
+        ds, cfg = small_dataset(), small_config()
+        cells = [(c, c.mode) for c in (engine._row_config(cfg, row)
+                                       for row in engine.ABLATION_ROWS)]
+        cells.append((cfg, "labeled_only"))
+        keys, states = [], []
+        for c, mode in cells:
+            trainer = engine._Trainer(ds, c, mode)
+            trainer.finish()
+            keys.append(engine._stream_key(c, mode))
+            states.append(trainer.rng_train.bit_generator.state)
+        for i in range(len(cells)):
+            for j in range(len(cells)):
+                assert (keys[i] == keys[j]) == (states[i] == states[j])
+        rows = [*engine.ABLATION_ROWS, "labeled_only"]
+        shared = [row for row, key in zip(rows, keys) if key == keys[1]]
+        assert shared == ["SSL+KM", "SSL+SSKM(S)", "SSL+SSKM(S)+LA", "SSL+SSKM(S)+SAT",
+                          "SSL+SSKM(S)+LA+SAT"]
+        for row in ("SSL", "SSL+SSKM(W)", "labeled_only"):
+            assert keys.count(keys[rows.index(row)]) == 1
+
+    @pytest.mark.parametrize("seeds, workers, sizes", [
+        (1, 2, [3, 2, 1, 1]),
+        (1, 1, [5, 1, 1]),
+        (5, 2, [5] * 5 + [1] * 10),
+    ])
+    def test_tasks_split_only_groups_above_a_workers_share(self, seeds, workers, sizes):
+        cfg, _ = config.resolve(None, [])
+        cells = [(0, c, c.mode) for seed in range(seeds) for c in
+                 (replace(engine._row_config(cfg, row), seed=seed)
+                  for row in engine.ABLATION_ROWS)]
+        tasks = engine._tasks(cells, workers)
+        assert [len(task) for task in tasks] == sizes
+        assert sorted(i for task in tasks for i in task) == list(range(len(cells)))
+
+    def test_aplt_tasks_go_before_fixmatch_tasks_of_their_size(self):
+        cfg, _ = config.resolve(None, [])
+        cells = [(0, c, c.mode) for c in (engine._row_config(cfg, row)
+                                          for row in engine.ABLATION_ROWS)]
+        tasks = [[engine.ABLATION_ROWS[i] for i in task] for task in engine._tasks(cells, 2)]
+        assert tasks == [["SSL+SSKM(S)+LA", "SSL+SSKM(S)+SAT", "SSL+SSKM(S)+LA+SAT"],
+                         ["SSL+KM", "SSL+SSKM(S)"], ["SSL+SSKM(W)"], ["SSL"]]
+
+    def test_a_one_seed_grid_draws_strong_views_once_per_task(self, monkeypatch):
+        # no labeled augmentation, so every strong view is a step's draw
+        ds, cfg = small_dataset(), small_config("cluster.aug_copies=0")
+        calls = []
+        strong = augment.strong
+
+        def counted(*args):
+            calls.append(1)
+            return strong(*args)
+
+        monkeypatch.setattr(augment, "strong", counted)
+        monkeypatch.setattr(engine, "_pool_size", lambda n: 1)
+        warmed_up(ds, cfg)
+        warmup = len(calls)
+        after_warmup = {}
+        for row in engine.ABLATION_ROWS:
+            calls.clear()
+            engine.run(ds, engine._row_config(cfg, row))
+            after_warmup[row] = len(calls) - warmup
+        calls.clear()
+        engine.run_ablation_grid(ds, cfg)
+        # one task per stream group: SSL, SSL+SSKM(W) and the other five
+        per_task = [after_warmup[row] for row in ("SSL", "SSL+SSKM(W)", "SSL+KM")]
+        assert len(calls) == warmup + sum(per_task)
+        assert len(calls) < warmup + sum(after_warmup.values())
+
+    def test_draws_are_read_only(self):
+        ds, cfg = small_dataset(), small_config()
+        for mode, n in (("labeled_only", 2), ("fixmatch", 4), ("aplt", 6)):
+            trainer = engine._Trainer(ds, cfg, mode)
+            if mode == "aplt":
+                trainer.offline_phase(0)
+            views = trainer._draw(trainer._epoch_chunks()[0])
+            assert len(views) == n
+            assert not any(view.flags.writeable for view in views)
+
+    def test_two_identical_cells_in_one_group_log_as_their_own_run(self):
+        ds, cfg = small_dataset(), small_config()
+        metrics, _ = engine._finish_group([(0, cfg, "aplt")] * 2, [warmed_up(ds, cfg)])
+        logs = [m.to_ndjson() for m in metrics]
+        assert logs[0] == logs[1] == engine.run(ds, cfg).metrics.to_ndjson()
 
 
 class TestBaselineFixmatch:

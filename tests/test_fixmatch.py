@@ -5,7 +5,6 @@ from aplt import augment, fixmatch, nn
 from aplt.errors import EmptyBatchError, InvalidParameterError
 from model_helpers import confident_model, count_encoder_passes, identity_encoder
 
-NO_AUG = augment.AugmentConfig(weak_sigma=0.0, strong_sigma=0.0, strong_mask_prob=0.0)
 FM = fixmatch.FixMatchConfig()
 
 
@@ -13,19 +12,24 @@ def rng():
     return np.random.default_rng(0)
 
 
+def views(x, aug, gen):
+    """The weak and the strong view of x, drawn in the online step's order."""
+    return augment.weak(x, aug, gen), augment.strong(x, aug, gen)
+
+
 class TestSupervisedLoss:
     def test_perfectly_confident_model_has_zero_loss(self):
         m = confident_model(3)
         x = np.eye(3)  # sample i sits on coordinate i
         y = np.arange(3)
-        out = fixmatch.supervised_loss(m, x, y, NO_AUG, rng())
+        out = fixmatch.supervised_loss(m, x, y)
         assert out.value == 0.0
 
     def test_uniform_predictor_gives_log_C(self):
         m = identity_encoder(12, hw=np.zeros((12, 12)))
         x = np.random.default_rng(1).normal(size=(8, 12))
         y = np.random.default_rng(2).integers(0, 12, size=8)
-        out = fixmatch.supervised_loss(m, x, y, NO_AUG, rng())
+        out = fixmatch.supervised_loss(m, x, y)
         assert out.value == pytest.approx(np.log(12), abs=1e-12)
         assert out.value == pytest.approx(2.4849, abs=1e-4)
 
@@ -33,23 +37,21 @@ class TestSupervisedLoss:
         m = identity_encoder(3)
         x = np.random.default_rng(3).normal(size=(4, 3))
         y = np.array([0, 1, 2, 0])
-        once = fixmatch.supervised_loss(m, x, y, NO_AUG, rng())
-        twice = fixmatch.supervised_loss(m, np.vstack([x, x]), np.tile(y, 2),
-                                         NO_AUG, rng())
+        once = fixmatch.supervised_loss(m, x, y)
+        twice = fixmatch.supervised_loss(m, np.vstack([x, x]), np.tile(y, 2))
         assert twice.value == pytest.approx(once.value, abs=1e-12)
 
     def test_empty_batch_rejected(self):
         m = identity_encoder(2)
         with pytest.raises(EmptyBatchError):
-            fixmatch.supervised_loss(m, np.zeros((0, 2)), np.zeros(0, dtype=int),
-                                     NO_AUG, rng())
+            fixmatch.supervised_loss(m, np.zeros((0, 2)), np.zeros(0, dtype=int))
 
 
 class TestUnlabeledLoss:
     def test_all_below_threshold_is_inert(self):
         m = identity_encoder(2)  # mild logits, confidence ~0.5-0.7
         x = np.array([[0.1, 0.0], [0.0, 0.2]])
-        out = fixmatch.unlabeled_loss(m, x, FM, NO_AUG, rng())
+        out = fixmatch.unlabeled_loss(m, x, x, FM)
         assert out.value == 0.0
         assert out.pass_count == 0
         assert np.all(out.grad == 0.0)
@@ -63,7 +65,7 @@ class TestUnlabeledLoss:
                                     strong_mask_prob=1.0)
         x = np.array([[1.0, 0.0]])
         assert nn.forward_logits(m, x)[0] == pytest.approx([0.97, 0.03], abs=1e-12)
-        out = fixmatch.unlabeled_loss(m, x, FM, aug, rng())
+        out = fixmatch.unlabeled_loss(m, *views(x, aug, rng()), FM)
         assert out.pass_count == 1
         assert out.value == pytest.approx(-np.log(0.5), abs=1e-12)
         assert out.value == pytest.approx(0.6931, abs=1e-4)
@@ -72,7 +74,7 @@ class TestUnlabeledLoss:
         m = identity_encoder(3)
         cfg = fixmatch.FixMatchConfig(tau=1e-9)
         x = np.random.default_rng(5).normal(size=(6, 3))
-        out = fixmatch.unlabeled_loss(m, x, cfg, NO_AUG, rng())
+        out = fixmatch.unlabeled_loss(m, x, x, cfg)
         q = nn.forward_logits(m, x)
         expected = -np.log(q[np.arange(6), q.argmax(axis=1)]).mean()
         assert out.pass_count == 6
@@ -85,7 +87,7 @@ class TestUnlabeledLoss:
         aug = augment.AugmentConfig(weak_sigma=0.0, strong_sigma=0.0,
                                     strong_mask_prob=1.0)
         x = np.array([[1.0, 0.0]])
-        out = fixmatch.unlabeled_loss(m, x, FM, aug, rng())
+        out = fixmatch.unlabeled_loss(m, *views(x, aug, rng()), FM)
         assert out.pass_count == 1
         assert out.pseudo_labels.tolist() == [0]
 
@@ -94,8 +96,8 @@ class TestUnlabeledLoss:
         m = identity_encoder(2, hw=4.0 * np.eye(2))
         confident = np.array([[1.0, 0.0]])
         mixed = np.array([[1.0, 0.0], [0.6, 0.8]])  # second row is masked
-        lone = fixmatch.unlabeled_loss(m, confident, FM, NO_AUG, rng())
-        both = fixmatch.unlabeled_loss(m, mixed, FM, NO_AUG, rng())
+        lone = fixmatch.unlabeled_loss(m, confident, confident, FM)
+        both = fixmatch.unlabeled_loss(m, mixed, mixed, FM)
         assert lone.pass_count == 1 and both.pass_count == 1
         assert np.any(lone.grad != 0.0)
         # same contribution averaged over B=2 instead of B=1
@@ -107,8 +109,7 @@ class TestUnlabeledLoss:
         counts = []
         for tau in [0.3, 0.5, 0.7, 0.9, 0.99, 1.0]:
             cfg = fixmatch.FixMatchConfig(tau=tau)
-            out = fixmatch.unlabeled_loss(m, x, cfg, NO_AUG,
-                                          np.random.default_rng(11))
+            out = fixmatch.unlabeled_loss(m, x, x, cfg)
             counts.append(out.pass_count)
         assert counts == sorted(counts, reverse=True)
 
@@ -117,8 +118,8 @@ class TestNoRowPastTau:
     def test_exact_zeros_without_the_strong_view_pass(self, monkeypatch):
         m = identity_encoder(2)  # mild logits, confidence ~0.5-0.7
         calls = count_encoder_passes(monkeypatch)
-        out = fixmatch.unlabeled_loss(m, np.array([[0.1, 0.0], [0.0, 0.2]]), FM, NO_AUG,
-                                      rng())
+        x = np.array([[0.1, 0.0], [0.0, 0.2]])
+        out = fixmatch.unlabeled_loss(m, x, x, FM)
         # only the weak view runs, as the label source
         assert calls == {"forward": 1, "backward": 0}
         assert out.value == 0.0 and out.pass_count == 0
@@ -131,7 +132,7 @@ class TestNoRowPastTau:
         states = []
         for m in (identity_encoder(2), confident_model(2)):
             gen = rng()
-            out = fixmatch.unlabeled_loss(m, x, FM, augment.AugmentConfig(), gen)
+            out = fixmatch.unlabeled_loss(m, *views(x, augment.AugmentConfig(), gen), FM)
             states.append((out.pass_count, gen.bit_generator.state))
         assert [count for count, _ in states] == [0, 2]
         assert states[0][1] == states[1][1]
@@ -140,9 +141,8 @@ class TestNoRowPastTau:
 class TestWarmupObjective:
     def test_zero_unsup_equals_supervised(self):
         m = identity_encoder(2)
-        sup = fixmatch.supervised_loss(m, np.array([[1.0, 0.0]]), np.array([0]),
-                                       NO_AUG, rng())
-        unsup = fixmatch.unlabeled_loss(m, np.array([[0.1, 0.0]]), FM, NO_AUG, rng())
+        sup = fixmatch.supervised_loss(m, np.array([[1.0, 0.0]]), np.array([0]))
+        unsup = fixmatch.unlabeled_loss(m, np.array([[0.1, 0.0]]), np.array([[0.1, 0.0]]), FM)
         assert unsup.value == 0.0
         total = fixmatch.warmup_objective(sup, unsup)
         assert total.value == sup.value
@@ -164,8 +164,8 @@ class TestWarmupObjective:
         cfg = fixmatch.FixMatchConfig(tau=0.5)
 
         def total_loss(model):
-            sup = fixmatch.supervised_loss(model, xl, y, NO_AUG, rng())
-            unsup = fixmatch.unlabeled_loss(model, xu, cfg, NO_AUG, rng())
+            sup = fixmatch.supervised_loss(model, xl, y)
+            unsup = fixmatch.unlabeled_loss(model, xu, xu, cfg)
             return fixmatch.warmup_objective(sup, unsup)
 
         analytic = m.params(total_loss(m).grad)

@@ -3,10 +3,12 @@
     PYTHONPATH=src python tools/step_probe.py [--steps 400] [--seed 0]
 
 Trains the default warm-up on the ``hard12`` preset at 10% labels (the gate
-data) and runs the first offline event. Then it counts one online step's
-Python-level and C-level calls (the ``call`` and ``c_call`` events of
-``sys.setprofile``) and prints the median and quartiles of ``--steps`` more
-steps' times, with one BLAS thread pinned before numpy loads.
+data) and runs the first offline event. A step is the trainer's draws
+(``_draw``) plus its optimizer step on them (``_train_step``), as a run of
+one cell makes it. The probe counts one online step's Python-level and
+C-level calls (the ``call`` and ``c_call`` events of ``sys.setprofile``)
+and prints the median and quartiles of ``--steps`` more steps' times, with
+one BLAS thread pinned before numpy loads.
 """
 
 import argparse
@@ -18,7 +20,7 @@ import time
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from aplt import augment, cli, config, data, engine, nn  # noqa: E402
+from aplt import cli, config, data, engine, nn  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -35,9 +37,13 @@ def main(argv=None) -> int:
     trainer.train(cfg.schedule.warmup_epochs)
     trainer.offline_phase(trainer.epoch)
     lr = nn.cosine_lr(trainer.epoch, cfg.schedule.total_epochs, cfg.optimizer.base_lr)
-    lam, view_fn = cfg.margin.lam, augment.strong
+    lam = cfg.margin.lam
     feed = itertools.chain.from_iterable(iter(trainer._epoch_chunks, None))  # epoch after epoch
-    trainer._train_step(next(feed), lr, lam, view_fn)  # first-call effects out of the count
+
+    def step(chunk):
+        trainer._train_step(chunk, trainer._draw(chunk), lr, lam)
+
+    step(next(feed))  # first-call effects out of the count
     counts = {"call": 0, "c_call": 0}
 
     def count(frame, event, arg):
@@ -46,14 +52,14 @@ def main(argv=None) -> int:
 
     chunk = next(feed)
     sys.setprofile(count)
-    trainer._train_step(chunk, lr, lam, view_fn)
+    step(chunk)
     sys.setprofile(None)
     print(f"calls per step: {counts['call']} Python-level, {counts['c_call']} C-level")
     times = []
     for _ in range(args.steps):
         chunk = next(feed)
         start = time.perf_counter()
-        trainer._train_step(chunk, lr, lam, view_fn)
+        step(chunk)
         times.append((time.perf_counter() - start) * 1e6)
     q1, med, q3 = (statistics.quantiles(times, n=4, method="inclusive")
                    if len(times) > 1 else times * 3)
