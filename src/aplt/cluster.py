@@ -19,8 +19,10 @@ searched by index, one gathered block at a time.
 
 The Lloyd loop (``_lloyd``) redoes only what changed in a round: it sums
 again only the classes whose membership changed, and searches again only
-the rows whose distance bounds allow a new nearest centroid. Its results
-equal a full recompute of every round bit for bit.
+the rows whose distance bounds allow a new nearest centroid (one lower
+bound per row, lowered by the largest move of any centroid). The anchors'
+share of the objective is summed afresh each round. Its results equal a
+full recompute of every round bit for bit.
 
 Filtering keeps an unlabeled sample only while its distance to the assigned
 centroid stays within a per-class adaptive threshold: the class-local mean
@@ -291,25 +293,23 @@ def _lloyd(F: np.ndarray, centers: np.ndarray, anchors: tuple, base: tuple,
     a rise of more than 1e-9 over the previous round clears ``monotonic``.
     Stops when the largest centre movement falls below ``tol`` or after
     ``max_iters`` rounds, and returns the final nearest-centre assignment
-    of every row of F.
+    of every row of F and the objective on it.
 
     Every output equals, bit for bit, a full recompute of every round:
     - Only classes whose membership changed are summed again (or empty
       ones). Any other class would sum the same rows in the same order, so
       its centre keeps its exact bits and moves 0.
-    - d2 is recomputed only for rows whose assignment or centre changed,
-      and so are the anchors' distances.
+    - d2 is recomputed only for rows whose assignment or centre changed.
     - A row is searched again only when the centres moved and its bounds do
       not rule out a change (Hamerly, SDM 2010). ``up`` bounds its distance
       to its own centre from d2, ``lo`` its distance to every other centre:
-      set by the search and lowered by the largest move of the other
-      centres since. Both are padded outward for rounding. With
-      lo² − up² > 2·slack the exact sums of ``_nearest`` cannot reorder,
-      so its answer would be the current one.
+      set by the search and lowered since by the largest move of any
+      centre. Both are padded outward for rounding, and so is the move.
+      With lo² − up² > 2·slack the exact sums of ``_nearest`` cannot
+      reorder, so its answer would be the current one.
     """
     C, e = centers.shape
     base_sums, base_counts = base
-    anchor_d2 = [np.empty(y.size) for _, y in anchors]
     f_sq = np.einsum("ij,ij->i", F, F)
     assign, d2, lo2 = _nearest(F, centers)
     lo = _sqrt_down(lo2)
@@ -332,22 +332,17 @@ def _lloyd(F: np.ndarray, centers: np.ndarray, anchors: tuple, base: tuple,
         new_centers = centers.copy()
         new_centers[classes] = _unit_rows(means)
         d2[members] = _sq_dists(F, new_centers, assign[members], members)
-        moved = (new_centers != centers).any(axis=1) if trace else np.ones(C, dtype=bool)
-        for (F_a, y), d in zip(anchors, anchor_d2):
-            rows = np.flatnonzero(moved[y])
-            d[rows] = _sq_dists(F_a, new_centers, y[rows], rows)
-        anchored = sum(d.sum() for d in anchor_d2)
-
+        anchored = sum(_sq_dists(F_a, new_centers, y).sum() for F_a, y in anchors)
         obj = float(anchored + d2.sum())
         if trace and obj > trace[-1] + 1e-9:
             monotonic = False
         trace.append(obj)
-        move = np.linalg.norm(new_centers - centers, axis=1)
-        shift = move.max()
+        shift = np.linalg.norm(new_centers - centers, axis=1).max()
         centers = new_centers
         touched[:] = False
-        if (move != 0).any():
-            lo = _lower(lo, move, assign, e)
+        if shift != 0:
+            pad = shift * (1 + 4 * (e + 2) * _EPS) + _MOVE_FLOOR * np.sqrt(e)
+            lo = (lo - pad) * (1 - 4 * _EPS)
             slack = _slack(e, f_sq, np.einsum("ij,ij->i", centers, centers))
             up = np.sqrt(d2 + slack) * (1 + 4 * _EPS)
             unsure = np.flatnonzero(~((lo > up) & (lo * lo - up * up > 2.0 * slack)))
@@ -360,25 +355,15 @@ def _lloyd(F: np.ndarray, centers: np.ndarray, anchors: tuple, base: tuple,
                 assign[unsure] = found
         if shift < cfg.tol:
             break
-    # without a change since the last round, its traced objective stands
     return ClusterResult(centroids=centers, assignments=assign,
                          distances=np.sqrt(d2), iterations_run=iterations,
-                         objective=float(anchored + d2.sum()) if touched.any() else trace[-1],
+                         objective=float(anchored + d2.sum()),
                          objective_trace=trace, monotonic=monotonic)
 
 
 def _sqrt_down(x: np.ndarray) -> np.ndarray:
     """A lower bound on sqrt(x), 0 where x <= 0."""
     return np.sqrt(np.maximum(x, 0.0)) * (1 - 4 * _EPS)
-
-
-def _lower(lo: np.ndarray, move: np.ndarray, assign: np.ndarray, e: int) -> np.ndarray:
-    """Lowers each row's bound on its distance to the other centres by the
-    largest move among them, padded up for the rounding of ``move``."""
-    pad = np.where(move != 0, move * (1 + 4 * (e + 2) * _EPS) + _MOVE_FLOOR * np.sqrt(e), 0.0)
-    top = int(pad.argmax())
-    runner = np.delete(pad, top).max(initial=0.0)
-    return (lo - np.where(assign == top, runner, pad[top])) * (1 - 4 * _EPS)
 
 
 def ss_kmeans(F_l: np.ndarray, F_u: np.ndarray, F_sl: np.ndarray,

@@ -380,11 +380,14 @@ def run(ds: FeatureDataset, cfg, mode: str | None = None) -> RunResult:
 
 
 def _warmup_key(cfg, mode: str):
-    """What a run's warm-up reads: its config less the mode and the cluster
-    and margin sections, and whether it trains on labeled rows only. Runs
-    with equal keys train the same warm-up bit for bit. The key does not
-    hash, since ``cfg.dataset`` is a dict."""
-    return replace(cfg, mode="", cluster=None, margin=None), mode == "labeled_only"
+    """What a run's warm-up reads: its config less the mode, the cluster and
+    margin sections and the offline cadence (the first event falls after
+    the warm-up, whatever the cadence), and whether it trains on labeled
+    rows only. Runs with equal keys train the same warm-up bit for bit. The
+    key does not hash, since ``cfg.dataset`` is a dict."""
+    schedule = replace(cfg.schedule, offline_every=1, sync_mode=False)
+    return (replace(cfg, mode="", cluster=None, margin=None, schedule=schedule),
+            mode == "labeled_only")
 
 
 def _stream_key(cfg, mode: str):
@@ -521,6 +524,8 @@ def run_cells(ds: FeatureDataset, cells) -> list[RunMetrics]:
     in this process with one worker. Workers inherit the warm-ups by
     ``fork``. An error in a task is raised after the tasks not yet started
     are cancelled. Log records are handled here, in cell order."""
+    if not cells:
+        return []
     # imported here: a train run does not need them, and they add to its
     # start-up time and memory
     import multiprocessing as mp

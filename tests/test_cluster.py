@@ -119,12 +119,18 @@ class TestNearest:
 def fuzz_instance(rng, C, n_u, e, kind):
     """Unit features with every class anchored. ``kind`` "bisector" puts
     unlabeled rows halfway between two anchor means, "duplicate" anchors
-    some classes at the same point and repeats rows."""
+    some classes at the same point and repeats rows, "clustered" draws
+    every row around one of C unit class means, as encoded features lie."""
     n_l = C + int(rng.integers(0, C + 1))
     labels = np.concatenate([np.arange(C), rng.integers(0, C, size=n_l - C)])
     F_l = unit_rows(rng.normal(size=(n_l, e)))
     F_u = unit_rows(rng.normal(size=(n_u, e)))
-    if kind == "bisector" and C > 1 and n_u:
+    if kind == "clustered":
+        means = unit_rows(rng.normal(size=(C, e)))
+        F_l = unit_rows(means[labels] + 0.25 * rng.normal(size=(n_l, e)))
+        F_u = unit_rows(means[rng.integers(0, C, size=n_u)]
+                        + 0.25 * rng.normal(size=(n_u, e)))
+    elif kind == "bisector" and C > 1 and n_u:
         means = unit_rows(np.stack([F_l[labels == c].mean(axis=0) for c in range(C)]))
         a = rng.integers(0, C, size=n_u)
         b = (a + rng.integers(1, C, size=n_u)) % C
@@ -137,41 +143,73 @@ def fuzz_instance(rng, C, n_u, e, kind):
     return F_l, F_u, labels
 
 
+def count_searched(monkeypatch) -> list:
+    """The number of rows of each later ``_nearest`` call."""
+    searched = []
+    nearest = cluster._nearest
+
+    def counting(F, centroids, rows=None):
+        searched.append(F.shape[0] if rows is None else rows.size)
+        return nearest(F, centroids, rows)
+
+    monkeypatch.setattr(cluster, "_nearest", counting)
+    return searched
+
+
 class TestIncrementalLloyd:
     """The rounds redo only what changed, yet every output equals the
-    full recompute of every round bit for bit."""
+    full recompute of every round bit for bit. Seeds past the first 40 and
+    25 are clustered rows at C >= 50, as on the bench, where the move bound
+    spares some rows their search."""
 
-    @pytest.mark.parametrize("seed", range(40))
-    def test_ss_kmeans_equals_full_recompute(self, seed):
+    @pytest.mark.parametrize("seed", range(52))
+    def test_ss_kmeans_equals_full_recompute(self, seed, monkeypatch):
         rng = np.random.default_rng(900 + seed)
-        C = int(rng.choice([1, 2, 3, 7, 12, 30, 100]))
-        e = int(rng.integers(1, 40))
-        n_u = 0 if seed % 10 == 0 else int(rng.integers(1, 400))
-        kind = ("plain", "bisector", "duplicate")[seed % 3]
+        large = seed >= 40
+        if large:
+            C, e = int(rng.choice([50, 64, 100])), int(rng.integers(8, 33))
+            n_u = int(rng.integers(300, 700))
+        else:
+            C = int(rng.choice([1, 2, 3, 7, 12, 30, 100]))
+            e = int(rng.integers(1, 40))
+            n_u = 0 if seed % 10 == 0 else int(rng.integers(1, 400))
+        kind = "clustered" if large else ("plain", "bisector", "duplicate")[seed % 3]
         F_l, F_u, labels = fuzz_instance(rng, C, n_u, e, kind)
         copies = int(rng.integers(0, 3))
         F_sl = np.tile(F_l, (copies, 1))
         F_sl = unit_rows(F_sl + 0.1 * rng.normal(size=F_sl.shape))
         cfg = cluster.ClusterConfig(max_iters=1 if seed % 7 == 0 else 40,
-                                    tol=0.0 if seed % 11 == 0 else 1e-6)
+                                    tol=0.0 if seed % 11 == 0 or (large and seed % 2) else 1e-6)
+        searched = count_searched(monkeypatch)
         assert_same_result(cluster.ss_kmeans(F_l, F_u, F_sl, labels, cfg, num_classes=C),
                            full_ss_kmeans(F_l, F_u, F_sl, labels, cfg, C))
+        if large and cfg.max_iters > 1:
+            assert sum(searched) < n_u * len(searched)
 
-    @pytest.mark.parametrize("seed", range(25))
-    def test_pure_kmeans_equals_full_recompute(self, seed):
+    @pytest.mark.parametrize("seed", range(33))
+    def test_pure_kmeans_equals_full_recompute(self, seed, monkeypatch):
         rng = np.random.default_rng(1300 + seed)
-        C = int(rng.choice([1, 2, 5, 12, 40, 100]))
-        e = int(rng.integers(1, 24))
-        F_l, F_u, labels = fuzz_instance(rng, C, int(rng.integers(0, 300)), e,
+        large = seed >= 25
+        if large:
+            C, e = int(rng.choice([50, 64, 100])), int(rng.integers(8, 33))
+            n_u = int(rng.integers(300, 700))
+        else:
+            C, e = int(rng.choice([1, 2, 5, 12, 40, 100])), int(rng.integers(1, 24))
+            n_u = int(rng.integers(0, 300))
+        F_l, F_u, labels = fuzz_instance(rng, C, n_u, e, "clustered" if large else
                                          ("plain", "bisector", "duplicate")[seed % 3])
-        if seed % 4 == 1:
+        if seed % 4 == 1 and not large:
             # fewer distinct points than clusters: some start empty and reseed
             points = unit_rows(rng.normal(size=(max(1, C // 3), e)))
             F_l = points[rng.integers(0, points.shape[0], size=F_l.shape[0])]
             F_u = points[rng.integers(0, points.shape[0], size=F_u.shape[0])]
-        cfg = cluster.ClusterConfig(max_iters=1 if seed % 6 == 0 else 40)
+        cfg = cluster.ClusterConfig(max_iters=1 if seed % 6 == 0 else 40,
+                                    tol=0.0 if large and seed % 2 else 1e-6)
+        searched = count_searched(monkeypatch)
         assert_same_result(cluster.pure_kmeans(F_l, F_u, labels, C, cfg),
                            full_pure_kmeans(F_l, F_u, labels, C, cfg))
+        if large and cfg.max_iters > 1:
+            assert sum(searched) < (n_u + labels.size) * len(searched)
 
     def test_empty_clusters_reseed_as_in_full_recompute(self):
         # 8 clusters over 3 distinct points: 5 start empty
@@ -191,14 +229,7 @@ class TestIncrementalLloyd:
         labels = np.repeat(np.arange(C), 5)
         F_l = unit_rows(means[labels] + 0.3 * rng.normal(size=(labels.size, e)))
         F_u = unit_rows(means[rng.integers(0, C, size=n_u)] + 0.3 * rng.normal(size=(n_u, e)))
-        screened = []
-        nearest = cluster._nearest
-
-        def counting(F, centroids, rows=None):
-            screened.append(F.shape[0] if rows is None else rows.size)
-            return nearest(F, centroids, rows)
-
-        monkeypatch.setattr(cluster, "_nearest", counting)
+        screened = count_searched(monkeypatch)
         res = cluster.ss_kmeans(F_l, F_u, np.zeros((0, e)), labels, CFG, num_classes=C)
         assert res.iterations_run > 2
         assert screened[0] == n_u

@@ -581,6 +581,9 @@ class TestWarmupSharing:
         for other_cfg, mode in ((faster, "aplt"), (cfg, "labeled_only"), (cfg, "nonsense")):
             with pytest.raises(InvalidParameterError, match="cannot branch"):
                 warm.branch(other_cfg, mode)
+        # the warm-up does not read the offline cadence
+        for cadence in ("schedule.offline_every=1", "schedule.sync_mode=true"):
+            warm.branch(small_config(cadence), "aplt")
         warm.train(cfg.schedule.warmup_epochs + 1)
         with pytest.raises(InvalidParameterError, match="cannot branch"):
             warm.branch(cfg, "aplt")
@@ -592,12 +595,14 @@ class TestRunCells:
         cells = [(small_config(seed=seed), mode) for seed in (0, 1)
                  for mode in ("fixmatch", "aplt", "labeled_only")]
         cells.append((small_config("optimizer.base_lr=0.01"), "aplt"))
+        cells.append((small_config("schedule.offline_every=1"), "aplt"))
         sched = cells[0][0].schedule
         steps_per_epoch = warmed_up(ds, cells[0][0]).metrics.epochs[0]["steps"]
         calls = count_sgd_steps(monkeypatch)
         logs = [metrics.to_ndjson() for metrics in engine.run_cells(ds, cells)]
         # seed 0 and seed 1 train one warm-up each for fixmatch and aplt and
-        # one for labeled_only, and the other base_lr one more
+        # one for labeled_only, and the other base_lr one more; the other
+        # cadence shares seed 0's
         warmups = 5
         assert len(calls) == (warmups * sched.warmup_epochs
                               + len(cells) * sched.main_epochs) * steps_per_epoch
@@ -615,6 +620,10 @@ class TestRunCells:
         assert b.epochs[0]["lr"] is not None and b.events
         assert b.to_ndjson() == engine.run(small_dataset(), cfg).metrics.to_ndjson()
 
+    def test_no_cells_no_results(self):
+        assert engine.run_cells(small_dataset(), []) == []
+        assert engine.run_ablation_grid(small_dataset(), small_config(), seeds=[]) == []
+
 
 class TestStreamGroups:
     def test_equal_stream_keys_end_with_equal_rng_states(self):
@@ -624,6 +633,8 @@ class TestStreamGroups:
         cells = [(c, c.mode) for c in (engine._row_config(cfg, row)
                                        for row in engine.ABLATION_ROWS)]
         cells.append((cfg, "labeled_only"))
+        cells.append((engine._row_config(small_config("schedule.offline_every=1"),
+                                         "SSL+SSKM(S)"), "aplt"))
         keys, states = [], []
         for c, mode in cells:
             trainer = engine._Trainer(ds, c, mode)
@@ -633,10 +644,10 @@ class TestStreamGroups:
         for i in range(len(cells)):
             for j in range(len(cells)):
                 assert (keys[i] == keys[j]) == (states[i] == states[j])
-        rows = [*engine.ABLATION_ROWS, "labeled_only"]
+        rows = [*engine.ABLATION_ROWS, "labeled_only", "SSL+SSKM(S), offline_every=1"]
         shared = [row for row, key in zip(rows, keys) if key == keys[1]]
         assert shared == ["SSL+KM", "SSL+SSKM(S)", "SSL+SSKM(S)+LA", "SSL+SSKM(S)+SAT",
-                          "SSL+SSKM(S)+LA+SAT"]
+                          "SSL+SSKM(S)+LA+SAT", "SSL+SSKM(S), offline_every=1"]
         for row in ("SSL", "SSL+SSKM(W)", "labeled_only"):
             assert keys.count(keys[rows.index(row)]) == 1
 

@@ -19,5 +19,5 @@ def test_probe_counts_calls_then_times_steps():
     python_calls, c_calls = map(int, re.fullmatch(
         r"calls per step: (\d+) Python-level, (\d+) C-level", counts).groups())
     assert 0 < python_calls < 213 and 0 < c_calls < 188
-    assert re.fullmatch(r"step time over 3 steps: median \d+ us \(quartiles \d+-\d+ us\)",
-                        timing)
+    assert re.fullmatch(r"step time over 3 steps: median \d+ us \(quartiles \d+-\d+ us\); "
+                        r"median _draw \d+ us, _train_step \d+ us", timing)

@@ -7,8 +7,9 @@ data) and runs the first offline event. A step is the trainer's draws
 (``_draw``) plus its optimizer step on them (``_train_step``), as a run of
 one cell makes it. The probe counts one online step's Python-level and
 C-level calls (the ``call`` and ``c_call`` events of ``sys.setprofile``)
-and prints the median and quartiles of ``--steps`` more steps' times, with
-one BLAS thread pinned before numpy loads.
+and prints the median and quartiles of ``--steps`` more steps' times, and
+the median times of their ``_draw`` and ``_train_step`` parts, with one
+BLAS thread pinned before numpy loads.
 """
 
 import argparse
@@ -55,16 +56,22 @@ def main(argv=None) -> int:
     step(chunk)
     sys.setprofile(None)
     print(f"calls per step: {counts['call']} Python-level, {counts['c_call']} C-level")
-    times = []
+    times, draws, steps = [], [], []
     for _ in range(args.steps):
         chunk = next(feed)
         start = time.perf_counter()
-        step(chunk)
-        times.append((time.perf_counter() - start) * 1e6)
+        views = trainer._draw(chunk)
+        drawn = time.perf_counter()
+        trainer._train_step(chunk, views, lr, lam)
+        end = time.perf_counter()
+        times.append((end - start) * 1e6)
+        draws.append((drawn - start) * 1e6)
+        steps.append((end - drawn) * 1e6)
     q1, med, q3 = (statistics.quantiles(times, n=4, method="inclusive")
                    if len(times) > 1 else times * 3)
     print(f"step time over {len(times)} steps: median {med:.0f} us "
-          f"(quartiles {q1:.0f}-{q3:.0f} us)")
+          f"(quartiles {q1:.0f}-{q3:.0f} us); median _draw {statistics.median(draws):.0f} us, "
+          f"_train_step {statistics.median(steps):.0f} us")
     return 0
 
 
