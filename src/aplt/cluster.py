@@ -72,6 +72,8 @@ class ClusterConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise InvalidParameterError("max_iters must be >= 1")
+        if not self.tol >= 0:
+            raise InvalidParameterError("tol must be >= 0")
         if self.aug_copies < 0:
             raise InvalidParameterError("aug_copies must be >= 0")
         if self.method not in ("sskm", "km"):
@@ -291,9 +293,9 @@ def _lloyd(F: np.ndarray, centers: np.ndarray, anchors: tuple, base: tuple,
     of their rows' squared distances to their class centre, plus that of
     d2, each row's squared distance to its centre (``_sq_dists`` for both);
     a rise of more than 1e-9 over the previous round clears ``monotonic``.
-    Stops when the largest centre movement falls below ``tol`` or after
-    ``max_iters`` rounds, and returns the final nearest-centre assignment
-    of every row of F and the objective on it.
+    Stops when no centre moves or the largest movement falls below
+    ``tol``, or after ``max_iters`` rounds, and returns the final
+    nearest-centre assignment of every row of F and the objective on it.
 
     Every output equals, bit for bit, a full recompute of every round:
     - Only classes whose membership changed are summed again (or empty
@@ -353,7 +355,7 @@ def _lloyd(F: np.ndarray, centers: np.ndarray, anchors: tuple, base: tuple,
                 touched[assign[unsure[left]]] = True
                 touched[found[left]] = True
                 assign[unsure] = found
-        if shift < cfg.tol:
+        if shift == 0 or shift < cfg.tol:
             break
     return ClusterResult(centroids=centers, assignments=assign,
                          distances=np.sqrt(d2), iterations_run=iterations,

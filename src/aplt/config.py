@@ -11,6 +11,7 @@ a run is reproducible from that dump alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 from .augment import AugmentConfig
@@ -108,6 +109,8 @@ def _check_types(node: dict, default: dict, path: str = "") -> None:
             _check_types(value, want, where + ".")
         elif want is not None and type(value) not in _ACCEPTS[type(want)]:
             raise ConfigError(f"{where} must be {type(want).__name__}, got {value!r}")
+        elif type(want) is float and not -math.inf < value < math.inf:  # NaN fails both
+            raise ConfigError(f"{where} must be finite, got {value!r}")
 
 
 def _parse_override(expr: str):

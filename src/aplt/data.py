@@ -88,8 +88,8 @@ def generate_synthetic(C: int, d: int, n_per_class: int, overlap: float,
         raise InvalidParameterError("need dimension >= 2")
     if n_per_class < 4:
         raise InvalidParameterError("need at least 4 samples per class")
-    if overlap < 0:
-        raise InvalidParameterError("overlap must be nonnegative")
+    if not 0 <= overlap < np.inf:
+        raise InvalidParameterError(f"overlap must be finite and nonnegative, got {overlap}")
     if seed < 0:
         raise InvalidParameterError(f"seed must be nonnegative, got {seed}")
 

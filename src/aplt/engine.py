@@ -1,17 +1,18 @@
 """Training driver: warm-up, alternating offline/online phases, evaluation.
 
-The offline phase (feature extraction, anchored clustering, threshold
-filtering, prototype build) runs at the end of warm-up and then on a fixed
-epoch cadence; everything it produces is frozen in between, which the driver
-enforces by re-hashing the bank every epoch. Online steps always optimize
-the thresholded-consistency objective and, once a bank exists, add the
-prototype margin terms scaled by lambda.
+Each epoch is three plain trainer calls. ``_open_epoch`` runs the offline
+phase (feature extraction, anchored clustering, threshold filtering,
+prototype build) at the end of warm-up and then on a fixed epoch cadence.
+``_step`` runs each batch. ``_close_epoch`` re-hashes the bank, which is
+frozen between events, and scores and records the epoch. Online steps
+always optimize the thresholded-consistency objective and, once a bank
+exists, add the prototype margin terms scaled by lambda.
 
 Runs with equal ``_warmup_key``s train the same warm-up, since nothing
 before the first offline event reads the rest. ``run_cells``, behind
 ``compare`` and the ablation grid, trains each such warm-up once. Branches
 with equal ``_stream_key``s then make the same random draws, so a pool
-worker finishes them together on one copy of each draw (``_train_group``).
+worker makes each call on all of them in turn (``_train_group``).
 
 Per-epoch and per-event records go into RunMetrics; serialization is
 timestamp-free so identical configs and seeds produce byte-identical logs.
@@ -79,20 +80,15 @@ class RunMetrics:
     events: list = field(default_factory=list)
     final: dict = field(default_factory=dict)
 
-    def records(self):
-        """Chronological stream: each offline event before its epoch record."""
-        by_epoch = {}
-        for ev in self.events:
-            by_epoch.setdefault(ev["epoch"], []).append(ev)
-        for rec in self.epochs:
-            for ev in by_epoch.get(rec["epoch"], []):
-                yield {"kind": "offline_event", **ev}
-            yield {"kind": "epoch", **rec}
-        if self.final:
-            yield {"kind": "final", **self.final}
-
     def to_ndjson(self) -> str:
-        return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in self.records())
+        """The records in time order: each offline event before its epoch's."""
+        events = {}
+        for ev in self.events:
+            events.setdefault(ev["epoch"], []).append({"kind": "offline_event", **ev})
+        recs = [r for rec in self.epochs
+                for r in events.get(rec["epoch"], []) + [{"kind": "epoch", **rec}]]
+        recs += [{"kind": "final", **self.final}] if self.final else []
+        return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in recs)
 
 
 @dataclass
@@ -220,60 +216,57 @@ class _Trainer:
         """Trains epochs [self.epoch, until), offline events included."""
         _train_group([self], until)
 
-    def _epochs(self, until: int):
-        """``train`` as a coroutine: each epoch runs its offline event, steps
-        on each (chunk, ``_draw(chunk)``) sent to it, and ends on None. It
-        then waits on a last ``yield``, so no send finds it returned."""
+    def _open_epoch(self) -> None:
+        """Runs this epoch's offline event if it has one (aplt only), sets
+        its cosine ``_lr`` and zeroes its sums."""
         cfg = self.cfg
-        total = cfg.schedule.total_epochs
-        offline_at = set(cfg.schedule.offline_epochs()) if self.mode == "aplt" else set()
-        lam = cfg.margin.lam
+        if self.mode == "aplt" and self.epoch in cfg.schedule.offline_epochs():
+            self.offline_phase(self.epoch)
+        self._lr = nn.cosine_lr(self.epoch, cfg.schedule.total_epochs, cfg.optimizer.base_lr)
+        self._sums = {"logits": 0.0, "margin": 0.0, "total": 0.0}
+        self._steps = self._passed = self._right = 0
 
-        for epoch in range(self.epoch, until):
-            lr = nn.cosine_lr(epoch, total, cfg.optimizer.base_lr)
-            if epoch in offline_at:
-                self.offline_phase(epoch)
+    def _step(self, chunk, views) -> None:
+        """``_train_step`` on ``_draw(chunk)``'s views, added to the sums:
+        the losses, the step, the rows past tau and the right ones among them."""
+        lam, sums = self.cfg.margin.lam, self._sums
+        step_logits, step_margin, uns = self._train_step(chunk, views, self._lr, lam)
+        sums["logits"] += step_logits
+        sums["margin"] += step_margin
+        sums["total"] += step_logits + lam * step_margin
+        self._steps += 1
+        if uns is not None and uns.pass_count:
+            self._passed += uns.pass_count
+            self._right += self.probe.correct(chunk[uns.passed], uns.pseudo_labels[uns.passed])
 
-            sums = {"logits": 0.0, "margin": 0.0, "total": 0.0}
-            pass_count = passed_correct = steps = 0
-            while (step := (yield)) is not None:
-                chunk, views = step
-                step_logits, step_margin, uns = self._train_step(chunk, views, lr, lam)
-                sums["logits"] += step_logits
-                sums["margin"] += step_margin
-                sums["total"] += step_logits + lam * step_margin
-                steps += 1
-                if uns is not None and uns.pass_count:
-                    pass_count += uns.pass_count
-                    passed_correct += self.probe.correct(chunk[uns.passed],
-                                                         uns.pseudo_labels[uns.passed])
-
-            if self.bank is not None and self.bank.digest() != self._bank_digest:
-                raise ApltError("prototype bank mutated during online training")
-
-            proto_acc, param_acc = self.probe.scores(self.model, self.bank, self.X)
-            last_ev = self.metrics.events[-1] if self.metrics.events else None
-            self.metrics.epochs.append({
-                "epoch": epoch,
-                "mode": self.mode,
-                "lr": float(lr),
-                "steps": steps,
-                "loss_logits": sums["logits"] / max(steps, 1),
-                "loss_margin": sums["margin"] / max(steps, 1),
-                "loss_total": sums["total"] / max(steps, 1),
-                "pass_count": pass_count,
-                "fixmatch_pass_frac": (pass_count / max(self.unl.size, 1)
-                                       if self.mode != "labeled_only" else None),
-                "fixmatch_pseudo_acc": passed_correct / pass_count if pass_count else None,
-                "offline_coverage": last_ev["coverage"] if last_ev else None,
-                "offline_pseudo_acc": last_ev["pseudo_label_acc"] if last_ev else None,
-                "test_acc_proto": proto_acc,
-                "test_acc_param": param_acc,
-                "bank_digest": self._bank_digest,
-                "pseudo_digest": self.pseudo.digest() if self.pseudo else None,
-            })
-            self.epoch = epoch + 1
-        yield
+    def _close_epoch(self) -> None:
+        """Checks that the bank stayed frozen, scores the epoch through the
+        probe, records it and moves on to the next."""
+        if self.bank is not None and self.bank.digest() != self._bank_digest:
+            raise ApltError("prototype bank mutated during online training")
+        proto_acc, param_acc = self.probe.scores(self.model, self.bank, self.X)
+        last_ev = self.metrics.events[-1] if self.metrics.events else None
+        sums, steps = self._sums, max(self._steps, 1)
+        self.metrics.epochs.append({
+            "epoch": self.epoch,
+            "mode": self.mode,
+            "lr": float(self._lr),
+            "steps": self._steps,
+            "loss_logits": sums["logits"] / steps,
+            "loss_margin": sums["margin"] / steps,
+            "loss_total": sums["total"] / steps,
+            "pass_count": self._passed,
+            "fixmatch_pass_frac": (self._passed / max(self.unl.size, 1)
+                                   if self.mode != "labeled_only" else None),
+            "fixmatch_pseudo_acc": self._right / self._passed if self._passed else None,
+            "offline_coverage": last_ev["coverage"] if last_ev else None,
+            "offline_pseudo_acc": last_ev["pseudo_label_acc"] if last_ev else None,
+            "test_acc_proto": proto_acc,
+            "test_acc_param": param_acc,
+            "bank_digest": self._bank_digest,
+            "pseudo_digest": self.pseudo.digest() if self.pseudo else None,
+        })
+        self.epoch += 1
 
     def branch(self, cfg, mode: str) -> "_Trainer":
         """A copy of this run that goes on under ``cfg`` and ``mode``.
@@ -398,24 +391,25 @@ def _stream_key(cfg, mode: str):
 
 def _train_group(group: list, until: int, collect=None) -> None:
     """Trains epochs [group[0].epoch, until) of branches of one warm-up with
-    equal ``_stream_key``s, which step in turn on the first one's draws and
-    share its ``rng_train``. ``collect.at`` is the running trainer's index."""
-    lead, epochs = group[0], range(group[0].epoch, until)
+    equal ``_stream_key``s, which share the first one's ``rng_train``. Each
+    epoch, every branch opens it, then steps in turn on each of the first
+    one's chunks and draws, then closes it. ``collect.at`` is the index of
+    the trainer that runs."""
+    lead = group[0]
     for t in group:
         t.rng_train = lead.rng_train
-    runs = [t._epochs(until) for t in group]
 
-    def send(step):
-        for i, run in enumerate(runs):
+    def each(method, *args):
+        for i, t in enumerate(group):
             if collect is not None:
                 collect.at = i
-            run.send(step)
+            method(t, *args)
 
-    send(None)  # every run opens its first epoch
-    for _ in epochs:
+    for _ in range(lead.epoch, until):
+        each(_Trainer._open_epoch)
         for chunk in lead._epoch_chunks():
-            send((chunk, lead._draw(chunk)))
-        send(None)  # every run records the epoch and opens the next
+            each(_Trainer._step, chunk, lead._draw(chunk))
+        each(_Trainer._close_epoch)
 
 
 def _pool_size(n_tasks: int) -> int:

@@ -27,7 +27,7 @@ def unit(v):
 def anchored_lloyd(F_l, F_u, F_sl, labels, C, max_iters, tol):
     """Reference run of anchored spherical k-means; mirrors the documented rule:
     anchor-mean init, nearest-centroid assignment, anchored mean update with
-    re-normalization, stop on max shift < tol, final re-assignment."""
+    re-normalization, stop on max shift 0 or < tol, final re-assignment."""
     sl_labels = []
     if len(F_sl):
         copies = len(F_sl) // len(labels)
@@ -70,7 +70,7 @@ def anchored_lloyd(F_l, F_u, F_sl, labels, C, max_iters, tol):
 
         shift = max(np.linalg.norm(new_centroids[c] - centroids[c]) for c in range(C))
         centroids = new_centroids
-        if shift < tol:
+        if shift == 0 or shift < tol:
             break
 
     distances = np.zeros(len(F_u))
@@ -122,7 +122,7 @@ def plain_lloyd(X, C, max_iters, tol):
         new_centers = np.array([unit(row) for row in new_centers])
         shift = max(np.linalg.norm(new_centers[c] - centers[c]) for c in range(C))
         centers = new_centers
-        if shift < tol:
+        if shift == 0 or shift < tol:
             break
 
     for i in range(n):
@@ -171,9 +171,10 @@ def full_lloyd(F: np.ndarray, centers: np.ndarray, update, objective,
     Each round assigns every row to its nearest centre, then asks
     ``update(assign, d2)`` for the next centres and traces
     ``objective(assign, centers)`` on them; a rise of more than 1e-9 over
-    the previous round clears ``monotonic``. Stops when the largest centre
-    movement falls below ``tol`` or after ``max_iters`` rounds, and returns
-    the final nearest-centre assignment of every row of F.
+    the previous round clears ``monotonic``. Stops when no centre moves or
+    the largest movement falls below ``tol``, or after ``max_iters``
+    rounds, and returns the final nearest-centre assignment of every row
+    of F.
     """
     trace: list[float] = []
     monotonic = True
@@ -186,7 +187,7 @@ def full_lloyd(F: np.ndarray, centers: np.ndarray, update, objective,
         trace.append(obj)
         shift = np.linalg.norm(new_centers - centers, axis=1).max()
         centers = new_centers
-        if shift < cfg.tol:
+        if shift == 0 or shift < cfg.tol:
             break
     assign, d2 = _nearest(F, centers)
     return ClusterResult(centroids=centers, assignments=assign,

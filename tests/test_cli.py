@@ -406,10 +406,14 @@ class TestAblate:
         assert table.read_bytes() == grown and not stored.exists()
 
 
-# values whose JSON type does not match their key's default; each must be
-# a config error (exit 1), not a TypeError from deep inside a run
-BAD_TYPES = ["fixmatch.batch_size=8.5", "model.hidden=8.5", "cluster.max_iters=2.5",
-             "schedule.warmup_epochs=1.5", "cluster=5", "eval=3"]
+# values whose JSON type does not match their key's default, floats that
+# are not finite, and a negative tol; each must be a config error (exit 1),
+# not a TypeError or a nonfinite loss from deep inside a run
+BAD_OVERRIDES = ["fixmatch.batch_size=8.5", "model.hidden=8.5", "cluster.max_iters=2.5",
+                 "schedule.warmup_epochs=1.5", "cluster=5", "eval=3",
+                 "optimizer.base_lr=NaN", "cluster.tol=NaN", "cluster.tol=-1",
+                 "augment.weak_sigma=NaN", "margin.lambda=Infinity",
+                 "margin.temperature=Infinity", "fixmatch.tau=-Infinity"]
 
 
 SYNTH = {"classes": 3, "dim": 4, "per_class": 10, "overlap": 0.1, "seed": 0}
@@ -421,6 +425,7 @@ BAD_SYNTHETIC = [
     ({**SYNTH, "dim": True}, "dataset.synthetic.dim must be int"),
     ({**SYNTH, "seed": None}, "dataset.synthetic.seed must be int"),
     ({**SYNTH, "overlap": True}, "dataset.synthetic.overlap must be float"),
+    ({**SYNTH, "overlap": float("nan")}, "dataset.synthetic.overlap must be finite, got nan"),
     (5, "dataset.synthetic must be an object"),
     ({**SYNTH, "bogus": 1}, "exactly the keys"),
     ({k: v for k, v in SYNTH.items() if k != "seed"}, "exactly the keys"),
@@ -507,9 +512,12 @@ class TestConfigResolution:
          "config error: cannot write to {dir}: it is a directory"),
         (["train", "--data", "{dir}", "--out", "{out}"],
          "config error: dataset path is not a file: {dir}"),
+        (["gen", "--out", "{out}/gen.csv", "--overlap", "nan"],
+         "config error: overlap must be finite and nonnegative, got nan"),
     ], ids=["train_seed", "ablate_seeds", "gen_seed", "gen_split_seed", "config_dir",
             "config_not_utf8", "config_not_json", "train_out_file", "compare_out_under_file",
-            "ablate_out_under_file", "gen_out_under_file", "gen_out_dir", "train_data_dir"])
+            "ablate_out_under_file", "gen_out_under_file", "gen_out_dir", "train_data_dir",
+            "gen_overlap_nan"])
     def test_bad_seed_or_unreadable_config_exits_one_without_outputs(
             self, tmp_path, dataset_csv, capsys, command, message):
         """Each is a one-line error (``ablate --seeds`` a usage error, as
@@ -544,7 +552,7 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match=r"test_fraction must lie in \(0, 1\)"):
             config.resolve({"eval": {"test_fraction": fraction}})
 
-    @pytest.mark.parametrize("override", BAD_TYPES + [
+    @pytest.mark.parametrize("override", BAD_OVERRIDES + [
         "seed=true", "seed=1.0", "mode=1", "schedule.sync_mode=1",
         "optimizer.base_lr=true", "margin.view=3", "cluster.method=null"])
     def test_wrong_type_rejected(self, override):
@@ -562,7 +570,7 @@ class TestConfigResolution:
         assert resolved["optimizer"]["base_lr"] == 1
         assert type(resolved["optimizer"]["base_lr"]) is int
 
-    @pytest.mark.parametrize("override", BAD_TYPES)
+    @pytest.mark.parametrize("override", BAD_OVERRIDES)
     def test_wrong_type_exits_one_without_outputs(self, tmp_path, dataset_csv,
                                                   capsys, override):
         out = tmp_path / "run"

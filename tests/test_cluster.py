@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,6 +157,17 @@ def count_searched(monkeypatch) -> list:
     return searched
 
 
+def assert_stops_on_first_fixed_point(run, cfg):
+    """``run(cfg)`` at tol=0 stops before max_iters, on the first round that
+    moves no centre: one round fewer ends on the same centres, and two
+    rounds fewer end elsewhere."""
+    k = run(cfg).iterations_run
+    assert 1 < k < cfg.max_iters
+    ends = [run(replace(cfg, max_iters=i)).centroids for i in range(max(k - 2, 1), k + 1)]
+    assert np.array_equal(ends[-2], ends[-1])
+    assert k == 2 or not np.array_equal(ends[0], ends[-1])
+
+
 class TestIncrementalLloyd:
     """The rounds redo only what changed, yet every output equals the
     full recompute of every round bit for bit. Seeds past the first 40 and
@@ -185,6 +197,9 @@ class TestIncrementalLloyd:
                            full_ss_kmeans(F_l, F_u, F_sl, labels, cfg, C))
         if large and cfg.max_iters > 1:
             assert sum(searched) < n_u * len(searched)
+        if cfg.tol == 0 and cfg.max_iters > 1:
+            assert_stops_on_first_fixed_point(
+                lambda c: cluster.ss_kmeans(F_l, F_u, F_sl, labels, c, num_classes=C), cfg)
 
     @pytest.mark.parametrize("seed", range(33))
     def test_pure_kmeans_equals_full_recompute(self, seed, monkeypatch):
@@ -210,6 +225,9 @@ class TestIncrementalLloyd:
                            full_pure_kmeans(F_l, F_u, labels, C, cfg))
         if large and cfg.max_iters > 1:
             assert sum(searched) < (n_u + labels.size) * len(searched)
+        if cfg.tol == 0 and cfg.max_iters > 1:
+            assert_stops_on_first_fixed_point(
+                lambda c: cluster.pure_kmeans(F_l, F_u, labels, C, c), cfg)
 
     def test_empty_clusters_reseed_as_in_full_recompute(self):
         # 8 clusters over 3 distinct points: 5 start empty

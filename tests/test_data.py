@@ -54,10 +54,13 @@ class TestGenerateSynthetic:
         dict(C=2, d=1, n_per_class=10),
         dict(C=2, d=2, n_per_class=0),
         dict(C=2, d=2, n_per_class=-3),
+        dict(C=2, d=2, n_per_class=10, overlap=-0.1),
+        dict(C=2, d=2, n_per_class=10, overlap=float("nan")),
+        dict(C=2, d=2, n_per_class=10, overlap=float("inf")),
     ])
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(InvalidParameterError):
-            data.generate_synthetic(overlap=0.1, seed=0, **kwargs)
+            data.generate_synthetic(**{"overlap": 0.1, "seed": 0, **kwargs})
 
     def test_min_mean_gap_is_one(self):
         ds = data.generate_synthetic(5, 8, 10, 0.0, seed=4)

@@ -121,6 +121,9 @@ class TestRun:
         res = engine.run(ds, small_config("schedule.sync_mode=true"))
         assert [e["epoch"] for e in res.metrics.events] == [2, 3, 4, 5, 6, 7]
         assert res.metrics.final["test_acc_proto"] is not None
+        # sync mode is an offline event every epoch, byte for byte
+        every_epoch = engine.run(ds, small_config("schedule.offline_every=1"))
+        assert res.metrics.to_ndjson() == every_epoch.metrics.to_ndjson()
 
     def test_leakage_guard_poisoned_labels_do_not_touch_training(self):
         ds = small_dataset()

@@ -3,13 +3,14 @@
     PYTHONPATH=src python tools/step_probe.py [--steps 400] [--seed 0]
 
 Trains the default warm-up on the ``hard12`` preset at 10% labels (the gate
-data) and runs the first offline event. A step is the trainer's draws
-(``_draw``) plus its optimizer step on them (``_train_step``), as a run of
-one cell makes it. The probe counts one online step's Python-level and
-C-level calls (the ``call`` and ``c_call`` events of ``sys.setprofile``)
-and prints the median and quartiles of ``--steps`` more steps' times, and
-the median times of their ``_draw`` and ``_train_step`` parts, with one
-BLAS thread pinned before numpy loads.
+data) and opens the next epoch (``_open_epoch``), which runs the first
+offline event and sets the epoch's learning rate. A step is the trainer's
+draws (``_draw``) plus its optimizer step on them (``_train_step``) at that
+rate, as a run of one cell makes it. The probe counts one online step's
+Python-level and C-level calls (the ``call`` and ``c_call`` events of
+``sys.setprofile``) and prints the median and quartiles of ``--steps`` more
+steps' times, and the median times of their ``_draw`` and ``_train_step``
+parts, with one BLAS thread pinned before numpy loads.
 """
 
 import argparse
@@ -21,7 +22,7 @@ import time
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from aplt import cli, config, data, engine, nn  # noqa: E402
+from aplt import cli, config, data, engine  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -36,9 +37,8 @@ def main(argv=None) -> int:
                           data.SplitSpec(labeled_ratio=0.1))
     trainer = engine._Trainer(ds, cfg, "aplt")
     trainer.train(cfg.schedule.warmup_epochs)
-    trainer.offline_phase(trainer.epoch)
-    lr = nn.cosine_lr(trainer.epoch, cfg.schedule.total_epochs, cfg.optimizer.base_lr)
-    lam = cfg.margin.lam
+    trainer._open_epoch()
+    lr, lam = trainer._lr, cfg.margin.lam
     feed = itertools.chain.from_iterable(iter(trainer._epoch_chunks, None))  # epoch after epoch
 
     def step(chunk):
