@@ -425,10 +425,10 @@ BAD_SYNTHETIC = [
     ({**SYNTH, "dim": True}, "dataset.synthetic.dim must be int"),
     ({**SYNTH, "seed": None}, "dataset.synthetic.seed must be int"),
     ({**SYNTH, "overlap": True}, "dataset.synthetic.overlap must be float"),
-    ({**SYNTH, "overlap": float("nan")}, "dataset.synthetic.overlap must be finite, got nan"),
     (5, "dataset.synthetic must be an object"),
     ({**SYNTH, "bogus": 1}, "exactly the keys"),
     ({k: v for k, v in SYNTH.items() if k != "seed"}, "exactly the keys"),
+    ({**SYNTH, "overlap": float("nan")}, "dataset.synthetic.overlap must be finite, got nan"),
 ]
 
 
