@@ -42,8 +42,6 @@ from .errors import InvalidParameterError, MissingLabeledClassError
 
 LOGGER = logging.getLogger(__name__)
 
-_NORM_FLOOR = 1e-12
-
 # Budget for one row block's (rows, C, e) float64 recheck tensor.
 _BLOCK_BYTES = 4 << 20
 
@@ -136,7 +134,7 @@ class PrototypeBank:
 
 
 def _unit_rows(a: np.ndarray) -> np.ndarray:
-    return a / np.maximum(np.linalg.norm(a, axis=1, keepdims=True), _NORM_FLOOR)
+    return a / np.maximum(np.linalg.norm(a, axis=1, keepdims=True), nn._NORM_FLOOR)
 
 
 def _nearest(F: np.ndarray, centroids: np.ndarray, rows: np.ndarray | None = None):

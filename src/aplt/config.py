@@ -42,6 +42,10 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.base_lr <= 0:
             raise InvalidParameterError("base_lr must be positive")
+        if not 0.0 <= self.momentum < 1.0:
+            raise InvalidParameterError("momentum must be in [0, 1)")
+        if self.weight_decay < 0:
+            raise InvalidParameterError("weight_decay must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -354,7 +354,7 @@ class _Trainer:
             margin_value = msup.value + munsup.value
             # grad + lam * g_l + lam * g_u, added in place in that order
             for x_v, loss, acts in ((xl_v, msup, acts_l), (xu_v, munsup, acts_u)):
-                g = nn.backward(m, x_v, d_feats=loss.d_feats, acts=acts)
+                g = nn.backward(m, x_v, acts, d_feats=loss.d_feats)
                 grad += np.multiply(lam, g, out=g)
         self._finite_or_die(total.value + lam * margin_value, "total loss")
         nn.sgd_step(m, self.opt, grad, lr)

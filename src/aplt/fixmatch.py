@@ -16,8 +16,6 @@ import numpy as np
 from . import nn
 from .errors import EmptyBatchError, InvalidParameterError
 
-_P_FLOOR = 1e-300  # log/division guard; softmax underflow only
-
 
 @dataclass(frozen=True)
 class FixMatchConfig:
@@ -58,14 +56,14 @@ def _masked_ce(m: nn.EncoderModel, x: np.ndarray, targets: np.ndarray,
     B = x.shape[0]
     rows = np.arange(B)
     acts = nn.forward(m, x, head=True)
-    py = np.maximum(acts.probs[rows, targets], _P_FLOOR)
+    py = np.maximum(acts.probs[rows, targets], nn._P_FLOOR)
     nll, d_py = -np.log(py), -1.0 / (B * py)
     if kept is not None:
         nll *= kept
         d_py = np.where(kept, d_py, 0.0)
     d_probs = np.zeros(acts.probs.shape)
     d_probs[rows, targets] = d_py
-    return float(np.add.reduce(nll) / B), nn.backward(m, x, d_probs=d_probs, acts=acts)
+    return float(np.add.reduce(nll) / B), nn.backward(m, x, acts, d_probs=d_probs)
 
 
 def supervised_loss(m: nn.EncoderModel, x: np.ndarray, y: np.ndarray) -> BatchLoss:

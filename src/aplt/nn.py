@@ -15,10 +15,10 @@ products and Euclidean distances are interchangeable.
 Every parameter lives in one flat vector ``theta``; ``w1`` ... ``hb`` are
 views into it. ``forward`` returns every intermediate of one pass;
 ``encode_rows`` gives the features of a whole row set in bounded memory.
-``backward`` takes upstream gradients on the probabilities (classifier path)
-and/or on the features (prototype-margin path, which never touches the
-head), reuses the caller's forward when given it, and returns one flat
-gradient laid out like ``theta``: gradients add with ``+``, and
+``backward`` takes the activations of the forward it differentiates and
+upstream gradients on the probabilities (classifier path) and/or on the
+features (prototype-margin path, which never touches the head), and returns
+one flat gradient laid out like ``theta``: gradients add with ``+``, and
 ``params(grad)`` names their blocks. ``sgd_step`` updates ``theta`` and one
 flat momentum buffer in place. Checkpoints are npz archives holding shapes
 and raw float64 values, so round-trips are exact.
@@ -38,6 +38,7 @@ from .errors import ApltError, DataFormatError, DimensionMismatchError, NonFinit
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "hw", "hb")
 
 _NORM_FLOOR = 1e-12  # keeps zero feature vectors from dividing by zero
+_P_FLOOR = 1e-300  # log/division guard on softmax outputs; underflow only
 
 # Budget for one row block's activations in ``encode_rows``.
 _BLOCK_BYTES = 1 << 20
@@ -114,8 +115,7 @@ def _check_input(m: EncoderModel, x: np.ndarray) -> np.ndarray:
 
 
 class Activations(NamedTuple):
-    """What one encoder pass computed: everything ``backward`` needs, so a
-    caller that already ran the forward does not make backward run it again.
+    """What one encoder pass computed: everything ``backward`` needs.
     ``probs`` is set only when the head ran."""
     z1: np.ndarray
     a1: np.ndarray
@@ -196,24 +196,20 @@ def forward_logits(m: EncoderModel, x: np.ndarray) -> np.ndarray:
     return forward(m, x, head=True).probs
 
 
-def backward(m: EncoderModel, x: np.ndarray,
+def backward(m: EncoderModel, x: np.ndarray, acts: Activations,
              d_probs: np.ndarray | None = None,
-             d_feats: np.ndarray | None = None,
-             acts: Activations | None = None) -> np.ndarray:
+             d_feats: np.ndarray | None = None) -> np.ndarray:
     """Parameter gradients for upstream d(loss)/d(probs) and/or d(loss)/d(F).
 
     The margin path supplies only ``d_feats`` (prototypes are frozen, so
     nothing flows into the head); the classifier path supplies ``d_probs``.
     Both may be given at once and their contributions add. ``acts`` is
-    ``forward(m, x)`` of this same model and x, when the caller has it;
-    without it the forward runs again here. Returns one flat gradient laid
-    out like ``m.theta``.
+    ``forward(m, x)`` of this same model and x, with ``head=True`` when
+    ``d_probs`` is given. Returns one flat gradient laid out like ``m.theta``.
     """
     x = _check_input(m, x)
     if d_probs is None and d_feats is None:
         raise ApltError("backward needs at least one upstream gradient")
-    if acts is None:
-        acts = forward(m, x, head=d_probs is not None)
     z1, a1, norms, feats, probs = acts
     w = m._views
     B = x.shape[0]
@@ -224,10 +220,12 @@ def backward(m: EncoderModel, x: np.ndarray,
         d_probs = np.asarray(d_probs, dtype=np.float64)
         if d_probs.shape != (B, w["hb"].size):
             raise DimensionMismatchError("d_probs shape mismatch")
-        p = probs if probs is not None else head_probs(m, feats)
+        if probs is None:
+            raise ApltError("d_probs needs the head's probabilities: "
+                            "pass acts = nn.forward(m, x, head=True)")
         # softmax Jacobian-vector product
-        pd = p * d_probs
-        d_logits = pd - p * np.add.reduce(pd, axis=1, keepdims=True)
+        pd = probs * d_probs
+        d_logits = pd - probs * np.add.reduce(pd, axis=1, keepdims=True)
         head = (feats.T @ d_logits, np.add.reduce(d_logits, axis=0))
         dF += d_logits @ w["hw"].T
     if d_feats is not None:

@@ -16,9 +16,7 @@ import numpy as np
 
 from .cluster import PrototypeBank, PseudoLabelSet
 from .errors import DimensionMismatchError, EmptyBatchError, InvalidParameterError
-from .nn import as_rows, softmax
-
-_P_FLOOR = 1e-300
+from .nn import _P_FLOOR, as_rows, softmax
 
 
 @dataclass(frozen=True)

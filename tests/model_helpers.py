@@ -33,8 +33,8 @@ def confident_model(d, scale=1000.0):
 
 def count_encoder_passes(monkeypatch):
     """Counts calls of nn.forward (every encoder forward, including those of
-    forward_features, forward_logits and a backward run without activations)
-    and of nn.backward from here on, in a dict that updates as they run."""
+    forward_features and forward_logits) and of nn.backward from here on, in
+    a dict that updates as they run."""
     calls = {"forward": 0, "backward": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(nn, name), **kwargs):

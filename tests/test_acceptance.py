@@ -71,13 +71,13 @@ def _combined_loss_and_grads(m, xl, y, xu, bank, pseudo, fm_cfg, m_cfg):
     sup = fixmatch.supervised_loss(m, xl, y)
     uns = fixmatch.unlabeled_loss(m, xu, xu, fm_cfg)
     logits_total = fixmatch.warmup_objective(sup, uns)
-    F_l = nn.forward_features(m, xl)
-    F_u = nn.forward_features(m, xu)
-    msup = proto.margin_loss_labeled(bank, F_l, y, m_cfg)
-    munsup = proto.margin_loss_unlabeled(bank, F_u, np.arange(4), pseudo, m_cfg)
+    acts_l = nn.forward(m, xl)
+    acts_u = nn.forward(m, xu)
+    msup = proto.margin_loss_labeled(bank, acts_l.feats, y, m_cfg)
+    munsup = proto.margin_loss_unlabeled(bank, acts_u.feats, np.arange(4), pseudo, m_cfg)
     value = logits_total.value + m_cfg.lam * (msup.value + munsup.value)
-    grad = (logits_total.grad + m_cfg.lam * nn.backward(m, xl, d_feats=msup.d_feats)
-            + m_cfg.lam * nn.backward(m, xu, d_feats=munsup.d_feats))
+    grad = (logits_total.grad + m_cfg.lam * nn.backward(m, xl, acts_l, d_feats=msup.d_feats)
+            + m_cfg.lam * nn.backward(m, xu, acts_u, d_feats=munsup.d_feats))
     return value, grad
 
 

@@ -413,7 +413,9 @@ BAD_OVERRIDES = ["fixmatch.batch_size=8.5", "model.hidden=8.5", "cluster.max_ite
                  "schedule.warmup_epochs=1.5", "cluster=5", "eval=3",
                  "optimizer.base_lr=NaN", "cluster.tol=NaN", "cluster.tol=-1",
                  "augment.weak_sigma=NaN", "margin.lambda=Infinity",
-                 "margin.temperature=Infinity", "fixmatch.tau=-Infinity"]
+                 "margin.temperature=Infinity", "fixmatch.tau=-Infinity",
+                 "optimizer.momentum=1.5", "optimizer.momentum=-3",
+                 "optimizer.weight_decay=-1"]
 
 
 SYNTH = {"classes": 3, "dim": 4, "per_class": 10, "overlap": 0.1, "seed": 0}

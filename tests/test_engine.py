@@ -542,7 +542,7 @@ class TestEncoderPassesPerStep:
         calls = count_encoder_passes(monkeypatch)
         chunk = trainer._epoch_chunks()[0]
         _, _, uns = trainer._train_step(chunk, trainer._draw(chunk), 0.01, cfg.margin.lam)
-        return calls["forward"], calls["backward"], uns.pass_count
+        return calls["forward"], calls["backward"], uns
 
     @pytest.mark.parametrize("mode, with_bank, none_past, some_past", [
         ("aplt", True, (4, 3), (5, 4)),      # after warm-up
@@ -550,12 +550,17 @@ class TestEncoderPassesPerStep:
         ("fixmatch", False, (2, 1), (3, 2)),
     ])
     def test_counts(self, monkeypatch, mode, with_bank, none_past, some_past):
-        forwards, backwards, passed = self.step_counts(monkeypatch, mode, 0.95, with_bank)
-        assert passed == 0
+        forwards, backwards, uns = self.step_counts(monkeypatch, mode, 0.95, with_bank)
+        assert uns.pass_count == 0
         assert (forwards, backwards) == none_past
-        forwards, backwards, passed = self.step_counts(monkeypatch, mode, 0.4, with_bank)
-        assert 0 < passed
+        forwards, backwards, uns = self.step_counts(monkeypatch, mode, 0.4, with_bank)
+        assert 0 < uns.pass_count
         assert (forwards, backwards) == some_past
+
+    @pytest.mark.parametrize("tau", [0.95, 0.4])
+    def test_labeled_only_counts(self, monkeypatch, tau):
+        # one supervised forward and backward, and no consistency term
+        assert self.step_counts(monkeypatch, "labeled_only", tau, False) == (1, 1, None)
 
     def test_evaluate_runs_one_forward(self, monkeypatch):
         trainer = engine._Trainer(small_dataset(), small_config(), "aplt")

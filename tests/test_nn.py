@@ -5,8 +5,9 @@ import pickle
 import numpy as np
 import pytest
 
+import oracle_step as oracle
 from aplt import cluster, nn
-from aplt.errors import DataFormatError, DimensionMismatchError, NonFiniteError
+from aplt.errors import ApltError, DataFormatError, DimensionMismatchError, NonFiniteError
 from model_helpers import identity_encoder
 
 
@@ -186,7 +187,8 @@ class TestBackward:
         rng = np.random.default_rng(5)
         m = random_model(rng)
         x = rng.normal(size=(3, 5))
-        g = nn.backward(m, x, d_probs=np.zeros((3, 3)), d_feats=np.zeros((3, 4)))
+        g = nn.backward(m, x, nn.forward(m, x, head=True),
+                        d_probs=np.zeros((3, 3)), d_feats=np.zeros((3, 4)))
         assert g.shape == m.theta.shape
         assert np.all(g == 0.0)
 
@@ -204,11 +206,12 @@ class TestBackward:
             ce = -np.log(p[np.arange(6), y]).mean()
             return ce + float((f * coeffs).sum())
 
-        p = nn.forward_logits(m, x)
+        acts = nn.forward(m, x, head=True)
+        p = acts.probs
         d_probs = np.zeros_like(p)
         d_probs[np.arange(6), y] = -1.0 / (6 * p[np.arange(6), y])
         d_feats = np.tile(coeffs, (6, 1))
-        analytic = nn.backward(m, x, d_probs=d_probs, d_feats=d_feats)
+        analytic = nn.backward(m, x, acts, d_probs=d_probs, d_feats=d_feats)
         numeric = numeric_gradient(loss_of, m)
         assert max_rel_error(analytic, numeric) < 1e-4
 
@@ -217,8 +220,9 @@ class TestBackward:
         m = random_model(rng)
         x = rng.normal(size=(1, 5))
         dF = rng.normal(size=(1, 4))
-        single = nn.backward(m, x, d_feats=dF)
-        doubled = nn.backward(m, np.vstack([x, x]), d_feats=np.vstack([dF, dF]))
+        xx = np.vstack([x, x])
+        single = nn.backward(m, x, nn.forward(m, x), d_feats=dF)
+        doubled = nn.backward(m, xx, nn.forward(m, xx), d_feats=np.vstack([dF, dF]))
         assert np.allclose(doubled, 2 * single, atol=1e-12)
 
 
@@ -235,11 +239,16 @@ class TestBackwardReusesForward:
             kwargs["d_probs"] = rng.normal(size=(B, C))
         if upstream in ("feats", "both"):
             kwargs["d_feats"] = rng.normal(size=(B, e))
-        recomputed = nn.backward(m, x, **kwargs)
-        # with the head's probabilities, and without (backward then adds them)
-        for acts in (nn.forward(m, x, head=True), nn.forward(m, x)):
-            reused = nn.backward(m, x, **kwargs, acts=acts)
-            assert reused.tobytes() == recomputed.tobytes()
+        recomputed = oracle.backward(m, x, **kwargs)  # runs its own forward
+        reused = nn.backward(m, x, nn.forward(m, x, head=True), **kwargs)
+        assert reused.tobytes() == recomputed.tobytes()
+        # activations without the head's probabilities cannot take d_probs
+        features_only = nn.forward(m, x)
+        if "d_probs" in kwargs:
+            with pytest.raises(ApltError, match=r"nn\.forward\(m, x, head=True\)"):
+                nn.backward(m, x, features_only, **kwargs)
+        else:
+            assert nn.backward(m, x, features_only, **kwargs).tobytes() == recomputed.tobytes()
 
 
 class TestSgdStep:
@@ -378,10 +387,11 @@ def test_training_path_determinism():
         x = rng.normal(size=(8, 5))
         y = rng.integers(0, 3, size=8)
         for step in range(20):
-            p = nn.forward_logits(m, x)
+            acts = nn.forward(m, x, head=True)
+            p = acts.probs
             d_probs = np.zeros_like(p)
             d_probs[np.arange(8), y] = -1.0 / (8 * p[np.arange(8), y])
-            grads = nn.backward(m, x, d_probs=d_probs)
+            grads = nn.backward(m, x, acts, d_probs=d_probs)
             nn.sgd_step(m, state, grads, nn.cosine_lr(step, 20, 0.002))
         return m
 

@@ -83,9 +83,8 @@ def test_backward_matches(seed, upstream):
         if upstream in ("feats", "both"):
             kwargs["d_feats"] = rng.normal(size=(x.shape[0], m.feature_dim))
         want = oracle.backward(m, x, **kwargs)
-        assert same(nn.backward(m, x, **kwargs), want)
-        for head in (False, True):
-            assert same(nn.backward(m, x, **kwargs, acts=nn.forward(m, x, head=head)), want)
+        acts = nn.forward(m, x, head="d_probs" in kwargs)
+        assert same(nn.backward(m, x, acts, **kwargs), want)
 
 
 def masks(rng, B):

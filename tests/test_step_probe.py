@@ -21,3 +21,13 @@ def test_probe_counts_calls_then_times_steps():
     assert 0 < python_calls < 213 and 0 < c_calls < 188
     assert re.fullmatch(r"step time over 3 steps: median \d+ us \(quartiles \d+-\d+ us\); "
                         r"median _draw \d+ us, _train_step \d+ us", timing)
+
+
+def test_nonpositive_steps_is_a_usage_error_before_training():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for steps in ("0", "-2"):
+        proc = subprocess.run([sys.executable, str(ROOT / "tools" / "step_probe.py"),
+                               "--steps", steps], capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "usage:" in proc.stderr and "must be a positive integer" in proc.stderr

@@ -25,9 +25,16 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 from aplt import cli, config, data, engine  # noqa: E402
 
 
+def positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--steps", type=int, default=400, help="timed steps")
+    parser.add_argument("--steps", type=positive_int, default=400, help="timed steps")
     parser.add_argument("--seed", type=int, default=0, help="training seed")
     args = parser.parse_args(argv)
     cfg, _ = config.resolve(overrides=[f"seed={args.seed}"])
