@@ -337,12 +337,13 @@ class _Trainer:
         (None in labeled_only mode)."""
         m, cfg = self.model, self.cfg
         y_l = self.y_l[views[0]]
-        total = fm_mod.supervised_loss(m, views[1], y_l)
-        uns = None
+        sup = fm_mod.supervised_loss(m, views[1], y_l)
+        value, grad, uns = sup.value, sup.grad, None
         if self.mode != "labeled_only":
             uns = fm_mod.unlabeled_loss(m, views[2], views[3], cfg.fixmatch)
-            total = fm_mod.warmup_objective(total, uns)
-        grad = total.grad
+            value += uns.value
+            if uns.pass_count:  # else uns.grad is zero and grad keeps its bits
+                grad += uns.grad
         margin_value = 0.0
         if self.bank is not None:
             xl_v, xu_v = views[4:]
@@ -356,9 +357,9 @@ class _Trainer:
             for x_v, loss, acts in ((xl_v, msup, acts_l), (xu_v, munsup, acts_u)):
                 g = nn.backward(m, x_v, acts, d_feats=loss.d_feats)
                 grad += np.multiply(lam, g, out=g)
-        self._finite_or_die(total.value + lam * margin_value, "total loss")
+        self._finite_or_die(value + lam * margin_value, "total loss")
         nn.sgd_step(m, self.opt, grad, lr)
-        return total.value, margin_value, uns
+        return value, margin_value, uns
 
     def _finite_or_die(self, value, what):
         if not np.isfinite(value):

@@ -1,10 +1,12 @@
-"""Warm-up objective: supervised cross-entropy plus confidence-thresholded
-consistency between weak and strong views of unlabeled data.
+"""The warm-up objective's two terms: supervised cross-entropy and
+confidence-thresholded consistency between weak and strong views of
+unlabeled data. ``engine._Trainer._train_step`` adds them.
 
 Pseudo-labels always come from the weak view; the strong view is never asked
 to label anything. Samples whose weak-view confidence stays below tau
 contribute exactly zero loss and zero gradient, but still count in the
-batch-size denominator.
+batch-size denominator. Each term hands ``nn.backward`` its gradient on the
+head's logits, formed in closed form.
 """
 
 from __future__ import annotations
@@ -55,15 +57,21 @@ def _masked_ce(m: nn.EncoderModel, x: np.ndarray, targets: np.ndarray,
         return 0.0, np.zeros(m.theta.size)
     B = x.shape[0]
     rows = np.arange(B)
-    acts = nn.forward(m, x, head=True)
-    py = np.maximum(acts.probs[rows, targets], nn._P_FLOOR)
+    acts = nn.forward(m, x)
+    p = nn.head_probs(m, acts.feats)
+    p_t = p[rows, targets]
+    py = np.maximum(p_t, nn._P_FLOOR)
     nll, d_py = -np.log(py), -1.0 / (B * py)
     if kept is not None:
         nll *= kept
         d_py = np.where(kept, d_py, 0.0)
-    d_probs = np.zeros(acts.probs.shape)
-    d_probs[rows, targets] = d_py
-    return float(np.add.reduce(nll) / B), nn.backward(m, x, acts, d_probs=d_probs)
+    # p * dp - p * (p . dp) for dp = d_py at the targets, signed zeros included:
+    # s is p * dp's one nonzero per row, and s + 0.0 its row sum (-0.0 -> +0.0)
+    s = p_t * d_py
+    q = s + 0.0
+    d_logits = p * (0.0 - q)[:, None]
+    d_logits[rows, targets] = s - p_t * q
+    return float(np.add.reduce(nll) / B), nn.backward(m, x, acts, d_logits=d_logits)
 
 
 def supervised_loss(m: nn.EncoderModel, x: np.ndarray, y: np.ndarray) -> BatchLoss:
@@ -92,11 +100,3 @@ def unlabeled_loss(m: nn.EncoderModel, x: np.ndarray, x_strong: np.ndarray,
     value, grad = _masked_ce(m, x_strong, qhat, passed)
     return BatchLoss(value=value, pass_count=int(np.count_nonzero(passed)), grad=grad,
                      pseudo_labels=qhat, passed=passed)
-
-
-def warmup_objective(sup: BatchLoss, unsup: BatchLoss) -> BatchLoss:
-    """Sum of the two terms, gradients included; with no row past tau, the
-    unlabeled gradient is zero and the sum's gradient is ``sup.grad`` itself."""
-    return BatchLoss(value=sup.value + unsup.value, pass_count=unsup.pass_count,
-                     grad=sup.grad + unsup.grad if unsup.pass_count else sup.grad,
-                     pseudo_labels=unsup.pseudo_labels, passed=unsup.passed)

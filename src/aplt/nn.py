@@ -13,10 +13,11 @@ space that clustering and the prototype margin operate in, where dot
 products and Euclidean distances are interchangeable.
 
 Every parameter lives in one flat vector ``theta``; ``w1`` ... ``hb`` are
-views into it. ``forward`` returns every intermediate of one pass;
-``encode_rows`` gives the features of a whole row set in bounded memory.
+views into it. ``forward`` returns every intermediate of one encoder pass,
+and ``head_probs`` the head's output on its features; ``encode_rows`` gives
+the features of a whole row set in bounded memory.
 ``backward`` takes the activations of the forward it differentiates and
-upstream gradients on the probabilities (classifier path) and/or on the
+upstream gradients on the head's logits (classifier path) and/or on the
 features (prototype-margin path, which never touches the head), and returns
 one flat gradient laid out like ``theta``: gradients add with ``+``, and
 ``params(grad)`` names their blocks. ``sgd_step`` updates ``theta`` and one
@@ -115,13 +116,11 @@ def _check_input(m: EncoderModel, x: np.ndarray) -> np.ndarray:
 
 
 class Activations(NamedTuple):
-    """What one encoder pass computed: everything ``backward`` needs.
-    ``probs`` is set only when the head ran."""
+    """What one encoder pass computed: everything ``backward`` needs."""
     z1: np.ndarray
     a1: np.ndarray
     norms: np.ndarray
     feats: np.ndarray
-    probs: np.ndarray | None = None
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -141,8 +140,8 @@ def head_probs(m: EncoderModel, feats: np.ndarray) -> np.ndarray:
     return softmax(logits)
 
 
-def forward(m: EncoderModel, x: np.ndarray, head: bool = False) -> Activations:
-    """One encoder pass over x, plus the head's probabilities when ``head``."""
+def forward(m: EncoderModel, x: np.ndarray) -> Activations:
+    """One encoder pass over x."""
     x = _check_input(m, x)
     w = m._views
     z1 = x @ w["w1"] + w["b1"]
@@ -151,7 +150,7 @@ def forward(m: EncoderModel, x: np.ndarray, head: bool = False) -> Activations:
     # the sum is what np.linalg.norm(v, axis=1, keepdims=True) takes the root of
     norms = np.maximum(np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True)), _NORM_FLOOR)
     v /= norms
-    return Activations(z1, a1, norms, v, head_probs(m, v) if head else None)
+    return Activations(z1, a1, norms, v)
 
 
 def forward_features(m: EncoderModel, x: np.ndarray) -> np.ndarray:
@@ -193,39 +192,32 @@ def encode_rows(m: EncoderModel, X: np.ndarray, rows: np.ndarray | None = None) 
 
 def forward_logits(m: EncoderModel, x: np.ndarray) -> np.ndarray:
     """Class probabilities from the parametric head (softmax rows)."""
-    return forward(m, x, head=True).probs
+    return head_probs(m, forward(m, x).feats)
 
 
 def backward(m: EncoderModel, x: np.ndarray, acts: Activations,
-             d_probs: np.ndarray | None = None,
+             d_logits: np.ndarray | None = None,
              d_feats: np.ndarray | None = None) -> np.ndarray:
-    """Parameter gradients for upstream d(loss)/d(probs) and/or d(loss)/d(F).
+    """Parameter gradients for upstream d(loss)/d(head logits) and/or d(loss)/d(F).
 
     The margin path supplies only ``d_feats`` (prototypes are frozen, so
-    nothing flows into the head); the classifier path supplies ``d_probs``.
+    nothing flows into the head); the classifier path supplies ``d_logits``.
     Both may be given at once and their contributions add. ``acts`` is
-    ``forward(m, x)`` of this same model and x, with ``head=True`` when
-    ``d_probs`` is given. Returns one flat gradient laid out like ``m.theta``.
+    ``forward(m, x)`` of this same model and x. Returns one flat gradient laid
+    out like ``m.theta``.
     """
     x = _check_input(m, x)
-    if d_probs is None and d_feats is None:
+    if d_logits is None and d_feats is None:
         raise ApltError("backward needs at least one upstream gradient")
-    z1, a1, norms, feats, probs = acts
+    z1, a1, norms, feats = acts
     w = m._views
-    B = x.shape[0]
 
     # the scalar 0.0 stands for a zero array: 0.0 + a term has its bits
     dF, head = 0.0, (np.zeros(w["hw"].size + w["hb"].size),)
-    if d_probs is not None:
-        d_probs = np.asarray(d_probs, dtype=np.float64)
-        if d_probs.shape != (B, w["hb"].size):
-            raise DimensionMismatchError("d_probs shape mismatch")
-        if probs is None:
-            raise ApltError("d_probs needs the head's probabilities: "
-                            "pass acts = nn.forward(m, x, head=True)")
-        # softmax Jacobian-vector product
-        pd = probs * d_probs
-        d_logits = pd - probs * np.add.reduce(pd, axis=1, keepdims=True)
+    if d_logits is not None:
+        d_logits = np.asarray(d_logits, dtype=np.float64)
+        if d_logits.shape != (x.shape[0], w["hb"].size):
+            raise DimensionMismatchError("d_logits shape mismatch")
         head = (feats.T @ d_logits, np.add.reduce(d_logits, axis=0))
         dF += d_logits @ w["hw"].T
     if d_feats is not None:

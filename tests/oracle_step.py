@@ -7,19 +7,31 @@ the same names: every intermediate a fresh array, the norm from
 ``np.linalg.norm``, ``ndarray`` reduction methods, the weights through the
 model's properties and the gradient written through ``params()`` views into
 a zero vector. Only module prefixes changed, so that each function calls
-this file's versions of the others. The package's versions make fewer numpy
-calls and temporaries; the tests in ``test_step_oracle.py`` require the same
-bytes from both.
+this file's versions of the others, and the softmax Jacobian-vector product
+became ``softmax_jvp``. They also keep the API from before the package's
+``forward`` dropped the head and its ``backward`` took the gradient on the
+logits: here ``forward(head=True)`` adds the head's probabilities, and
+``backward`` takes ``d_probs``. The package's versions make fewer numpy calls and temporaries;
+the tests in ``test_step_oracle.py`` require the same bytes from both.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
 from aplt.errors import ApltError, DimensionMismatchError
-from aplt.nn import Activations
 from aplt.proto import MarginLoss
 
 _NORM_FLOOR = 1e-12
 _P_FLOOR = 1e-300
+
+
+class Activations(NamedTuple):
+    z1: np.ndarray
+    a1: np.ndarray
+    norms: np.ndarray
+    feats: np.ndarray
+    probs: np.ndarray | None = None
 
 
 def _check_input(m, x):
@@ -53,6 +65,13 @@ def forward(m, x, head=False):
     return Activations(z1, a1, norms, feats, head_probs(m, feats) if head else None)
 
 
+def softmax_jvp(p, d_probs):
+    """The gradient on the logits of a softmax with outputs p, given the
+    gradient d_probs on its outputs."""
+    inner = (p * d_probs).sum(axis=1, keepdims=True)
+    return p * d_probs - p * inner
+
+
 def backward(m, x, d_probs=None, d_feats=None, acts=None):
     x = _check_input(m, x)
     if d_probs is None and d_feats is None:
@@ -70,9 +89,7 @@ def backward(m, x, d_probs=None, d_feats=None, acts=None):
         if d_probs.shape != (B, m.num_classes):
             raise DimensionMismatchError("d_probs shape mismatch")
         p = acts.probs if acts.probs is not None else head_probs(m, feats)
-        # softmax Jacobian-vector product
-        inner = (p * d_probs).sum(axis=1, keepdims=True)
-        d_logits = p * d_probs - p * inner
+        d_logits = softmax_jvp(p, d_probs)
         np.matmul(feats.T, d_logits, out=g["hw"])
         d_logits.sum(axis=0, out=g["hb"])
         dF += d_logits @ m.hw.T

@@ -70,13 +70,12 @@ def _combined_loss_and_grads(m, xl, y, xu, bank, pseudo, fm_cfg, m_cfg):
     # each batch is its own weak and strong view: augmentation with zero sigmas
     sup = fixmatch.supervised_loss(m, xl, y)
     uns = fixmatch.unlabeled_loss(m, xu, xu, fm_cfg)
-    logits_total = fixmatch.warmup_objective(sup, uns)
     acts_l = nn.forward(m, xl)
     acts_u = nn.forward(m, xu)
     msup = proto.margin_loss_labeled(bank, acts_l.feats, y, m_cfg)
     munsup = proto.margin_loss_unlabeled(bank, acts_u.feats, np.arange(4), pseudo, m_cfg)
-    value = logits_total.value + m_cfg.lam * (msup.value + munsup.value)
-    grad = (logits_total.grad + m_cfg.lam * nn.backward(m, xl, acts_l, d_feats=msup.d_feats)
+    value = sup.value + uns.value + m_cfg.lam * (msup.value + munsup.value)
+    grad = (sup.grad + uns.grad + m_cfg.lam * nn.backward(m, xl, acts_l, d_feats=msup.d_feats)
             + m_cfg.lam * nn.backward(m, xu, acts_u, d_feats=munsup.d_feats))
     return value, grad
 

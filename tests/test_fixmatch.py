@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aplt import augment, fixmatch, nn
+from aplt import augment, config, data, engine, fixmatch, nn
 from aplt.errors import EmptyBatchError, InvalidParameterError
 from model_helpers import confident_model, count_encoder_passes, identity_encoder
 
@@ -139,44 +139,65 @@ class TestNoRowPastTau:
 
 
 class TestWarmupObjective:
-    def test_zero_unsup_equals_supervised(self):
-        m = identity_encoder(2)
-        sup = fixmatch.supervised_loss(m, np.array([[1.0, 0.0]]), np.array([0]))
-        unsup = fixmatch.unlabeled_loss(m, np.array([[0.1, 0.0]]), np.array([[0.1, 0.0]]), FM)
-        assert unsup.value == 0.0
-        total = fixmatch.warmup_objective(sup, unsup)
-        assert total.value == sup.value
-        assert np.array_equal(total.grad, sup.grad)
+    """The warm-up sum ``engine._Trainer._train_step`` forms: one fixmatch
+    step from initialisation on small synthetic data, where every row stays
+    below tau=0.95 and some pass tau=0.4, with the optimizer update replaced
+    by a record of the gradient it was given."""
 
-    def test_values_add(self):
-        a = fixmatch.BatchLoss(value=0.5, pass_count=1, grad=np.ones(2))
-        b = fixmatch.BatchLoss(value=0.25, pass_count=2, grad=np.full(2, 0.5))
-        total = fixmatch.warmup_objective(a, b)
-        assert total.value == 0.75
-        assert np.array_equal(total.grad, np.full(2, 1.5))
+    @staticmethod
+    def stepper(monkeypatch, tau):
+        cfg, _ = config.resolve(None, ["fixmatch.batch_size=16", f"fixmatch.tau={tau}"])
+        ds = data.apply_split(data.generate_synthetic(3, 6, 40, 0.15, seed=2),
+                              data.SplitSpec(labeled_ratio=0.2, seed=2))
+        trainer = engine._Trainer(ds, cfg, "fixmatch")
+        chunk = trainer._epoch_chunks()[0]
+        views = trainer._draw(chunk)
+        seen = {}
 
-    def test_total_gradient_matches_finite_differences(self):
-        rng_ = np.random.default_rng(13)
-        m = nn.EncoderModel.init(4, 16, 3, 3, rng_)
-        xl = rng_.normal(size=(5, 4))
-        y = rng_.integers(0, 3, size=5)
-        xu = rng_.normal(scale=3.0, size=(5, 4))
-        cfg = fixmatch.FixMatchConfig(tau=0.5)
+        def supervised_loss(*args, _fn=fixmatch.supervised_loss):
+            seen["sup"] = out = _fn(*args)
+            out.grad[0] = -0.0  # adding a zero gradient would turn it into +0.0
+            seen["sup_grad"] = out.grad.copy()  # before the step adds to it
+            return out
 
-        def total_loss(model):
-            sup = fixmatch.supervised_loss(model, xl, y)
-            unsup = fixmatch.unlabeled_loss(model, xu, xu, cfg)
-            return fixmatch.warmup_objective(sup, unsup)
+        def sgd_step(m, state, grad, lr):
+            seen["grad"] = grad
 
-        analytic = m.params(total_loss(m).grad)
+        monkeypatch.setattr(fixmatch, "supervised_loss", supervised_loss)
+        monkeypatch.setattr(nn, "sgd_step", sgd_step)
+
+        def step():
+            seen["value"], _, seen["uns"] = trainer._train_step(chunk, views, 0.01, 0.0)
+            return seen
+        return trainer.model, step
+
+    def test_zero_unsup_equals_supervised(self, monkeypatch):
+        seen = self.stepper(monkeypatch, 0.95)[1]()
+        assert seen["uns"].pass_count == 0 and seen["uns"].value == 0.0
+        assert seen["value"] == seen["sup"].value
+        # the step keeps sup.grad itself: no zero gradient is added to it
+        assert seen["grad"] is seen["sup"].grad
+        assert seen["grad"].tobytes() == seen["sup_grad"].tobytes()
+
+    def test_values_add(self, monkeypatch):
+        seen = self.stepper(monkeypatch, 0.4)[1]()
+        assert seen["uns"].pass_count > 0
+        assert seen["value"] == seen["sup"].value + seen["uns"].value
+        assert seen["grad"].tobytes() == (seen["sup_grad"] + seen["uns"].grad).tobytes()
+
+    def test_total_gradient_matches_finite_differences(self, monkeypatch):
+        m, step = self.stepper(monkeypatch, 0.4)
+        seen = step()
+        assert seen["uns"].pass_count > 0
+        analytic = m.params(seen["grad"])
         for name in ("hw", "b2"):
             theta = getattr(m, name)
             flat_idx = (0,) if theta.ndim == 1 else (0, 0)
             orig = theta[flat_idx]
             theta[flat_idx] = orig + 1e-5
-            up = total_loss(m).value
+            up = step()["value"]
             theta[flat_idx] = orig - 1e-5
-            down = total_loss(m).value
+            down = step()["value"]
             theta[flat_idx] = orig
             fd = (up - down) / 2e-5
             assert analytic[name][flat_idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)

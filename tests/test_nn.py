@@ -187,10 +187,22 @@ class TestBackward:
         rng = np.random.default_rng(5)
         m = random_model(rng)
         x = rng.normal(size=(3, 5))
-        g = nn.backward(m, x, nn.forward(m, x, head=True),
-                        d_probs=np.zeros((3, 3)), d_feats=np.zeros((3, 4)))
+        g = nn.backward(m, x, nn.forward(m, x),
+                        d_logits=np.zeros((3, 3)), d_feats=np.zeros((3, 4)))
         assert g.shape == m.theta.shape
         assert np.all(g == 0.0)
+
+    def test_upstream_gradients_are_checked(self):
+        rng = np.random.default_rng(5)
+        m = random_model(rng)  # d=5, e=4, C=3
+        x = rng.normal(size=(3, 5))
+        acts = nn.forward(m, x)
+        with pytest.raises(ApltError, match="at least one upstream gradient"):
+            nn.backward(m, x, acts)
+        with pytest.raises(DimensionMismatchError, match="d_logits shape mismatch"):
+            nn.backward(m, x, acts, d_logits=np.zeros((3, 4)))
+        with pytest.raises(DimensionMismatchError, match="d_feats shape mismatch"):
+            nn.backward(m, x, acts, d_feats=np.zeros((3, 3)))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradient_check_both_paths(self, seed):
@@ -206,12 +218,12 @@ class TestBackward:
             ce = -np.log(p[np.arange(6), y]).mean()
             return ce + float((f * coeffs).sum())
 
-        acts = nn.forward(m, x, head=True)
-        p = acts.probs
-        d_probs = np.zeros_like(p)
-        d_probs[np.arange(6), y] = -1.0 / (6 * p[np.arange(6), y])
+        acts = nn.forward(m, x)
+        d_logits = nn.head_probs(m, acts.feats)  # mean cross-entropy: (p - onehot(y)) / 6
+        d_logits[np.arange(6), y] -= 1.0
+        d_logits /= 6
         d_feats = np.tile(coeffs, (6, 1))
-        analytic = nn.backward(m, x, acts, d_probs=d_probs, d_feats=d_feats)
+        analytic = nn.backward(m, x, acts, d_logits=d_logits, d_feats=d_feats)
         numeric = numeric_gradient(loss_of, m)
         assert max_rel_error(analytic, numeric) < 1e-4
 
@@ -234,21 +246,15 @@ class TestBackwardReusesForward:
         d, h, e, C, B = rng.integers(1, 9, size=5)
         m = random_model(rng, d, h, e, C)
         x = rng.normal(size=(B, d))
-        kwargs = {}
-        if upstream in ("probs", "both"):
-            kwargs["d_probs"] = rng.normal(size=(B, C))
-        if upstream in ("feats", "both"):
-            kwargs["d_feats"] = rng.normal(size=(B, e))
-        recomputed = oracle.backward(m, x, **kwargs)  # runs its own forward
-        reused = nn.backward(m, x, nn.forward(m, x, head=True), **kwargs)
-        assert reused.tobytes() == recomputed.tobytes()
-        # activations without the head's probabilities cannot take d_probs
-        features_only = nn.forward(m, x)
-        if "d_probs" in kwargs:
-            with pytest.raises(ApltError, match=r"nn\.forward\(m, x, head=True\)"):
-                nn.backward(m, x, features_only, **kwargs)
-        else:
-            assert nn.backward(m, x, features_only, **kwargs).tobytes() == recomputed.tobytes()
+        up_probs = rng.normal(size=(B, C)) if upstream in ("probs", "both") else None
+        up_feats = rng.normal(size=(B, e)) if upstream in ("feats", "both") else None
+        recomputed = oracle.backward(m, x, up_probs, up_feats)  # runs its own forward
+        acts = nn.forward(m, x)
+        # the same upstream, on the head's logits
+        d_logits = (None if up_probs is None
+                    else oracle.softmax_jvp(nn.head_probs(m, acts.feats), up_probs))
+        got = nn.backward(m, x, acts, d_logits=d_logits, d_feats=up_feats)
+        assert got.tobytes() == recomputed.tobytes()
 
 
 class TestSgdStep:
@@ -387,11 +393,11 @@ def test_training_path_determinism():
         x = rng.normal(size=(8, 5))
         y = rng.integers(0, 3, size=8)
         for step in range(20):
-            acts = nn.forward(m, x, head=True)
-            p = acts.probs
-            d_probs = np.zeros_like(p)
-            d_probs[np.arange(8), y] = -1.0 / (8 * p[np.arange(8), y])
-            grads = nn.backward(m, x, acts, d_probs=d_probs)
+            acts = nn.forward(m, x)
+            d_logits = nn.head_probs(m, acts.feats)  # (p - onehot(y)) / 8
+            d_logits[np.arange(8), y] -= 1.0
+            d_logits /= 8
+            grads = nn.backward(m, x, acts, d_logits=d_logits)
             nn.sgd_step(m, state, grads, nn.cosine_lr(step, 20, 0.002))
         return m
 

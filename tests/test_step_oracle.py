@@ -21,8 +21,8 @@ def same(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def draw_model(rng, C=None):
-    d, h, e = rng.integers(1, 9, size=3)
+def draw_model(rng, C=None, dims=None):
+    d, h, e = rng.integers(1, 9, size=3) if dims is None else dims
     m = nn.EncoderModel.init(d, h, e, C or int(rng.integers(1, 9)), rng)
     m.theta[:] += rng.normal(scale=0.1, size=m.theta.size)  # nonzero biases too
     return m
@@ -58,12 +58,22 @@ def cases(seed):
     return [(m, draw_batch(rng, m)), (m, draw_batch(rng, m, B=1)), (z, zx)]
 
 
+def bench_cases(seed):
+    """(model, batch) pairs at the shapes every bench workload steps at:
+    B=64, d=32, h=64 and e=32, with C=12 and with C=100. OpenBLAS picks its
+    kernels by shape, so the small ``cases`` do not stand for these."""
+    rng = np.random.default_rng(5000 + seed)
+    models = [draw_model(rng, C, dims=(32, 64, 32)) for C in (12, 100)]
+    return [(m, draw_batch(rng, m, B=64)) for m in models]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_forward_matches(seed):
     for m, x in cases(seed):
-        for head in (False, True):
-            new, old = nn.forward(m, x, head=head), oracle.forward(m, x, head=head)
-            assert all(same(a, b) for a, b in zip(new, old))
+        new, old = nn.forward(m, x), oracle.forward(m, x, head=True)
+        assert len(new) == 4 and all(same(a, b) for a, b in zip(new, old))
+        assert same(nn.head_probs(m, new.feats), old.probs)
+        assert same(nn.forward_logits(m, x), old.probs)
 
 
 def test_zero_row_hits_the_norm_floor():
@@ -75,16 +85,19 @@ def test_zero_row_hits_the_norm_floor():
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("upstream", ["probs", "feats", "both"])
 def test_backward_matches(seed, upstream):
+    """``upstream="probs"`` draws a gradient on the head's probabilities; the
+    oracle's ``softmax_jvp`` turns it into the one on the logits that
+    ``nn.backward`` takes."""
     rng = np.random.default_rng(1000 + seed)
-    for m, x in cases(seed):
-        kwargs = {}
-        if upstream in ("probs", "both"):
-            kwargs["d_probs"] = rng.normal(size=(x.shape[0], m.num_classes))
-        if upstream in ("feats", "both"):
-            kwargs["d_feats"] = rng.normal(size=(x.shape[0], m.feature_dim))
-        want = oracle.backward(m, x, **kwargs)
-        acts = nn.forward(m, x, head="d_probs" in kwargs)
-        assert same(nn.backward(m, x, acts, **kwargs), want)
+    for m, x in cases(seed) + bench_cases(seed):
+        B = x.shape[0]
+        up_probs = rng.normal(size=(B, m.num_classes)) if upstream in ("probs", "both") else None
+        up_feats = rng.normal(size=(B, m.feature_dim)) if upstream in ("feats", "both") else None
+        want = oracle.backward(m, x, up_probs, up_feats)
+        acts = nn.forward(m, x)
+        d_logits = (None if up_probs is None
+                    else oracle.softmax_jvp(nn.head_probs(m, acts.feats), up_probs))
+        assert same(nn.backward(m, x, acts, d_logits=d_logits, d_feats=up_feats), want)
 
 
 def masks(rng, B):
@@ -98,7 +111,7 @@ def test_masked_ce_matches(seed, scale):
     """scale 1e4 makes the head's softmax underflow to exact zeros, so some
     targets' probabilities are 0 and hit the log floor."""
     rng = np.random.default_rng(2000 + seed)
-    for m, x in cases(seed):
+    for m, x in cases(seed) + bench_cases(seed):
         m.hw[:] *= scale
         targets = rng.integers(0, m.num_classes, size=x.shape[0])
         for kept in masks(rng, x.shape[0]):
@@ -107,6 +120,37 @@ def test_masked_ce_matches(seed, scale):
             want_value, want_grad = oracle._masked_ce(m, x, targets, old_kept)
             assert repr(value) == repr(want_value)
             assert same(grad, want_grad)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("scale", [1.0, 1e4])
+def test_masked_ce_logit_gradient_is_the_softmax_jvp(monkeypatch, seed, scale):
+    """The gradient ``_masked_ce`` hands ``nn.backward`` is, entry for entry
+    and signed zeros included, the oracle's softmax JVP of its one-hot
+    upstream. (The sums of the backward wash out a zero's sign, so
+    ``test_masked_ce_matches`` cannot see it.)"""
+    seen, backward = [], nn.backward
+
+    def capture(m, x, acts, d_logits=None, d_feats=None):
+        seen.append(d_logits)
+        return backward(m, x, acts, d_logits=d_logits, d_feats=d_feats)
+
+    monkeypatch.setattr(nn, "backward", capture)
+    rng = np.random.default_rng(6000 + seed)
+    for m, x in cases(seed) + bench_cases(seed):
+        m.hw[:] *= scale
+        B = x.shape[0]
+        rows, targets = np.arange(B), rng.integers(0, m.num_classes, size=B)
+        p = oracle.forward(m, x, head=True).probs
+        py = np.maximum(p[rows, targets], oracle._P_FLOOR)
+        for kept in masks(rng, B):
+            fixmatch._masked_ce(m, x, targets, kept)
+            if kept is None or kept.any():  # else there is no backward
+                d_probs = np.zeros_like(p)
+                d_probs[rows, targets] = np.where(True if kept is None else kept,
+                                                  -1.0 / (B * py), 0.0)
+                assert same(seen.pop(), oracle.softmax_jvp(p, d_probs))
+            assert not seen
 
 
 @pytest.mark.parametrize("seed", SEEDS)

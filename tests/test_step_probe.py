@@ -31,3 +31,12 @@ def test_nonpositive_steps_is_a_usage_error_before_training():
                               timeout=60)
         assert proc.returncode == 2 and proc.stdout == ""
         assert "usage:" in proc.stderr and "must be a positive integer" in proc.stderr
+
+
+def test_negative_seed_is_a_usage_error_before_training():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "step_probe.py"),
+                           "--seed", "-1"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "usage:" in proc.stderr and "must be a nonnegative integer" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -32,10 +32,17 @@ def positive_int(raw: str) -> int:
     return value
 
 
+def nonnegative_int(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {raw!r}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=positive_int, default=400, help="timed steps")
-    parser.add_argument("--seed", type=int, default=0, help="training seed")
+    parser.add_argument("--seed", type=nonnegative_int, default=0, help="training seed")
     args = parser.parse_args(argv)
     cfg, _ = config.resolve(overrides=[f"seed={args.seed}"])
     p = cli.PRESETS["hard12"]
