@@ -98,20 +98,6 @@ class PseudoLabelSet:
     tau_local: np.ndarray
     coverage: float             # kept / total unlabeled
     n_unlabeled: int = 0
-    _lookup: np.ndarray | None = field(default=None, init=False, repr=False,
-                                       compare=False)
-
-    def label_lookup(self) -> np.ndarray:
-        """Dense (n_u,) array, -1 where the pseudo-label was discarded.
-
-        Built on the first call and shared, read-only, by every later one;
-        the set does not change after an offline event makes it."""
-        if self._lookup is None:
-            out = np.full(self.n_unlabeled, -1, dtype=np.int64)
-            out[self.indices] = self.labels
-            out.flags.writeable = False
-            self._lookup = out
-        return self._lookup
 
     def digest(self) -> str:
         h = hashlib.sha256()

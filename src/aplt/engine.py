@@ -169,7 +169,7 @@ class _Trainer:
             np.random.default_rng(k_model))
         self.opt = nn.OptimizerState(momentum=cfg.optimizer.momentum,
                                      weight_decay=cfg.optimizer.weight_decay)
-        self.bank = self.pseudo = self._bank_digest = None
+        self.bank = self._targets = None
         self.metrics = RunMetrics()
         self.epoch = 0                               # the next epoch train() runs
 
@@ -187,9 +187,11 @@ class _Trainer:
                                            num_classes=self.C)
         thresholds = cluster_mod.adaptive_thresholds(result, self.C)
         pseudo = cluster_mod.filter_pseudo_labels(result, thresholds, ccfg)
-        bank = cluster_mod.build_prototypes(F_l, self.y_l, F_u[pseudo.indices],
-                                            pseudo.labels, self.C, build_epoch=epoch)
-        self.bank, self.pseudo, self._bank_digest = bank, pseudo, bank.digest()
+        self.bank = cluster_mod.build_prototypes(F_l, self.y_l, F_u[pseudo.indices],
+                                                 pseudo.labels, self.C, build_epoch=epoch)
+        # the steps read each pool row's pseudo-label, -1 where discarded
+        self._targets = np.full(self.unl.size, -1, dtype=np.int64)
+        self._targets[pseudo.indices] = pseudo.labels
 
         kept = pseudo.indices.size
         empty = np.flatnonzero(pseudo.tau_local == 0.0)
@@ -206,7 +208,7 @@ class _Trainer:
             "objective": float(result.objective),
             "monotonic": bool(result.monotonic),
             "empty_threshold_classes": [int(c) for c in empty],
-            "bank_digest": self._bank_digest,
+            "bank_digest": self.bank.digest(),
             "pseudo_digest": pseudo.digest(),
         })
 
@@ -242,10 +244,10 @@ class _Trainer:
     def _close_epoch(self) -> None:
         """Checks that the bank stayed frozen, scores the epoch through the
         probe, records it and moves on to the next."""
-        if self.bank is not None and self.bank.digest() != self._bank_digest:
+        last_ev = self.metrics.events[-1] if self.metrics.events else {}
+        if last_ev and self.bank.digest() != last_ev["bank_digest"]:
             raise ApltError("prototype bank mutated during online training")
         proto_acc, param_acc = self.probe.scores(self.model, self.bank, self.X)
-        last_ev = self.metrics.events[-1] if self.metrics.events else None
         sums, steps = self._sums, max(self._steps, 1)
         self.metrics.epochs.append({
             "epoch": self.epoch,
@@ -259,12 +261,12 @@ class _Trainer:
             "fixmatch_pass_frac": (self._passed / max(self.unl.size, 1)
                                    if self.mode != "labeled_only" else None),
             "fixmatch_pseudo_acc": self._right / self._passed if self._passed else None,
-            "offline_coverage": last_ev["coverage"] if last_ev else None,
-            "offline_pseudo_acc": last_ev["pseudo_label_acc"] if last_ev else None,
+            "offline_coverage": last_ev.get("coverage"),
+            "offline_pseudo_acc": last_ev.get("pseudo_label_acc"),
             "test_acc_proto": proto_acc,
             "test_acc_param": param_acc,
-            "bank_digest": self._bank_digest,
-            "pseudo_digest": self.pseudo.digest() if self.pseudo else None,
+            "bank_digest": last_ev.get("bank_digest"),
+            "pseudo_digest": last_ev.get("pseudo_digest"),
         })
         self.epoch += 1
 
@@ -350,8 +352,8 @@ class _Trainer:
             acts_l = nn.forward(m, xl_v)
             acts_u = nn.forward(m, xu_v)
             msup = proto_mod.margin_loss_labeled(self.bank, acts_l.feats, y_l, cfg.margin)
-            munsup = proto_mod.margin_loss_unlabeled(self.bank, acts_u.feats, chunk,
-                                                     self.pseudo, cfg.margin)
+            munsup = proto_mod.margin_loss_unlabeled(self.bank, acts_u.feats,
+                                                     self._targets[chunk], cfg.margin)
             margin_value = msup.value + munsup.value
             # grad + lam * g_l + lam * g_u, added in place in that order
             for x_v, loss, acts in ((xl_v, msup, acts_l), (xu_v, munsup, acts_u)):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import PrototypeBank, PseudoLabelSet
+from .cluster import PrototypeBank
 from .errors import DimensionMismatchError, EmptyBatchError, InvalidParameterError
 from .nn import _P_FLOOR, as_rows, softmax
 
@@ -81,13 +81,11 @@ def margin_loss_labeled(bank: PrototypeBank, F: np.ndarray, labels: np.ndarray,
     return _margin(bank, F, np.asarray(labels, dtype=np.int64), None, cfg)
 
 
-def margin_loss_unlabeled(bank: PrototypeBank, F: np.ndarray,
-                          pool_indices: np.ndarray, pseudo: PseudoLabelSet,
+def margin_loss_unlabeled(bank: PrototypeBank, F: np.ndarray, targets: np.ndarray,
                           cfg: MarginConfig) -> MarginLoss:
-    """Same form with offline pseudo-labels; rows whose pseudo-label was
-    discarded are masked out."""
+    """Same form against each row's offline pseudo-label (int64), -1 where
+    the offline event discarded it; those rows are masked out."""
     F = as_rows(F)
-    targets = pseudo.label_lookup()[np.asarray(pool_indices, dtype=np.int64)]
     kept = targets >= 0
     if not np.count_nonzero(kept):  # also an empty batch
         return MarginLoss(value=0.0, pass_count=0, d_feats=np.zeros(F.shape))

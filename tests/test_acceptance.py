@@ -59,21 +59,18 @@ def _combined_case(seed):
     rho = rng.normal(size=(3, 4))
     rho /= np.linalg.norm(rho, axis=1, keepdims=True)
     bank = cluster.PrototypeBank(rho=rho, counts=np.ones(3, dtype=int))
-    pseudo = cluster.PseudoLabelSet(
-        indices=np.array([0, 2]), labels=np.array([1, 0]),
-        tau_adapt=np.zeros(3), tau_global=0.0, tau_local=np.zeros(3),
-        coverage=0.5, n_unlabeled=4)
-    return m, xl, y, xu, bank, pseudo, fm_cfg, m_cfg
+    targets = np.array([1, -1, 0, -1])  # xu's pseudo-labels, -1 where discarded
+    return m, xl, y, xu, bank, targets, fm_cfg, m_cfg
 
 
-def _combined_loss_and_grads(m, xl, y, xu, bank, pseudo, fm_cfg, m_cfg):
+def _combined_loss_and_grads(m, xl, y, xu, bank, targets, fm_cfg, m_cfg):
     # each batch is its own weak and strong view: augmentation with zero sigmas
     sup = fixmatch.supervised_loss(m, xl, y)
     uns = fixmatch.unlabeled_loss(m, xu, xu, fm_cfg)
     acts_l = nn.forward(m, xl)
     acts_u = nn.forward(m, xu)
     msup = proto.margin_loss_labeled(bank, acts_l.feats, y, m_cfg)
-    munsup = proto.margin_loss_unlabeled(bank, acts_u.feats, np.arange(4), pseudo, m_cfg)
+    munsup = proto.margin_loss_unlabeled(bank, acts_u.feats, targets, m_cfg)
     value = sup.value + uns.value + m_cfg.lam * (msup.value + munsup.value)
     grad = (sup.grad + uns.grad + m_cfg.lam * nn.backward(m, xl, acts_l, d_feats=msup.d_feats)
             + m_cfg.lam * nn.backward(m, xu, acts_u, d_feats=munsup.d_feats))

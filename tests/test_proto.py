@@ -15,12 +15,12 @@ def make_bank(rho, counts=None, epoch=0):
                                  build_epoch=epoch)
 
 
-def pseudo_over(n, kept_idx, kept_labels, C=2):
-    return cluster.PseudoLabelSet(
-        indices=np.asarray(kept_idx, dtype=int),
-        labels=np.asarray(kept_labels, dtype=int),
-        tau_adapt=np.zeros(C), tau_global=0.0, tau_local=np.zeros(C),
-        coverage=len(kept_idx) / max(n, 1), n_unlabeled=n)
+def pseudo_over(n, kept_idx, kept_labels):
+    """The target array an offline event hands the steps: a pool of n rows,
+    the pseudo-label at each kept position and -1 elsewhere."""
+    targets = np.full(n, -1, dtype=np.int64)
+    targets[np.asarray(kept_idx, dtype=np.int64)] = kept_labels
+    return targets
 
 
 class TestPredict:
@@ -92,7 +92,7 @@ class TestMarginLossUnlabeled:
         bank = make_bank(np.eye(2))
         F = np.random.default_rng(2).normal(size=(4, 2))
         pseudo = pseudo_over(10, [], [])
-        out = proto.margin_loss_unlabeled(bank, F, np.arange(4), pseudo, T1)
+        out = proto.margin_loss_unlabeled(bank, F, pseudo[np.arange(4)], T1)
         assert out.value == 0.0
         assert out.pass_count == 0
         assert np.all(out.d_feats == 0.0)
@@ -102,8 +102,7 @@ class TestMarginLossUnlabeled:
         rng = np.random.default_rng(3)
         F = rng.normal(size=(4, 2))
         pseudo = pseudo_over(10, kept_idx=[7], kept_labels=[1])
-        out = proto.margin_loss_unlabeled(bank, F, np.array([5, 7, 8, 9]),
-                                          pseudo, T1)
+        out = proto.margin_loss_unlabeled(bank, F, pseudo[[5, 7, 8, 9]], T1)
         single = proto.margin_loss_labeled(bank, F[1][None, :], np.array([1]), T1)
         assert out.value == pytest.approx(single.value / 4, abs=1e-12)
         assert out.pass_count == 1
@@ -112,9 +111,9 @@ class TestMarginLossUnlabeled:
         bank = make_bank(np.eye(3))
         rng = np.random.default_rng(5)
         F = rng.normal(size=(5, 3))
-        pseudo = pseudo_over(20, kept_idx=[2, 11], kept_labels=[0, 2], C=3)
+        pseudo = pseudo_over(20, kept_idx=[2, 11], kept_labels=[0, 2])
         pool = np.array([2, 4, 11, 12, 13])
-        out = proto.margin_loss_unlabeled(bank, F, pool, pseudo, T1)
+        out = proto.margin_loss_unlabeled(bank, F, pseudo[pool], T1)
         assert np.all(out.d_feats[[1, 3, 4]] == 0.0)
         assert np.any(out.d_feats[0] != 0.0)
         assert np.any(out.d_feats[2] != 0.0)
@@ -127,15 +126,15 @@ class TestTotalMargin:
         F_l = rng.normal(size=(3, 4))
         y = rng.integers(0, 3, size=3)
         F_u = rng.normal(size=(2, 4))
-        pseudo = pseudo_over(5, kept_idx=[0, 4], kept_labels=[1, 2], C=3)
+        pseudo = pseudo_over(5, kept_idx=[0, 4], kept_labels=[1, 2])
         pool = np.array([0, 4])
 
         def total(Fl, Fu):
             return (proto.margin_loss_labeled(bank, Fl, y, T1).value
-                    + proto.margin_loss_unlabeled(bank, Fu, pool, pseudo, T1).value)
+                    + proto.margin_loss_unlabeled(bank, Fu, pseudo[pool], T1).value)
 
         sup = proto.margin_loss_labeled(bank, F_l, y, T1)
-        unsup = proto.margin_loss_unlabeled(bank, F_u, pool, pseudo, T1)
+        unsup = proto.margin_loss_unlabeled(bank, F_u, pseudo[pool], T1)
         step = 1e-6
         Fp = F_l.copy(); Fp[1, 2] += step
         Fm = F_l.copy(); Fm[1, 2] -= step
@@ -155,21 +154,3 @@ def test_bank_digest_tracks_content():
     bank.rho[0, 0] += 1e-12
     assert bank.digest() != d1
 
-
-def test_label_lookup_is_built_once_and_matches_a_fresh_construction():
-    rng = np.random.default_rng(3)
-    n = 50
-    kept = np.sort(rng.choice(n, size=20, replace=False))
-    labels = rng.integers(0, 4, size=kept.size)
-    pseudo = pseudo_over(n, kept, labels, C=4)
-    fresh = np.full(n, -1, dtype=np.int64)
-    fresh[kept] = labels
-    first, second = pseudo.label_lookup(), pseudo.label_lookup()
-    assert second is first
-    assert first.dtype == np.int64
-    assert np.array_equal(first, fresh) and np.array_equal(second, fresh)
-    assert not first.flags.writeable
-    digest = pseudo.digest()
-    proto.margin_loss_unlabeled(make_bank(np.eye(4)), rng.normal(size=(8, 4)),
-                                rng.integers(0, n, size=8), pseudo, T1)
-    assert pseudo.digest() == digest

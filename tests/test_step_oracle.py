@@ -181,14 +181,10 @@ def test_unlabeled_margin_matches(kept_idx):
     m = draw_model(rng)
     bank = draw_bank(rng, 3, m.feature_dim)
     F = nn.forward(m, draw_batch(rng, m, B=5)).feats
-    pseudo = cluster.PseudoLabelSet(
-        indices=np.asarray(kept_idx, dtype=np.int64),
-        labels=np.arange(len(kept_idx), dtype=np.int64) % 3,
-        tau_adapt=np.zeros(3), tau_global=0.0, tau_local=np.zeros(3),
-        coverage=len(kept_idx) / 5, n_unlabeled=5)
+    targets = np.full(5, -1, dtype=np.int64)
+    targets[kept_idx] = np.arange(len(kept_idx)) % 3
     cfg = proto.MarginConfig()
-    new = proto.margin_loss_unlabeled(bank, F, np.arange(5), pseudo, cfg)
-    targets = pseudo.label_lookup()
+    new = proto.margin_loss_unlabeled(bank, F, targets, cfg)
     kept = targets >= 0
     if kept.any():
         old = oracle._margin(bank, F, np.where(kept, targets, 0), kept, cfg)
