@@ -261,23 +261,13 @@ def cmd_compare(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         # pseudo_label_acc/coverage: thresholded weak-view stats for fixmatch,
         # most recent offline-event stats for aplt (blank before first event)
+        columns = {"fixmatch": ("fixmatch_pseudo_acc", "fixmatch_pass_frac", "test_acc_param"),
+                   "aplt": ("offline_pseudo_acc", "offline_coverage", "test_acc_proto")}
         writer.writerow(["method", "epoch", "pseudo_label_acc", "coverage",
                          "test_acc", "loss_total"])
-        for method, metrics in results.items():
-            for rec in metrics.epochs:
-                if method == "fixmatch":
-                    pseudo_acc = rec["fixmatch_pseudo_acc"]
-                    coverage = rec["fixmatch_pass_frac"]
-                    acc = rec["test_acc_param"]
-                else:
-                    pseudo_acc = rec["offline_pseudo_acc"]
-                    coverage = rec["offline_coverage"]
-                    acc = rec["test_acc_proto"]
-                writer.writerow([method, rec["epoch"],
-                                 "" if pseudo_acc is None else pseudo_acc,
-                                 "" if coverage is None else coverage,
-                                 "" if acc is None else acc,
-                                 rec["loss_total"]])
+        writer.writerows([method, rec["epoch"], *(rec[k] for k in columns[method]),
+                          rec["loss_total"]]
+                         for method, metrics in results.items() for rec in metrics.epochs)
         for method, metrics in results.items():
             (out / f"metrics_{method}.ndjson").write_text(metrics.to_ndjson())
     print(f"wrote {rows_path}")
@@ -305,8 +295,7 @@ def cmd_ablate(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         if fresh:
             writer.writerow(fields)
-        for rec in records:
-            writer.writerow(["" if rec[k] is None else rec[k] for k in fields])
+        writer.writerows([rec[k] for k in fields] for rec in records)
     for row in engine.ABLATION_ROWS:
         accs = [r["accuracy"] for r in records if r["row"] == row]
         print(f"{row:24s} mean_acc={np.mean(accs):.4f} over {len(accs)} seed(s)")

@@ -376,13 +376,13 @@ def run(ds: FeatureDataset, cfg, mode: str | None = None) -> RunResult:
 
 
 def _warmup_key(cfg, mode: str):
-    """What a run's warm-up reads: its config less the mode, the cluster and
+    """What a run's warm-up reads: its config less the dataset entry (the
+    engine trains on the ``ds`` it is handed), the mode, the cluster and
     margin sections and the offline cadence (the first event falls after
     the warm-up, whatever the cadence), and whether it trains on labeled
-    rows only. Runs with equal keys train the same warm-up bit for bit. The
-    key does not hash, since ``cfg.dataset`` is a dict."""
+    rows only. Runs with equal keys train the same warm-up bit for bit."""
     schedule = replace(cfg.schedule, offline_every=1, sync_mode=False)
-    return (replace(cfg, mode="", cluster=None, margin=None, schedule=schedule),
+    return (replace(cfg, dataset=None, mode="", cluster=None, margin=None, schedule=schedule),
             mode == "labeled_only")
 
 
@@ -487,16 +487,12 @@ def _tasks(cells: list, workers: int) -> list[list[int]]:
     stream group (equal k and ``_stream_key``), in near-equal parts when it
     has more than ceil(cells / workers) cells. Largest first, and among
     equal sizes in ``MODES`` order, which is by work per step."""
-    keys, groups = [], []
+    groups = {}  # in first-seen order
     for i, (k, cfg, mode) in enumerate(cells):
-        key = k, _stream_key(cfg, mode)
-        if key not in keys:
-            keys.append(key)
-            groups.append([])
-        groups[keys.index(key)].append(i)
+        groups.setdefault((k, _stream_key(cfg, mode)), []).append(i)
     limit = -(-len(cells) // workers)
     tasks = [g[len(g) * p // parts:len(g) * (p + 1) // parts]
-             for g in groups for parts in [-(-len(g) // limit)] for p in range(parts)]
+             for g in groups.values() for parts in [-(-len(g) // limit)] for p in range(parts)]
     return sorted(tasks, key=lambda t: (len(t), -MODES.index(cells[t[0]][2])), reverse=True)
 
 
@@ -528,14 +524,13 @@ def run_cells(ds: FeatureDataset, cells) -> list[RunMetrics]:
     import multiprocessing as mp
     from concurrent.futures import ProcessPoolExecutor
 
-    keys, warmups, indexed = [], [], []
+    keys, warmups, indexed = {}, [], []  # warm-up key -> its position in warmups
     for cfg, mode in cells:
-        key = _warmup_key(cfg, mode)
-        if key not in keys:
-            keys.append(key)
+        k = keys.setdefault(_warmup_key(cfg, mode), len(keys))
+        if k == len(warmups):
             warmups.append(_Trainer(ds, cfg, mode))
-            warmups[-1].train(cfg.schedule.warmup_epochs)
-        indexed.append((keys.index(key), cfg, mode))
+            warmups[k].train(cfg.schedule.warmup_epochs)
+        indexed.append((k, cfg, mode))
     workers = _pool_size(len(cells))
     tasks = _tasks(indexed, workers)
     jobs = [[indexed[i] for i in task] for task in tasks]

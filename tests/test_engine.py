@@ -581,6 +581,15 @@ class TestWarmupSharing:
         assert len(keys) == 9
         assert all(key == keys[0] for key in keys)
 
+    def test_keys_hash_and_leave_out_the_dataset(self):
+        """``run_cells`` trains every cell on its ``ds``, so the dataset entry
+        is not part of what a warm-up reads, and the keys group through dicts."""
+        cfg, _ = config.resolve(None, [])
+        on_csv = replace(cfg, dataset={"csv": "hard.csv"})
+        keys = {engine._warmup_key(c, mode) for c in (cfg, on_csv) for mode in ("aplt", "fixmatch")}
+        assert keys == {engine._warmup_key(cfg, "aplt")}
+        assert len({engine._stream_key(c, "aplt") for c in (cfg, on_csv)}) == 1
+
     def test_branch_refuses_what_warmup_does_not_share(self):
         ds = small_dataset()
         cfg = small_config()
