@@ -458,6 +458,17 @@ class TestFilterPseudoLabels:
         kept = cluster.filter_pseudo_labels(res, thresholds, CFG)
         assert kept.indices.tolist() == [0, 1]
 
+    def test_keeps_exactly_the_rows_within_tau_adapt(self):
+        # hand-made thresholds: neither tau_local nor tau_global keeps these rows
+        res = cluster.ClusterResult(
+            centroids=np.eye(2), assignments=np.array([0, 0, 0, 1, 1, 1]),
+            distances=np.array([0.5, 1.0, 1.5, 1.5, 2.0, 2.5]), iterations_run=1,
+            objective=0.0)
+        thresholds = (1.75, np.array([2.0, 1.0]), np.array([1.0, 2.0]))
+        kept = cluster.filter_pseudo_labels(res, thresholds, CFG)
+        assert kept.indices.tolist() == [0, 1, 3, 4]
+        assert kept.labels.tolist() == [0, 0, 1, 1]
+
     def test_flag_off_keeps_all(self):
         cfg = cluster.ClusterConfig(use_adaptive_threshold=False)
         res = cluster.ClusterResult(

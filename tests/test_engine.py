@@ -12,7 +12,7 @@ import pytest
 from aplt import augment, cli, cluster, config, data, engine, nn, proto
 from aplt.errors import InvalidParameterError
 from data_helpers import poison_eval_labels
-from model_helpers import count_encoder_passes
+from model_helpers import count_encoder_passes, identity_encoder
 
 
 def small_dataset(C=3, d=6, n_per_class=40, overlap=0.15, seed=2, ratio=0.2):
@@ -569,6 +569,47 @@ class TestEncoderPassesPerStep:
         proto_acc, param_acc = trainer.probe.scores(trainer.model, trainer.bank, trainer.X)
         assert proto_acc is not None and param_acc is not None
         assert calls == {"forward": 1, "backward": 0}
+
+
+class TestStepTerms:
+    """Two terms of a step that no gated run tells apart: every gated run
+    has margin.lambda 1.0, and none has a row past tau."""
+
+    def test_lambda_scales_the_margin_gradient(self, monkeypatch):
+        # steps from one state: the warm-up's, then the first offline event
+        ds, cfg = small_dataset(), small_config()
+        warm = warmed_up(ds, cfg)
+        seen = []
+        monkeypatch.setattr(nn, "sgd_step", lambda m, state, grad, lr: seen.append(grad.copy()))
+        grads = {}
+        for mode, lam in (("fixmatch", 1.0), ("aplt", 0.0), ("aplt", 0.5), ("aplt", 1.0)):
+            t = warm.branch(replace(cfg, margin=replace(cfg.margin, lam=lam)), mode)
+            t._open_epoch()
+            chunk = t._epoch_chunks()[0]
+            t._step(chunk, t._draw(chunk))
+            grads[mode, lam] = seen.pop()
+        g0, g_half, g1 = (grads["aplt", lam] for lam in (0.0, 0.5, 1.0))
+        # at lambda 0 the margin terms add nothing to the consistency step
+        assert np.array_equal(g0, grads["fixmatch", 1.0])
+        margin = g1 - g0
+        assert np.abs(margin).max() > 1e-3 * np.abs(g1).max()
+        np.testing.assert_allclose(g_half - g0, 0.5 * margin, rtol=0,
+                                   atol=1e-12 * np.abs(g1).max())
+
+    def test_consistency_labels_come_from_the_weak_view(self):
+        """Planted views: every weak row argmaxes to class 0 and every strong
+        row to class 1, on a head confident enough that every row passes tau.
+        The strong view learns class 0, so its loss is large."""
+        trainer = engine._Trainer(small_dataset(), small_config(), "fixmatch")
+        d = trainer.X.shape[1]
+        trainer.model = identity_encoder(d, hw=50.0 * np.eye(d)[:, :trainer.C])
+        chunk = trainer._epoch_chunks()[0]
+        views = trainer._draw(chunk)
+        weak, strong = (np.tile(np.eye(d)[c], (chunk.size, 1)) for c in (0, 1))
+        _, _, uns = trainer._train_step(chunk, [*views[:2], weak, strong], 0.0, 0.0)
+        assert uns.pass_count == chunk.size
+        assert not uns.pseudo_labels.any()
+        assert uns.value > 40.0  # -log p(class 0) on e_1 is log(e^50 + 2), about 50
 
 
 class TestWarmupSharing:

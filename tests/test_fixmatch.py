@@ -103,6 +103,16 @@ class TestUnlabeledLoss:
         # same contribution averaged over B=2 instead of B=1
         assert np.allclose(both.grad, 0.5 * lone.grad, atol=1e-12)
 
+    def test_row_at_exactly_tau_is_kept(self):
+        # tau is one row's own max(q), bit for bit: "reaches tau" keeps it
+        m = identity_encoder(3)
+        x = np.random.default_rng(9).normal(size=(5, 3))
+        conf = nn.forward_logits(m, x).max(axis=1)
+        at = int(conf.argsort()[2])  # the median confidence
+        out = fixmatch.unlabeled_loss(m, x, x, fixmatch.FixMatchConfig(tau=float(conf[at])))
+        assert out.passed[at]
+        assert out.passed.tolist() == (conf >= conf[at]).tolist() and out.pass_count == 3
+
     def test_raising_tau_never_increases_pass_count(self):
         m = identity_encoder(4)
         x = np.random.default_rng(7).normal(scale=2.0, size=(32, 4))

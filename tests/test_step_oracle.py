@@ -48,14 +48,21 @@ def draw_bank(rng, C, e):
 
 
 def cases(seed):
-    """(model, batch) pairs for one seed: a random batch, a one-row batch
-    and a batch whose first row hits the norm floor."""
+    """(model, batch) pairs for one seed: a random batch, a one-row batch,
+    a batch whose first row hits the norm floor, and a batch on a model with
+    the zero biases ``EncoderModel.init`` gives, as every run starts. Its
+    first row is zero, as a fully masked strong view is, so that row's
+    pre-activations sit exactly on the rectifier's kink."""
     rng = np.random.default_rng(seed)
     m = draw_model(rng)
     z = zero_row_model(rng)
     zx = draw_batch(rng, z)
     zx[0] = 0.0
-    return [(m, draw_batch(rng, m)), (m, draw_batch(rng, m, B=1)), (z, zx)]
+    pairs = [(m, draw_batch(rng, m)), (m, draw_batch(rng, m, B=1)), (z, zx)]
+    init = nn.EncoderModel.init(*rng.integers(1, 9, size=4), rng)  # last: the draws above stay
+    ix = draw_batch(rng, init)
+    ix[0] = 0.0
+    return pairs + [(init, ix)]
 
 
 def bench_cases(seed):
