@@ -460,10 +460,11 @@ def _inherit(warmups: list) -> None:
 
 
 def _one_blas_thread() -> None:
-    """One OpenBLAS thread per pool worker. Otherwise each
-    worker's BLAS helper threads spin on the CPUs the other workers need;
-    on a 2-vCPU VM that made the 5-seed default grid 1.3x slower. Best
-    effort: a BLAS that is not OpenBLAS keeps its own setting."""
+    """One OpenBLAS thread per pool worker, or each worker's BLAS helper
+    threads spin on the CPUs the other workers need: on a 2-vCPU VM with
+    ``OPENBLAS_NUM_THREADS`` unset, the README's C=100 grid took a median
+    5.56 s without the pin and 3.43 s with it. Best effort: a BLAS that is
+    not OpenBLAS keeps its own setting."""
     import ctypes
 
     try:
