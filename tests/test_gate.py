@@ -4,8 +4,10 @@ That part is the first five lines, the ``hard12`` dataset and the seed-0
 aplt and fixmatch runs on it; the ``ablate`` line, whose 14 cells share one
 warm-up a seed; the three ``compare`` lines, two cells that share one
 warm-up (both cell lists go through ``engine.run_cells`` and its worker
-pool); and the five C=100 lines, which cover the many-class offline path.
-The full check of all 44 lines is
+pool); the five C=100 lines, which cover the many-class offline path; and
+the two lines of the fixmatch run at ``optimizer.base_lr=0.5``, whose
+unlabeled rows pass tau, so its consistency term trains.
+The full check of all 50 lines is
 ``tools/gate_outputs.py --check tools/gate_hashes.txt OUTDIR``."""
 
 import importlib.util
@@ -67,6 +69,14 @@ def test_c100_runs_hash_as_committed(tmp_path, monkeypatch):
         ["train c100", "metrics.ndjson"], ["train c100", "resolved_config.json"],
         ["train c100 cluster.method=km", "metrics.ndjson"],
         ["train c100 cluster.method=km", "resolved_config.json"]]
+
+
+def test_active_consistency_run_hashes_as_committed(tmp_path, monkeypatch):
+    gate = _load_gate()
+    monkeypatch.chdir(tmp_path)
+    assert _check_against_committed(gate, itertools.islice(gate.gate_active(), 2)) == [
+        ["train fixmatch optimizer.base_lr=0.5", "metrics.ndjson"],
+        ["train fixmatch optimizer.base_lr=0.5", "resolved_config.json"]]
 
 
 def test_check_lists_the_lines_that_differ_with_both_builds():

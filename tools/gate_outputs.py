@@ -8,7 +8,9 @@ Generates the ``hard12`` preset at 10% labels into OUTDIR, runs 39 outputs'
 worth of train, labeled-only, ablate, compare and eval runs on it, then
 generates a C=100 dataset (10,000 rows, an offline event every epoch, as in
 the bench's ``offline_c100``) and trains on it with anchored and plain
-k-means, 44 outputs in all. It prints one ``run output sha256`` line per
+k-means. Last come three ``hard12`` train runs that reach the terms the
+others leave silent: the consistency term past tau, and lambda below 1.
+That makes 50 outputs in all. It prints one ``run output sha256`` line per
 output, after ``#`` lines that name the numpy and BLAS builds. A pure
 refactor must leave every line unchanged. Every run works inside OUTDIR with
 relative paths, so no hash depends on where OUTDIR is.
@@ -45,6 +47,11 @@ C100_GEN = ("--classes", "100", "--dim", "32", "--per-class", "100", "--overlap"
 C100_SETS = ("schedule.warmup_epochs=1", "schedule.main_epochs=4", "schedule.offline_every=1")
 C100_VARIANTS = ((), ("cluster.method=km",))
 
+# train runs on gate data where the consistency term passes tau (base_lr 0.5)
+# or lambda scales the margin gradient: no run above reaches either
+ACTIVE_RUNS = (("fixmatch", "optimizer.base_lr=0.5"), ("aplt", "optimizer.base_lr=0.5"),
+               ("aplt", "margin.lambda=0.5"))
+
 SEEDS = range(5)
 
 
@@ -78,9 +85,11 @@ def _train(name: str, run_dir: str, *argv: str):
 
 def gate():
     """Yields (run, output, sha256) for every gate output, writing the runs
-    into the current directory: the ``hard12`` set, then the C=100 set."""
+    into the current directory: the ``hard12`` set, the C=100 set, then the
+    active-term set."""
     yield from gate_hard12()
     yield from gate_c100()
+    yield from gate_active()
 
 
 def gate_hard12():
@@ -144,6 +153,17 @@ def gate_c100():
         sets = [a for v in C100_SETS + variant for a in ("--set", v)]
         yield from _train(" ".join(["train c100", *variant]), f"c100_train{i}",
                           "--data", "c100.csv", *sets)
+
+
+def gate_active():
+    """The six outputs of three train runs on ``hard12`` data whose terms
+    the runs above leave silent: a fixmatch and an aplt run whose unlabeled
+    rows pass tau, and an aplt run at lambda 0.5. Like ``gate_ablate``, it
+    can run alone."""
+    _hard12_csv()
+    for i, (mode, variant) in enumerate(ACTIVE_RUNS):
+        yield from _train(f"train {mode} {variant}", f"active{i}", "--data", "hard.csv",
+                          "--mode", mode, "--set", variant)
 
 
 def format_line(run: str, output: str, digest: str) -> str:
