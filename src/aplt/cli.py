@@ -254,7 +254,7 @@ def cmd_compare(args) -> int:
     ds = _load_dataset(cfg)
 
     methods = ("fixmatch", "aplt")  # one warm-up key, so one warm-up
-    results = dict(zip(methods, engine.run_cells(ds, [(cfg, m) for m in methods])))
+    results = dict(zip(methods, engine.run_cells(ds, [replace(cfg, mode=m) for m in methods])))
     _write_resolved(out, resolved)
     rows_path = out / "trajectory.csv"
     with open(rows_path, "w", newline="") as fh:

@@ -93,11 +93,12 @@ class ClusterResult:
 class PseudoLabelSet:
     indices: np.ndarray         # kept positions within the unlabeled pool
     labels: np.ndarray          # pseudo-label per kept position
-    tau_adapt: np.ndarray
-    tau_global: float
-    tau_local: np.ndarray
-    coverage: float             # kept / total unlabeled
-    n_unlabeled: int = 0
+    n_unlabeled: int
+
+    @property
+    def coverage(self) -> float:
+        """Kept / total unlabeled, 0.0 with no unlabeled rows."""
+        return self.indices.size / self.n_unlabeled if self.n_unlabeled else 0.0
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -404,18 +405,14 @@ def adaptive_thresholds(result: ClusterResult, C: int):
 
 def filter_pseudo_labels(result: ClusterResult, thresholds, cfg: ClusterConfig) -> PseudoLabelSet:
     """Keep assignments whose distance clears the class cutoff (or all)."""
-    tau_global, tau_local, tau_adapt = thresholds
+    tau_adapt = thresholds[2]
     n_u = result.assignments.shape[0]
     if cfg.use_adaptive_threshold:
         keep = result.distances <= tau_adapt[result.assignments]
     else:
         keep = np.ones(n_u, dtype=bool)
     idx = np.flatnonzero(keep)
-    return PseudoLabelSet(indices=idx, labels=result.assignments[idx],
-                          tau_adapt=tau_adapt, tau_global=tau_global,
-                          tau_local=tau_local,
-                          coverage=float(idx.size / n_u) if n_u else 0.0,
-                          n_unlabeled=n_u)
+    return PseudoLabelSet(indices=idx, labels=result.assignments[idx], n_unlabeled=n_u)
 
 
 def build_prototypes(F_l: np.ndarray, labels: np.ndarray, F_su: np.ndarray,

@@ -147,11 +147,11 @@ class _HeldOut:
 class _Trainer:
     """One run: owns the rng streams, partitions, and the epoch loop."""
 
-    def __init__(self, ds: FeatureDataset, cfg, mode: str):
-        if mode not in MODES:
-            raise InvalidParameterError(f"unknown mode {mode!r}")
+    def __init__(self, ds: FeatureDataset, cfg):
+        if cfg.mode not in MODES:
+            raise InvalidParameterError(f"unknown mode {cfg.mode!r}")
         validate_for_training(ds)
-        self.cfg, self.mode = cfg, mode
+        self.cfg = cfg
         k_model, k_split, k_train, k_cluster = np.random.SeedSequence(cfg.seed).spawn(4)
         self.rng_train = np.random.default_rng(k_train)
         self.rng_cluster = np.random.default_rng(k_cluster)
@@ -186,6 +186,7 @@ class _Trainer:
             result = cluster_mod.ss_kmeans(F_l, F_u, F_sl, self.y_l, ccfg,
                                            num_classes=self.C)
         thresholds = cluster_mod.adaptive_thresholds(result, self.C)
+        tau_global, tau_local, _ = thresholds
         pseudo = cluster_mod.filter_pseudo_labels(result, thresholds, ccfg)
         self.bank = cluster_mod.build_prototypes(F_l, self.y_l, F_u[pseudo.indices],
                                                  pseudo.labels, self.C, build_epoch=epoch)
@@ -194,20 +195,19 @@ class _Trainer:
         self._targets[pseudo.indices] = pseudo.labels
 
         kept = pseudo.indices.size
-        empty = np.flatnonzero(pseudo.tau_local == 0.0)
         self.metrics.events.append({
             "epoch": epoch,
             "iterations_run": int(result.iterations_run),
             "coverage": float(pseudo.coverage),
             "kept": kept,
             "n_unlabeled": int(pseudo.n_unlabeled),
-            "tau_global": float(pseudo.tau_global),
-            "tau_local": [float(t) for t in pseudo.tau_local],
+            "tau_global": float(tau_global),
+            "tau_local": [float(t) for t in tau_local],
             "pseudo_label_acc": (self.probe.correct(pseudo.indices, pseudo.labels) / kept
                                  if kept else None),
             "objective": float(result.objective),
             "monotonic": bool(result.monotonic),
-            "empty_threshold_classes": [int(c) for c in empty],
+            "empty_threshold_classes": [int(c) for c in np.flatnonzero(tau_local == 0.0)],
             "bank_digest": self.bank.digest(),
             "pseudo_digest": pseudo.digest(),
         })
@@ -222,7 +222,7 @@ class _Trainer:
         """Runs this epoch's offline event if it has one (aplt only), sets
         its cosine ``_lr`` and zeroes its sums."""
         cfg = self.cfg
-        if self.mode == "aplt" and self.epoch in cfg.schedule.offline_epochs():
+        if cfg.mode == "aplt" and self.epoch in cfg.schedule.offline_epochs():
             self.offline_phase(self.epoch)
         self._lr = nn.cosine_lr(self.epoch, cfg.schedule.total_epochs, cfg.optimizer.base_lr)
         self._sums = {"logits": 0.0, "margin": 0.0, "total": 0.0}
@@ -251,7 +251,7 @@ class _Trainer:
         sums, steps = self._sums, max(self._steps, 1)
         self.metrics.epochs.append({
             "epoch": self.epoch,
-            "mode": self.mode,
+            "mode": self.cfg.mode,
             "lr": float(self._lr),
             "steps": self._steps,
             "loss_logits": sums["logits"] / steps,
@@ -259,7 +259,7 @@ class _Trainer:
             "loss_total": sums["total"] / steps,
             "pass_count": self._passed,
             "fixmatch_pass_frac": (self._passed / max(self.unl.size, 1)
-                                   if self.mode != "labeled_only" else None),
+                                   if self.cfg.mode != "labeled_only" else None),
             "fixmatch_pseudo_acc": self._right / self._passed if self._passed else None,
             "offline_coverage": last_ev.get("coverage"),
             "offline_pseudo_acc": last_ev.get("pseudo_label_acc"),
@@ -270,21 +270,22 @@ class _Trainer:
         })
         self.epoch += 1
 
-    def branch(self, cfg, mode: str) -> "_Trainer":
-        """A copy of this run that goes on under ``cfg`` and ``mode``.
+    def branch(self, cfg) -> "_Trainer":
+        """A copy of this run that goes on under ``cfg``.
 
         Only a warm-up can be shared: this run may not have gone past
         warm-up, and the two runs' ``_warmup_key``s must be equal. The
         copied epoch records are relabeled with the new mode."""
-        if (mode not in MODES or self.epoch > self.cfg.schedule.warmup_epochs
-                or _warmup_key(cfg, mode) != _warmup_key(self.cfg, self.mode)):
-            raise InvalidParameterError(f"cannot branch a {mode} run from this {self.mode} run")
+        if (cfg.mode not in MODES or self.epoch > self.cfg.schedule.warmup_epochs
+                or _warmup_key(cfg) != _warmup_key(self.cfg)):
+            raise InvalidParameterError(
+                f"cannot branch a {cfg.mode} run from this {self.cfg.mode} run")
         # the data splits and the probe are read-only, so every branch shares them
         shared = (self.X, self.lab, self.y_l, self.unl, self.probe)
         twin = copy.deepcopy(self, memo={id(a): a for a in shared})
-        twin.cfg, twin.mode = cfg, mode
+        twin.cfg = cfg
         for rec in twin.metrics.epochs:
-            rec["mode"] = mode
+            rec["mode"] = cfg.mode
         return twin
 
     def finish(self) -> RunResult:
@@ -296,7 +297,7 @@ class _Trainer:
         proto_acc, param_acc = ((last["test_acc_proto"], last["test_acc_param"]) if last
                                 else self.probe.scores(self.model, self.bank, self.X))
         self.metrics.final = {
-            "mode": self.mode,
+            "mode": self.cfg.mode,
             "seed": int(self.cfg.seed),
             "epochs": total,
             "offline_events": len(self.metrics.events),
@@ -323,7 +324,7 @@ class _Trainer:
         lidx = rng.choice(n, size=chunk.size, replace=n < chunk.size)
         x_l = self.X[self.lab[lidx]]
         views = [lidx, aug_mod.weak(x_l, cfg.augment, rng)]
-        if self.mode != "labeled_only":
+        if cfg.mode != "labeled_only":
             x_u = self.X[self.unl[chunk]]
             views += (aug_mod.weak(x_u, cfg.augment, rng), aug_mod.strong(x_u, cfg.augment, rng))
             if self.bank is not None:  # only aplt runs build one
@@ -341,7 +342,7 @@ class _Trainer:
         y_l = self.y_l[views[0]]
         sup = fm_mod.supervised_loss(m, views[1], y_l)
         value, grad, uns = sup.value, sup.grad, None
-        if self.mode != "labeled_only":
+        if cfg.mode != "labeled_only":
             uns = fm_mod.unlabeled_loss(m, views[2], views[3], cfg.fixmatch)
             value += uns.value
             if uns.pass_count:  # else uns.grad is zero and grad keeps its bits
@@ -359,37 +360,33 @@ class _Trainer:
             for x_v, loss, acts in ((xl_v, msup, acts_l), (xu_v, munsup, acts_u)):
                 g = nn.backward(m, x_v, acts, d_feats=loss.d_feats)
                 grad += np.multiply(lam, g, out=g)
-        self._finite_or_die(value + lam * margin_value, "total loss")
+        if not np.isfinite(value + lam * margin_value):
+            raise NonFiniteError(f"nonfinite total loss at step {self.opt.step_count} "
+                                 f"(mode={cfg.mode}); aborting run")
         nn.sgd_step(m, self.opt, grad, lr)
         return value, margin_value, uns
 
-    def _finite_or_die(self, value, what):
-        if not np.isfinite(value):
-            raise NonFiniteError(
-                f"nonfinite {what} at step {self.opt.step_count} "
-                f"(mode={self.mode}); aborting run")
+
+def run(ds: FeatureDataset, cfg) -> RunResult:
+    """Full training run in mode ``cfg.mode``."""
+    return _Trainer(ds, cfg).finish()
 
 
-def run(ds: FeatureDataset, cfg, mode: str | None = None) -> RunResult:
-    """Full training run; ``mode`` falls back to cfg.mode."""
-    return _Trainer(ds, cfg, mode or cfg.mode).finish()
-
-
-def _warmup_key(cfg, mode: str):
+def _warmup_key(cfg):
     """What a run's warm-up reads: its config less the dataset entry (the
-    engine trains on the ``ds`` it is handed), the mode, the cluster and
-    margin sections and the offline cadence (the first event falls after
-    the warm-up, whatever the cadence), and whether it trains on labeled
-    rows only. Runs with equal keys train the same warm-up bit for bit."""
+    engine trains on the ``ds`` it is handed), the cluster and margin sections
+    and the offline cadence (the first event falls after the warm-up, whatever
+    the cadence), with the mode reduced to whether it is ``labeled_only``.
+    Runs with equal keys train the same warm-up bit for bit."""
     schedule = replace(cfg.schedule, offline_every=1, sync_mode=False)
-    return (replace(cfg, dataset=None, mode="", cluster=None, margin=None, schedule=schedule),
-            mode == "labeled_only")
+    return replace(cfg, dataset=None, mode=cfg.mode == "labeled_only", cluster=None,
+                   margin=None, schedule=schedule)
 
 
-def _stream_key(cfg, mode: str):
+def _stream_key(cfg):
     """What a run's ``rng_train`` draws read (no data, no model): branches of
     one warm-up with equal keys draw the same permutations and views."""
-    return _warmup_key(cfg, mode), mode, cfg.margin.view
+    return _warmup_key(cfg), cfg.mode, cfg.margin.view
 
 
 def _train_group(group: list, until: int, collect=None) -> None:
@@ -434,7 +431,7 @@ _WARMUPS: list = []  # a pool worker's inherited warm-ups (_inherit fills it in 
 
 
 def _finish_group(cells: list, warmups: list = _WARMUPS):
-    """The metrics and ``aplt`` log records of each (k, cfg, mode) cell of a
+    """The metrics and ``aplt`` log records of each (k, cfg) cell of a
     stream group, branched from warm-up k and finished together. The first
     failing cell stops the group; its error carries the records up to it."""
     logger = logging.getLogger("aplt")
@@ -443,7 +440,7 @@ def _finish_group(cells: list, warmups: list = _WARMUPS):
     saved = logger.handlers, logger.propagate
     logger.handlers, logger.propagate = [collect], False
     try:
-        group = [warmups[k].branch(cfg, mode) for k, cfg, mode in cells]
+        group = [warmups[k].branch(cfg) for k, cfg in cells]
         _train_group(group, group[0].cfg.schedule.total_epochs, collect)
         return [t.finish().metrics for t in group], collect.cells
     except Exception as exc:
@@ -484,17 +481,17 @@ def _one_blas_thread() -> None:
 
 
 def _tasks(cells: list, workers: int) -> list[list[int]]:
-    """The positions of the (k, cfg, mode) cells as pool tasks: one per
+    """The positions of the (k, cfg) cells as pool tasks: one per
     stream group (equal k and ``_stream_key``), in near-equal parts when it
     has more than ceil(cells / workers) cells. Largest first, and among
     equal sizes in ``MODES`` order, which is by work per step."""
     groups = {}  # in first-seen order
-    for i, (k, cfg, mode) in enumerate(cells):
-        groups.setdefault((k, _stream_key(cfg, mode)), []).append(i)
+    for i, (k, cfg) in enumerate(cells):
+        groups.setdefault((k, _stream_key(cfg)), []).append(i)
     limit = -(-len(cells) // workers)
     tasks = [g[len(g) * p // parts:len(g) * (p + 1) // parts]
              for g in groups.values() for parts in [-(-len(g) // limit)] for p in range(parts)]
-    return sorted(tasks, key=lambda t: (len(t), -MODES.index(cells[t[0]][2])), reverse=True)
+    return sorted(tasks, key=lambda t: (len(t), -MODES.index(cells[t[0]][1].mode)), reverse=True)
 
 
 def _row_config(cfg, row: str):
@@ -510,15 +507,15 @@ def _row_config(cfg, row: str):
     )
 
 
-def run_cells(ds: FeatureDataset, cells) -> list[RunMetrics]:
-    """The metrics of every (cfg, mode) cell, in order. Each ``_warmup_key``'s
+def run_cells(ds: FeatureDataset, cfgs) -> list[RunMetrics]:
+    """The metrics of a run of every config, in order. Each ``_warmup_key``'s
     warm-up is trained once, here; its cells finish as ``_tasks`` on a pool
     of forked workers, one per usable CPU at most (``fork``: an unguarded
     script that calls ``cli.main`` cannot be re-imported by ``spawn``), or
     in this process with one worker. Workers inherit the warm-ups by
     ``fork``. An error in a task is raised after the tasks not yet started
     are cancelled. Log records are handled here, in cell order."""
-    if not cells:
+    if not cfgs:
         return []
     # imported here: a train run does not need them, and they add to its
     # start-up time and memory
@@ -526,13 +523,13 @@ def run_cells(ds: FeatureDataset, cells) -> list[RunMetrics]:
     from concurrent.futures import ProcessPoolExecutor
 
     keys, warmups, indexed = {}, [], []  # warm-up key -> its position in warmups
-    for cfg, mode in cells:
-        k = keys.setdefault(_warmup_key(cfg, mode), len(keys))
+    for cfg in cfgs:
+        k = keys.setdefault(_warmup_key(cfg), len(keys))
         if k == len(warmups):
-            warmups.append(_Trainer(ds, cfg, mode))
+            warmups.append(_Trainer(ds, cfg))
             warmups[k].train(cfg.schedule.warmup_epochs)
-        indexed.append((k, cfg, mode))
-    workers = _pool_size(len(cells))
+        indexed.append((k, cfg))
+    workers = _pool_size(len(cfgs))
     tasks = _tasks(indexed, workers)
     jobs = [[indexed[i] for i in task] for task in tasks]
     pool = None
@@ -547,7 +544,7 @@ def run_cells(ds: FeatureDataset, cells) -> list[RunMetrics]:
         for task, (metrics, records) in zip(tasks, outs):
             done.update(zip(task, zip(metrics, records)))
     except Exception as exc:
-        done[len(cells)] = None, getattr(exc, "log_records", ())  # after the finished cells
+        done[len(cfgs)] = None, getattr(exc, "log_records", ())  # after the finished cells
         raise
     finally:
         if pool is not None:
@@ -555,7 +552,7 @@ def run_cells(ds: FeatureDataset, cells) -> list[RunMetrics]:
         for i in sorted(done):
             for record in done[i][1]:
                 logging.getLogger(record.name).handle(record)
-    return [done[i][0] for i in range(len(cells))]
+    return [done[i][0] for i in range(len(cfgs))]
 
 
 def run_ablation_grid(ds: FeatureDataset, cfg, seeds=None) -> list[dict]:
@@ -565,7 +562,7 @@ def run_ablation_grid(ds: FeatureDataset, cfg, seeds=None) -> list[dict]:
     cells = [(row, seed) for row in ABLATION_ROWS for seed in seeds]
     configs = [replace(_row_config(cfg, row), seed=seed) for row, seed in cells]
     records = []
-    for (row, seed), metrics in zip(cells, run_cells(ds, [(c, c.mode) for c in configs])):
+    for (row, seed), metrics in zip(cells, run_cells(ds, configs)):
         last_ev = metrics.events[-1] if metrics.events else None
         records.append({
             "row": row,

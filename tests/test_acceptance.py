@@ -11,6 +11,7 @@ raw generator at overlap 0.35 measured 0.851.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -250,12 +251,12 @@ def benchmark_runs():
         ds = hard_dataset(seed)
         cfg = default_config(seed)
         out["labeled_only"].append(
-            engine.run(ds, cfg, mode="labeled_only").metrics.final["test_acc_param"])
-        rf = engine.run(ds, cfg, mode="fixmatch")
+            engine.run(ds, replace(cfg, mode="labeled_only")).metrics.final["test_acc_param"])
+        rf = engine.run(ds, replace(cfg, mode="fixmatch"))
         out["fixmatch"].append(rf.metrics.final["test_acc_param"])
         acc = rf.metrics.epochs[-1]["fixmatch_pseudo_acc"]
         out["fixmatch_pseudo"].append(0.0 if acc is None else acc)
-        ra = engine.run(ds, cfg, mode="aplt")
+        ra = engine.run(ds, replace(cfg, mode="aplt"))
         out["aplt"].append(ra.metrics.final["test_acc_proto"])
         out["aplt_pseudo"].append(ra.metrics.events[-1]["pseudo_label_acc"])
     out["elapsed"] = time.monotonic() - started

@@ -468,6 +468,7 @@ class TestFilterPseudoLabels:
         kept = cluster.filter_pseudo_labels(res, thresholds, CFG)
         assert kept.indices.tolist() == [0, 1, 3, 4]
         assert kept.labels.tolist() == [0, 0, 1, 1]
+        assert kept.coverage == 4 / 6
 
     def test_flag_off_keeps_all(self):
         cfg = cluster.ClusterConfig(use_adaptive_threshold=False)

@@ -32,7 +32,7 @@ def small_config(*overrides, seed=0):
 
 def warmed_up(ds, cfg, mode="fixmatch"):
     """A run of ``cfg`` trained to the end of its warm-up, ready to branch."""
-    trainer = engine._Trainer(ds, cfg, mode)
+    trainer = engine._Trainer(ds, replace(cfg, mode=mode))
     trainer.train(cfg.schedule.warmup_epochs)
     return trainer
 
@@ -75,8 +75,8 @@ class TestRun:
         cfg_a = small_config("schedule.warmup_epochs=8", "schedule.main_epochs=0",
                              "margin.lambda=0.0")
         cfg_b = small_config("schedule.warmup_epochs=8", "schedule.main_epochs=0")
-        res_a = engine.run(ds, cfg_a, mode="aplt")
-        res_b = engine.run(ds, cfg_b, mode="fixmatch")
+        res_a = engine.run(ds, replace(cfg_a, mode="aplt"))
+        res_b = engine.run(ds, replace(cfg_b, mode="fixmatch"))
         for name in nn.PARAM_NAMES:
             assert np.array_equal(getattr(res_a.model, name),
                                   getattr(res_b.model, name))
@@ -162,12 +162,12 @@ class TestRun:
             for name in state[0]:
                 assert state[0][name] == state[1][name], name
 
-        clean, dirty = (engine._Trainer(d, cfg, "fixmatch") for d in (ds, poisoned))
+        clean, dirty = (engine._Trainer(d, replace(cfg, mode="fixmatch")) for d in (ds, poisoned))
         label_blind(clean, dirty)
         for t in (clean, dirty):
             t.train(warmup)
         label_blind(clean, dirty)
-        clean, dirty = (t.branch(cfg, "aplt") for t in (clean, dirty))
+        clean, dirty = (t.branch(replace(cfg, mode="aplt")) for t in (clean, dirty))
         label_blind(clean, dirty)
         for t in (clean, dirty):
             t.train(warmup + 1)
@@ -180,7 +180,7 @@ class TestRun:
         with pytest.raises(InvalidParameterError):
             engine.run(fully_labeled, small_config())
         with pytest.raises(InvalidParameterError):
-            engine.run(ds, small_config(), mode="nonsense")
+            engine.run(ds, replace(small_config(), mode="nonsense"))
 
     def test_metrics_stream_is_valid_ndjson(self):
         ds = small_dataset()
@@ -257,7 +257,7 @@ def test_final_scores_reuse_the_last_epoch_record(monkeypatch, epochs):
     again; only a run with no epoch scores it at the end."""
     cfg = small_config(f"schedule.warmup_epochs={epochs[0]}",
                        f"schedule.main_epochs={epochs[1]}")
-    trainer = engine._Trainer(small_dataset(), cfg, "aplt")
+    trainer = engine._Trainer(small_dataset(), replace(cfg, mode="aplt"))
     scored = []
     monkeypatch.setattr(engine, "evaluate",
                         lambda *args, _real=engine.evaluate: scored.append(1) or _real(*args))
@@ -324,7 +324,7 @@ class TestAblationGrid:
         records = engine.run_ablation_grid(ds, cfg)
         assert [r["row"] for r in records] == list(engine.ABLATION_ROWS)
         assert len(records) == 7
-        baseline = engine.run(ds, cfg, mode="fixmatch")
+        baseline = engine.run(ds, replace(cfg, mode="fixmatch"))
         ssl = next(r for r in records if r["row"] == "SSL")
         assert ssl["accuracy"] == baseline.metrics.final["test_acc"]
         assert ssl["seed"] == 4
@@ -399,8 +399,8 @@ class TestBranchedGrid:
         cfg = small_config()
         warm = warmed_up(ds, cfg)
         for mode in ("fixmatch", "aplt"):
-            branched = warm.branch(cfg, mode).finish().metrics.to_ndjson()
-            assert branched == engine.run(ds, cfg, mode=mode).metrics.to_ndjson()
+            branched = warm.branch(replace(cfg, mode=mode)).finish().metrics.to_ndjson()
+            assert branched == engine.run(ds, replace(cfg, mode=mode)).metrics.to_ndjson()
 
     @pytest.mark.parametrize("via_pickle", [False, True])
     def test_branch_owns_its_parameters(self, via_pickle):
@@ -410,7 +410,7 @@ class TestBranchedGrid:
         ds = small_dataset()
         cfg = small_config()
         warm = warmed_up(ds, cfg)
-        twin = warm.branch(cfg, "aplt")
+        twin = warm.branch(replace(cfg, mode="aplt"))
         if via_pickle:
             twin = pickle.loads(pickle.dumps(twin))
         before = warm.model.theta.tobytes(), warm.opt.velocity.tobytes()
@@ -500,9 +500,9 @@ class TestBranchedGrid:
         calls = []
         branch = engine._Trainer.branch
 
-        def counted(self, cfg, mode):
-            calls.append(mode)
-            return branch(self, cfg, mode)
+        def counted(self, cfg):
+            calls.append(cfg.mode)
+            return branch(self, cfg)
 
         monkeypatch.setattr(engine._Trainer, "branch", counted)
         monkeypatch.setattr(engine, "_pool_size", lambda n: workers)
@@ -536,7 +536,7 @@ class TestEncoderPassesPerStep:
 
     def step_counts(self, monkeypatch, mode, tau, with_bank):
         cfg = small_config(f"fixmatch.tau={tau}")
-        trainer = engine._Trainer(small_dataset(), cfg, mode)
+        trainer = engine._Trainer(small_dataset(), replace(cfg, mode=mode))
         if with_bank:
             trainer.offline_phase(0)
         calls = count_encoder_passes(monkeypatch)
@@ -563,7 +563,7 @@ class TestEncoderPassesPerStep:
         assert self.step_counts(monkeypatch, "labeled_only", tau, False) == (1, 1, None)
 
     def test_evaluate_runs_one_forward(self, monkeypatch):
-        trainer = engine._Trainer(small_dataset(), small_config(), "aplt")
+        trainer = engine._Trainer(small_dataset(), replace(small_config(), mode="aplt"))
         trainer.offline_phase(0)
         calls = count_encoder_passes(monkeypatch)
         proto_acc, param_acc = trainer.probe.scores(trainer.model, trainer.bank, trainer.X)
@@ -583,7 +583,7 @@ class TestStepTerms:
         monkeypatch.setattr(nn, "sgd_step", lambda m, state, grad, lr: seen.append(grad.copy()))
         grads = {}
         for mode, lam in (("fixmatch", 1.0), ("aplt", 0.0), ("aplt", 0.5), ("aplt", 1.0)):
-            t = warm.branch(replace(cfg, margin=replace(cfg.margin, lam=lam)), mode)
+            t = warm.branch(replace(cfg, mode=mode, margin=replace(cfg.margin, lam=lam)))
             t._open_epoch()
             chunk = t._epoch_chunks()[0]
             t._step(chunk, t._draw(chunk))
@@ -600,7 +600,7 @@ class TestStepTerms:
         """Planted views: every weak row argmaxes to class 0 and every strong
         row to class 1, on a head confident enough that every row passes tau.
         The strong view learns class 0, so its loss is large."""
-        trainer = engine._Trainer(small_dataset(), small_config(), "fixmatch")
+        trainer = engine._Trainer(small_dataset(), replace(small_config(), mode="fixmatch"))
         d = trainer.X.shape[1]
         trainer.model = identity_encoder(d, hw=50.0 * np.eye(d)[:, :trainer.C])
         chunk = trainer._epoch_chunks()[0]
@@ -615,10 +615,9 @@ class TestStepTerms:
 class TestWarmupSharing:
     def test_rows_and_compare_modes_share_every_field_warmup_reads(self):
         cfg, _ = config.resolve(None, [])
-        cells = [(c, c.mode) for c in (engine._row_config(cfg, row)
-                                       for row in engine.ABLATION_ROWS)]
-        cells += [(cfg, mode) for mode in ("fixmatch", "aplt")]
-        keys = [engine._warmup_key(c, mode) for c, mode in cells]
+        cells = [engine._row_config(cfg, row) for row in engine.ABLATION_ROWS]
+        cells += [replace(cfg, mode=mode) for mode in ("fixmatch", "aplt")]
+        keys = [engine._warmup_key(c) for c in cells]
         assert len(keys) == 9
         assert all(key == keys[0] for key in keys)
 
@@ -627,9 +626,10 @@ class TestWarmupSharing:
         is not part of what a warm-up reads, and the keys group through dicts."""
         cfg, _ = config.resolve(None, [])
         on_csv = replace(cfg, dataset={"csv": "hard.csv"})
-        keys = {engine._warmup_key(c, mode) for c in (cfg, on_csv) for mode in ("aplt", "fixmatch")}
-        assert keys == {engine._warmup_key(cfg, "aplt")}
-        assert len({engine._stream_key(c, "aplt") for c in (cfg, on_csv)}) == 1
+        keys = {engine._warmup_key(replace(c, mode=mode))
+                for c in (cfg, on_csv) for mode in ("aplt", "fixmatch")}
+        assert keys == {engine._warmup_key(replace(cfg, mode="aplt"))}
+        assert len({engine._stream_key(replace(c, mode="aplt")) for c in (cfg, on_csv)}) == 1
 
     def test_branch_refuses_what_warmup_does_not_share(self):
         ds = small_dataset()
@@ -638,24 +638,24 @@ class TestWarmupSharing:
         faster = replace(cfg, optimizer=replace(cfg.optimizer, base_lr=0.01))
         for other_cfg, mode in ((faster, "aplt"), (cfg, "labeled_only"), (cfg, "nonsense")):
             with pytest.raises(InvalidParameterError, match="cannot branch"):
-                warm.branch(other_cfg, mode)
+                warm.branch(replace(other_cfg, mode=mode))
         # the warm-up does not read the offline cadence
         for cadence in ("schedule.offline_every=1", "schedule.sync_mode=true"):
-            warm.branch(small_config(cadence), "aplt")
+            warm.branch(replace(small_config(cadence), mode="aplt"))
         warm.train(cfg.schedule.warmup_epochs + 1)
         with pytest.raises(InvalidParameterError, match="cannot branch"):
-            warm.branch(cfg, "aplt")
+            warm.branch(replace(cfg, mode="aplt"))
 
 
 class TestRunCells:
     def test_one_warmup_per_key_and_every_log_equals_its_own_run(self, monkeypatch):
         ds = small_dataset()
-        cells = [(small_config(seed=seed), mode) for seed in (0, 1)
+        cells = [replace(small_config(seed=seed), mode=mode) for seed in (0, 1)
                  for mode in ("fixmatch", "aplt", "labeled_only")]
-        cells.append((small_config("optimizer.base_lr=0.01"), "aplt"))
-        cells.append((small_config("schedule.offline_every=1"), "aplt"))
-        sched = cells[0][0].schedule
-        steps_per_epoch = warmed_up(ds, cells[0][0]).metrics.epochs[0]["steps"]
+        cells.append(replace(small_config("optimizer.base_lr=0.01"), mode="aplt"))
+        cells.append(replace(small_config("schedule.offline_every=1"), mode="aplt"))
+        sched = cells[0].schedule
+        steps_per_epoch = warmed_up(ds, cells[0]).metrics.epochs[0]["steps"]
         calls = count_sgd_steps(monkeypatch)
         logs = [metrics.to_ndjson() for metrics in engine.run_cells(ds, cells)]
         # seed 0 and seed 1 train one warm-up each for fixmatch and aplt and
@@ -664,13 +664,13 @@ class TestRunCells:
         warmups = 5
         assert len(calls) == (warmups * sched.warmup_epochs
                               + len(cells) * sched.main_epochs) * steps_per_epoch
-        assert logs == [engine.run(ds, cfg, mode).metrics.to_ndjson() for cfg, mode in cells]
+        assert logs == [engine.run(ds, cfg).metrics.to_ndjson() for cfg in cells]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_cell_listed_twice_gives_two_independent_results(self, monkeypatch, workers):
         monkeypatch.setattr(engine, "_pool_size", lambda n: workers)
         cfg = small_config()
-        a, b = engine.run_cells(small_dataset(), [(cfg, "aplt")] * 2)
+        a, b = engine.run_cells(small_dataset(), [replace(cfg, mode="aplt")] * 2)
         assert a is not b
         assert a.to_ndjson() == b.to_ndjson()
         a.epochs[0]["lr"] = None
@@ -688,16 +688,15 @@ class TestStreamGroups:
         # each cell runs alone here, so equal states show that the key
         # names everything its draws read
         ds, cfg = small_dataset(), small_config()
-        cells = [(c, c.mode) for c in (engine._row_config(cfg, row)
-                                       for row in engine.ABLATION_ROWS)]
-        cells.append((cfg, "labeled_only"))
-        cells.append((engine._row_config(small_config("schedule.offline_every=1"),
-                                         "SSL+SSKM(S)"), "aplt"))
+        cells = [engine._row_config(cfg, row) for row in engine.ABLATION_ROWS]
+        cells.append(replace(cfg, mode="labeled_only"))
+        cells.append(engine._row_config(small_config("schedule.offline_every=1"),
+                                        "SSL+SSKM(S)"))
         keys, states = [], []
-        for c, mode in cells:
-            trainer = engine._Trainer(ds, c, mode)
+        for c in cells:
+            trainer = engine._Trainer(ds, c)
             trainer.finish()
-            keys.append(engine._stream_key(c, mode))
+            keys.append(engine._stream_key(c))
             states.append(trainer.rng_train.bit_generator.state)
         for i in range(len(cells)):
             for j in range(len(cells)):
@@ -716,7 +715,7 @@ class TestStreamGroups:
     ])
     def test_tasks_split_only_groups_above_a_workers_share(self, seeds, workers, sizes):
         cfg, _ = config.resolve(None, [])
-        cells = [(0, c, c.mode) for seed in range(seeds) for c in
+        cells = [(0, c) for seed in range(seeds) for c in
                  (replace(engine._row_config(cfg, row), seed=seed)
                   for row in engine.ABLATION_ROWS)]
         tasks = engine._tasks(cells, workers)
@@ -725,8 +724,7 @@ class TestStreamGroups:
 
     def test_aplt_tasks_go_before_fixmatch_tasks_of_their_size(self):
         cfg, _ = config.resolve(None, [])
-        cells = [(0, c, c.mode) for c in (engine._row_config(cfg, row)
-                                          for row in engine.ABLATION_ROWS)]
+        cells = [(0, engine._row_config(cfg, row)) for row in engine.ABLATION_ROWS]
         tasks = [[engine.ABLATION_ROWS[i] for i in task] for task in engine._tasks(cells, 2)]
         assert tasks == [["SSL+SSKM(S)+LA", "SSL+SSKM(S)+SAT", "SSL+SSKM(S)+LA+SAT"],
                          ["SSL+KM", "SSL+SSKM(S)"], ["SSL+SSKM(W)"], ["SSL"]]
@@ -760,7 +758,7 @@ class TestStreamGroups:
     def test_draws_are_read_only(self):
         ds, cfg = small_dataset(), small_config()
         for mode, n in (("labeled_only", 2), ("fixmatch", 4), ("aplt", 6)):
-            trainer = engine._Trainer(ds, cfg, mode)
+            trainer = engine._Trainer(ds, replace(cfg, mode=mode))
             if mode == "aplt":
                 trainer.offline_phase(0)
             views = trainer._draw(trainer._epoch_chunks()[0])
@@ -769,7 +767,8 @@ class TestStreamGroups:
 
     def test_two_identical_cells_in_one_group_log_as_their_own_run(self):
         ds, cfg = small_dataset(), small_config()
-        metrics, _ = engine._finish_group([(0, cfg, "aplt")] * 2, [warmed_up(ds, cfg)])
+        cells = [(0, replace(cfg, mode="aplt"))] * 2
+        metrics, _ = engine._finish_group(cells, [warmed_up(ds, cfg)])
         logs = [m.to_ndjson() for m in metrics]
         assert logs[0] == logs[1] == engine.run(ds, cfg).metrics.to_ndjson()
 
@@ -777,8 +776,8 @@ class TestStreamGroups:
 class TestBaselineFixmatch:
     def test_same_seed_reproducible(self):
         ds = small_dataset()
-        a = engine.run(ds, small_config(seed=9), mode="fixmatch")
-        b = engine.run(ds, small_config(seed=9), mode="fixmatch")
+        a = engine.run(ds, replace(small_config(seed=9), mode="fixmatch"))
+        b = engine.run(ds, replace(small_config(seed=9), mode="fixmatch"))
         for name in nn.PARAM_NAMES:
             assert np.array_equal(getattr(a.model, name), getattr(b.model, name))
 
@@ -787,7 +786,7 @@ class TestBaselineFixmatch:
         ds = data.generate_synthetic(12, 32, 100, overlap=0.10, seed=0)
         ds = data.apply_split(ds, data.SplitSpec(labeled_ratio=0.1, seed=0))
         cfg, _ = config.resolve(None, ["seed=0"])
-        res = engine.run(ds, cfg, mode="fixmatch")
+        res = engine.run(ds, replace(cfg, mode="fixmatch"))
         assert res.metrics.final["test_acc_param"] >= 0.95
 
 

@@ -156,10 +156,11 @@ class TestWarmupObjective:
 
     @staticmethod
     def stepper(monkeypatch, tau):
-        cfg, _ = config.resolve(None, ["fixmatch.batch_size=16", f"fixmatch.tau={tau}"])
+        cfg, _ = config.resolve(None, ["mode=fixmatch", "fixmatch.batch_size=16",
+                                        f"fixmatch.tau={tau}"])
         ds = data.apply_split(data.generate_synthetic(3, 6, 40, 0.15, seed=2),
                               data.SplitSpec(labeled_ratio=0.2, seed=2))
-        trainer = engine._Trainer(ds, cfg, "fixmatch")
+        trainer = engine._Trainer(ds, cfg)
         chunk = trainer._epoch_chunks()[0]
         views = trainer._draw(chunk)
         seen = {}

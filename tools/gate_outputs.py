@@ -19,8 +19,8 @@ relative paths, so no hash depends on where OUTDIR is.
 is the committed one) and exits 1 on any difference, printing the lines
 that differ and both sides' numpy and BLAS builds: a different BLAS may
 round differently. It imports ``aplt`` from ``PYTHONPATH``, so pointing that
-at another checkout's ``src`` hashes that checkout. It takes about a minute
-and a half on a 2-core machine.
+at another checkout's ``src`` hashes that checkout. It takes about 11 s
+with one OpenBLAS thread on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import contextlib
 import hashlib
 import io
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +108,7 @@ def gate_hard12():
     ds = data.load_csv("hard.csv")
     for seed in SEEDS:
         cfg, _ = config.resolve(None, [f"seed={seed}"])
-        ndjson = engine.run(ds, cfg, mode="labeled_only").metrics.to_ndjson()
+        ndjson = engine.run(ds, replace(cfg, mode="labeled_only")).metrics.to_ndjson()
         yield f"labeled_only seed={seed}", ".metrics.to_ndjson()", _sha(ndjson.encode())
 
     yield from gate_ablate()

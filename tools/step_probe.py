@@ -44,12 +44,12 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=positive_int, default=400, help="timed steps")
     parser.add_argument("--seed", type=nonnegative_int, default=0, help="training seed")
     args = parser.parse_args(argv)
-    cfg, _ = config.resolve(overrides=[f"seed={args.seed}"])
+    cfg, _ = config.resolve(overrides=["mode=aplt", f"seed={args.seed}"])
     p = cli.PRESETS["hard12"]
     ds = data.apply_split(data.generate_synthetic(p["classes"], p["dim"], p["per_class"],
                                                   p["overlap"], p["seed"]),
                           data.SplitSpec(labeled_ratio=0.1))
-    trainer = engine._Trainer(ds, cfg, "aplt")
+    trainer = engine._Trainer(ds, cfg)
     trainer.train(cfg.schedule.warmup_epochs)
     trainer._open_epoch()
     lr, lam = trainer._lr, cfg.margin.lam
