@@ -38,6 +38,8 @@ PRESETS = {
     "easy12": {"classes": 12, "dim": 32, "per_class": 100, "overlap": 0.10, "seed": 1},
     "hard12": {"classes": 12, "dim": 32, "per_class": 100, "overlap": 0.25, "seed": 1},
 }
+# gen's parameters without a preset; a preset takes none of them
+GEN_DEFAULTS = {"classes": 12, "dim": 32, "per_class": 100, "overlap": 0.35, "seed": 1}
 
 
 class _StderrHandler(logging.StreamHandler):
@@ -116,12 +118,7 @@ def _read_csv(path, num_classes: int | None = None) -> data_mod.FeatureDataset:
 def _load_dataset(cfg: config_mod.RunConfig):
     if cfg.dataset is None:
         raise ConfigError("no dataset: pass --data or set the dataset section")
-    if "csv" in cfg.dataset:
-        ds = _read_csv(cfg.dataset["csv"])
-    else:
-        s = cfg.dataset["synthetic"]
-        ds = data_mod.generate_synthetic(s["classes"], s["dim"], s["per_class"],
-                                         s["overlap"], s["seed"])
+    ds = _read_csv(cfg.dataset["csv"])
     if ds.labeled_mask.all():
         ds = data_mod.apply_split(ds, cfg.split)
     return ds
@@ -129,7 +126,9 @@ def _load_dataset(cfg: config_mod.RunConfig):
 
 def _resolve_from_args(args) -> tuple[config_mod.RunConfig, dict]:
     """Config file <- --set <- --mode/--seed; --data replaces the dataset
-    section, so the resolved dump names the CSV the run read."""
+    section, so the resolved dump names the CSV the run read. Only train
+    has --mode: compare and ablate set each cell's mode themselves, so their
+    dump leaves ``mode`` out."""
     file_cfg = config_mod.load_file(args.config) if args.config else None
     overrides = list(args.set or [])
     if getattr(args, "mode", None):
@@ -140,6 +139,8 @@ def _resolve_from_args(args) -> tuple[config_mod.RunConfig, dict]:
     if args.data is not None:
         resolved["dataset"] = {"csv": args.data}
         cfg = replace(cfg, dataset=resolved["dataset"])
+    if "mode" not in args:
+        del resolved["mode"]
     return cfg, resolved
 
 
@@ -153,7 +154,9 @@ def _changed_keys(old, new, path: str = "") -> list[str]:
 
 def _check_appendable(out: Path, resolved: dict) -> None:
     """An ablation table grows only under the config stored next to it; the
-    seed may differ, since the table has a seed column."""
+    seed may differ, since the table has a seed column. ``mode`` is ignored
+    too: ablate sets each row's mode, and a table stored before its dump
+    left ``mode`` out holds one."""
     try:
         stored = json.loads((out / "resolved_config.json").read_text())
     except (OSError, ValueError):
@@ -161,7 +164,7 @@ def _check_appendable(out: Path, resolved: dict) -> None:
     if not isinstance(stored, dict):
         raise ConfigError(f"{out / 'ablation.csv'} has no readable resolved_config.json "
                           "to append under; pass --force to start a new table")
-    changed = [k for k in _changed_keys(stored, resolved) if k != "seed"]
+    changed = [k for k in _changed_keys(stored, resolved) if k not in ("seed", "mode")]
     if changed:
         raise ConfigError(f"{out / 'ablation.csv'} was written under another config "
                           f"(differs in {', '.join(changed)}); pass --force to start "
@@ -195,12 +198,12 @@ def cmd_gen(args) -> int:
     _check_out(out.parent)
     if out.is_dir():
         raise ConfigError(f"cannot write to {out}: it is a directory")
-    if args.preset:
-        params = dict(PRESETS[args.preset])
-    else:
-        params = {"classes": args.classes, "dim": args.dim,
-                  "per_class": args.per_class, "overlap": args.overlap,
-                  "seed": args.seed}
+    given = {k: v for k, v in vars(args).items() if k in GEN_DEFAULTS and v is not None}
+    if args.preset and given:
+        flags = ", ".join("--" + k.replace("_", "-") for k in given)
+        raise ConfigError(f"--preset {args.preset} fixes the generator's parameters; "
+                          f"drop {flags} or the preset")
+    params = dict(PRESETS[args.preset]) if args.preset else {**GEN_DEFAULTS, **given}
     ds = data_mod.generate_synthetic(params["classes"], params["dim"],
                                      params["per_class"], params["overlap"],
                                      params["seed"])
@@ -309,12 +312,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="generate a synthetic dataset CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--classes", type=int, default=12)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--per-class", type=int, default=100)
-    p.add_argument("--overlap", type=float, default=0.35)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--preset", choices=sorted(PRESETS),
+                   help="fixed parameters; takes none of the five flags below")
+    for key, value in GEN_DEFAULTS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=type(value),
+                       help=f"default {value}")
     p.add_argument("--labeled-ratio", type=float, default=None,
                    help="apply a stratified split before writing")
     p.add_argument("--split-seed", type=int, default=0)

@@ -61,7 +61,7 @@ class EvalConfig:
 class RunConfig:
     seed: int = 0
     mode: str = "aplt"
-    dataset: dict | None = None          # {"csv": path} or {"synthetic": {...}}
+    dataset: dict | None = None          # {"csv": path}
     eval: EvalConfig = EvalConfig()
     split: SplitSpec = SplitSpec(labeled_ratio=0.1, seed=0)
     model: ModelConfig = ModelConfig()
@@ -72,9 +72,6 @@ class RunConfig:
     margin: MarginConfig = MarginConfig()
     schedule: PhaseSchedule = PhaseSchedule()
 
-
-# dataset.synthetic has no defaults; this template gives each key's type
-_SYNTH_TYPES = {"classes": 0, "dim": 0, "per_class": 0, "overlap": 0.0, "seed": 0}
 
 # JSON value types a key accepts, by the type of its default
 _ACCEPTS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
@@ -138,17 +135,11 @@ def _parse_override(expr: str):
 def _check_dataset(section) -> dict | None:
     if section is None:
         return None
-    if not isinstance(section, dict):
-        raise ConfigError("dataset section must be an object")
-    keys = set(section)
-    if keys == {"csv"}:
-        if not isinstance(section["csv"], str):
-            raise ConfigError("dataset.csv must be a path string")
-        return {"csv": section["csv"]}
-    if keys == {"synthetic"}:
-        _check_types(section["synthetic"], _SYNTH_TYPES, "dataset.synthetic.")
-        return {"synthetic": dict(section["synthetic"])}
-    raise ConfigError("dataset must contain exactly one of: csv, synthetic")
+    if not (isinstance(section, dict) and set(section) == {"csv"}
+            and isinstance(section["csv"], str)):
+        raise ConfigError(f'dataset must be {{"csv": path}}, got {section!r}; make '
+                          "generated data with aplt gen and pass it with --data")
+    return {"csv": section["csv"]}
 
 
 def resolve(file_config: dict | None = None, overrides: list[str] | None = None) -> tuple[RunConfig, dict]:

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,20 @@ class TestGen:
         assert manifest["num_classes"] == 12
         ds = data.load_csv(out)
         assert ds.n == 1200 and ds.dim == 32
+
+    @pytest.mark.parametrize("flag", [["--classes", "5"], ["--dim", "8"],
+                                      ["--per-class", "10"], ["--overlap", "0.9"],
+                                      ["--seed", "2"]], ids=lambda f: f[0])
+    def test_preset_with_a_parameter_flag_exits_one_without_outputs(self, tmp_path, capsys,
+                                                                    flag):
+        """A preset fixes all five parameters, so a flag that sets one would
+        be silently dropped; it is refused before anything is written."""
+        out = tmp_path / "data" / "x.csv"
+        rc = cli.main(["gen", "--preset", "hard12", "--out", str(out), *flag])
+        assert rc == 1
+        assert (f"config error: --preset hard12 fixes the generator's parameters; "
+                f"drop {flag[0]} or the preset") in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
 
     def test_invalid_class_count_exits_nonzero(self, tmp_path, capsys):
         rc = cli.main(["gen", "--out", str(tmp_path / "x.csv"), "--classes", "1"])
@@ -334,6 +349,18 @@ class TestCompare:
         assert notes == ([f"fixmatch: no unlabeled row passed fixmatch.tau={expected} in any "
                           "epoch, so its consistency term never contributed"] if silent else [])
 
+    def test_mode_key_is_ignored_and_left_out_of_the_dump(self, tmp_path, dataset_csv):
+        """compare sets each cell's mode, so --set mode=fixmatch changes no
+        output, and neither run records a mode."""
+        outs = tmp_path / "plain", tmp_path / "moded"
+        for out, sets in zip(outs, ([], ["--set", "mode=fixmatch"])):
+            assert cli.main(["compare", "--data", str(dataset_csv), "--out", str(out),
+                             *FAST, *sets]) == 0
+            assert "mode" not in json.loads((out / "resolved_config.json").read_text())
+        for name in ("trajectory.csv", "metrics_fixmatch.ndjson", "metrics_aplt.ndjson",
+                     "resolved_config.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
 
 class TestAblate:
     def test_seven_rows_with_seed_column_append_and_force(self, tmp_path,
@@ -398,6 +425,12 @@ class TestAblate:
         assert (table.read_bytes(), stored.read_bytes()) == before
         assert cli.main(args + ["--seed", "5", "--seeds", "1"]) == 0
         assert len(table.read_text().splitlines()) == 1 + 14
+        assert "mode" not in json.loads(stored.read_text())
+        # a table stored when ablate still recorded a mode appends too
+        stored.write_text(json.dumps({**json.loads(stored.read_text()), "mode": "aplt"}))
+        assert cli.main(args + ["--seeds", "2", "--set", "mode=fixmatch"]) == 0
+        assert len(table.read_text().splitlines()) == 1 + 21
+        assert "mode" not in json.loads(stored.read_text())
         # a table with no stored config is refused too
         stored.unlink()
         grown = table.read_bytes()
@@ -418,20 +451,8 @@ BAD_OVERRIDES = ["fixmatch.batch_size=8.5", "model.hidden=8.5", "cluster.max_ite
                  "optimizer.weight_decay=-1"]
 
 
-SYNTH = {"classes": 3, "dim": 4, "per_class": 10, "overlap": 0.1, "seed": 0}
-
-# dataset.synthetic sections that must be config errors
-BAD_SYNTHETIC = [
-    ({**SYNTH, "classes": 2.5}, "dataset.synthetic.classes must be int"),
-    ({**SYNTH, "per_class": "10"}, "dataset.synthetic.per_class must be int"),
-    ({**SYNTH, "dim": True}, "dataset.synthetic.dim must be int"),
-    ({**SYNTH, "seed": None}, "dataset.synthetic.seed must be int"),
-    ({**SYNTH, "overlap": True}, "dataset.synthetic.overlap must be float"),
-    (5, "dataset.synthetic must be an object"),
-    ({**SYNTH, "bogus": 1}, "exactly the keys"),
-    ({k: v for k, v in SYNTH.items() if k != "seed"}, "exactly the keys"),
-    ({**SYNTH, "overlap": float("nan")}, "dataset.synthetic.overlap must be finite, got nan"),
-]
+# the removed dataset.synthetic section, as config files used to write it
+SYNTH = {"synthetic": {"classes": 3, "dim": 4, "per_class": 10, "overlap": 0.1, "seed": 0}}
 
 
 class TestConfigResolution:
@@ -464,28 +485,25 @@ class TestConfigResolution:
         assert cfg.fixmatch.tau == 0.9
 
     def test_dataset_section_shape_enforced(self):
-        with pytest.raises(ConfigError):
-            config.resolve({"dataset": {"csv": "a", "synthetic": {}}})
-        with pytest.raises(ConfigError):
-            config.resolve({"dataset": {"synthetic": {"classes": 3}}})
-        cfg, _ = config.resolve({"dataset": {"synthetic": {
-            "classes": 3, "dim": 4, "per_class": 10, "overlap": 0.1,
-            "seed": 0}}})
-        assert "synthetic" in cfg.dataset
-
-    @pytest.mark.parametrize("synthetic,message", BAD_SYNTHETIC)
-    def test_synthetic_values_type_checked(self, synthetic, message):
-        with pytest.raises(ConfigError, match=message):
-            config.resolve({"dataset": {"synthetic": synthetic}})
+        for section in ({"csv": "a", "synthetic": {}}, SYNTH, {"csv": 3}, {}, "a.csv"):
+            with pytest.raises(ConfigError, match=re.escape('dataset must be {"csv": path}')):
+                config.resolve({"dataset": section})
+        cfg, resolved = config.resolve({"dataset": {"csv": "a.csv"}})
+        assert cfg.dataset == resolved["dataset"] == {"csv": "a.csv"}
+        assert config.resolve()[0].dataset is None
 
     def test_bad_synthetic_exits_one_without_outputs(self, tmp_path, capsys):
+        """A dataset.synthetic section, valid before the section was removed,
+        is a config error that points to aplt gen."""
         cfg_file = tmp_path / "synth.json"
-        cfg_file.write_text(json.dumps({"dataset": {"synthetic": {**SYNTH, "classes": 2.5}}}))
+        cfg_file.write_text(json.dumps({"dataset": SYNTH}))
         out = tmp_path / "run"
         rc = cli.main(["train", "--config", str(cfg_file), "--out", str(out)])
         assert rc == 1
         assert not out.exists()
-        assert "config error: dataset.synthetic.classes must be int" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith('config error: dataset must be {"csv": path}')
+        assert "aplt gen" in err
 
     @pytest.mark.parametrize("command, message", [
         (["train", "--data", "{csv}", "--out", "{out}", "--seed", "-1"],
@@ -603,10 +621,10 @@ class TestConfigResolution:
 
     def test_run_reproducible_from_resolved_dump(self, tmp_path, dataset_csv):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        synth_file = tmp_path / "synth.json"
-        synth_file.write_text(json.dumps({"dataset": {"synthetic": SYNTH}}))
+        placeholder = tmp_path / "placeholder.json"
+        placeholder.write_text(json.dumps({"dataset": {"csv": "placeholder.csv"}}))
         # --data replaces the file's dataset section and is recorded in the dump
-        assert cli.main(["train", "--config", str(synth_file), "--data", str(dataset_csv),
+        assert cli.main(["train", "--config", str(placeholder), "--data", str(dataset_csv),
                          "--out", str(out1), *FAST]) == 0
         resolved = json.loads((out1 / "resolved_config.json").read_text())
         assert resolved["dataset"] == {"csv": str(dataset_csv)}

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import logging
+import math
 import pickle
 import tracemalloc
 from dataclasses import replace
@@ -91,6 +92,18 @@ class TestRun:
         for rec in res.metrics.epochs:
             assert rec["loss_total"] == pytest.approx(
                 rec["loss_logits"] + 0.7 * rec["loss_margin"], abs=1e-9)
+
+    def test_each_epoch_steps_at_its_cosine_rate(self, monkeypatch):
+        """Epoch e of T steps at base_lr * (1 + cos(pi * e / T)) / 2 and logs
+        that rate, so the first epoch runs at base_lr."""
+        cfg = small_config("optimizer.base_lr=0.01")
+        T = cfg.schedule.total_epochs
+        rates = [0.01 * 0.5 * (1.0 + math.cos(math.pi * e / T)) for e in range(T)]
+        used = count_sgd_steps(monkeypatch)
+        epochs = engine.run(small_dataset(), cfg).metrics.epochs
+        assert [rec["lr"] for rec in epochs] == pytest.approx(rates, rel=1e-12)
+        assert used == pytest.approx([rates[rec["epoch"]] for rec in epochs
+                                      for _ in range(rec["steps"])], rel=1e-12)
 
     def test_seed_determinism_byte_identical_logs(self):
         ds = small_dataset()
@@ -357,14 +370,14 @@ class TestAblationGrid:
 
 
 def count_sgd_steps(monkeypatch):
-    """A list that gains one entry per optimizer step, with every run made
-    in this process."""
+    """A list that gains one entry per optimizer step, the step's learning
+    rate, with every run made in this process."""
     calls = []
     sgd_step = nn.sgd_step
 
-    def counted(*args):
-        calls.append(1)
-        return sgd_step(*args)
+    def counted(m, opt, grad, lr):
+        calls.append(lr)
+        return sgd_step(m, opt, grad, lr)
 
     monkeypatch.setattr(nn, "sgd_step", counted)
     monkeypatch.setattr(engine, "_pool_size", lambda n: 1)
