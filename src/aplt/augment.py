@@ -30,13 +30,11 @@ class AugmentConfig:
 
 
 def weak(x: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
     noise = rng.standard_normal(x.shape)  # x + sigma * noise, made in the noise's buffer
     return np.add(x, np.multiply(cfg.weak_sigma, noise, out=noise), out=noise)
 
 
 def strong(x: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
     out = rng.standard_normal(x.shape)
     np.add(x, np.multiply(cfg.strong_sigma, out, out=out), out=out)
     if cfg.strong_mask_prob > 0.0:

@@ -116,11 +116,17 @@ def _read_csv(path, num_classes: int | None = None) -> data_mod.FeatureDataset:
 
 
 def _load_dataset(cfg: config_mod.RunConfig):
+    """The config's CSV, split by ``cfg.split`` if all its rows are labeled.
+    An already split CSV keeps its split and refuses a non-default one."""
     if cfg.dataset is None:
         raise ConfigError("no dataset: pass --data or set the dataset section")
-    ds = _read_csv(cfg.dataset["csv"])
+    path = cfg.dataset["csv"]
+    ds = _read_csv(path)
     if ds.labeled_mask.all():
-        ds = data_mod.apply_split(ds, cfg.split)
+        return data_mod.apply_split(ds, cfg.split)
+    if cfg.split != config_mod.RunConfig.split:
+        raise ConfigError(f"{path} is already split; split.* applies only to a CSV "
+                          "whose rows are all labeled")
     return ds
 
 

@@ -177,8 +177,7 @@ def _nearest(F: np.ndarray, centroids: np.ndarray, rows: np.ndarray | None = Non
             best[near] = exact
         assign[part] = best
         lower[part] = second + f_sq - slack
-        D = block - centroids[best]
-        d2[part] = np.einsum("ij,ij->i", D, D)
+        d2[part] = _sq_dists(block, centroids, best)
     return assign, d2, lower
 
 

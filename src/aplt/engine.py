@@ -427,20 +427,21 @@ class _Collect(logging.Handler):
         self.cells[self.at].append(record)
 
 
-_WARMUPS: list = []  # a pool worker's inherited warm-ups (_inherit fills it in place)
+_WARMUPS: dict = {}  # a pool worker's inherited warm-ups (_inherit fills it in place)
 
 
-def _finish_group(cells: list, warmups: list = _WARMUPS):
-    """The metrics and ``aplt`` log records of each (k, cfg) cell of a
-    stream group, branched from warm-up k and finished together. The first
-    failing cell stops the group; its error carries the records up to it."""
+def _finish_group(cfgs: list, warmups: dict = _WARMUPS):
+    """The metrics and ``aplt`` log records of each config of a stream
+    group, branched from the warm-up under its ``_warmup_key`` and finished
+    together. The first failing cell stops the group; its error carries the
+    records up to it."""
     logger = logging.getLogger("aplt")
     collect = _Collect()
-    collect.cells, collect.at = [[] for _ in cells], 0
+    collect.cells, collect.at = [[] for _ in cfgs], 0
     saved = logger.handlers, logger.propagate
     logger.handlers, logger.propagate = [collect], False
     try:
-        group = [warmups[k].branch(cfg) for k, cfg in cells]
+        group = [warmups[_warmup_key(cfg)].branch(cfg) for cfg in cfgs]
         _train_group(group, group[0].cfg.schedule.total_epochs, collect)
         return [t.finish().metrics for t in group], collect.cells
     except Exception as exc:
@@ -450,9 +451,9 @@ def _finish_group(cells: list, warmups: list = _WARMUPS):
         logger.handlers, logger.propagate = saved
 
 
-def _inherit(warmups: list) -> None:
+def _inherit(warmups: dict) -> None:
     """Pool initializer: keeps the warm-ups that ``fork`` hands over unpickled."""
-    _WARMUPS[:] = warmups
+    _WARMUPS.update(warmups)
     _one_blas_thread()
 
 
@@ -480,18 +481,18 @@ def _one_blas_thread() -> None:
         pass
 
 
-def _tasks(cells: list, workers: int) -> list[list[int]]:
-    """The positions of the (k, cfg) cells as pool tasks: one per
-    stream group (equal k and ``_stream_key``), in near-equal parts when it
-    has more than ceil(cells / workers) cells. Largest first, and among
-    equal sizes in ``MODES`` order, which is by work per step."""
+def _tasks(cfgs: list, workers: int) -> list[list[int]]:
+    """The positions of the configs as pool tasks: one per stream group
+    (equal ``_stream_key``), in near-equal parts when it has more than
+    ceil(cfgs / workers) configs. Largest first, and among equal sizes in
+    ``MODES`` order, which is by work per step."""
     groups = {}  # in first-seen order
-    for i, (k, cfg) in enumerate(cells):
-        groups.setdefault((k, _stream_key(cfg)), []).append(i)
-    limit = -(-len(cells) // workers)
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault(_stream_key(cfg), []).append(i)
+    limit = -(-len(cfgs) // workers)
     tasks = [g[len(g) * p // parts:len(g) * (p + 1) // parts]
              for g in groups.values() for parts in [-(-len(g) // limit)] for p in range(parts)]
-    return sorted(tasks, key=lambda t: (len(t), -MODES.index(cells[t[0]][1].mode)), reverse=True)
+    return sorted(tasks, key=lambda t: (len(t), -MODES.index(cfgs[t[0]].mode)), reverse=True)
 
 
 def _row_config(cfg, row: str):
@@ -522,16 +523,15 @@ def run_cells(ds: FeatureDataset, cfgs) -> list[RunMetrics]:
     import multiprocessing as mp
     from concurrent.futures import ProcessPoolExecutor
 
-    keys, warmups, indexed = {}, [], []  # warm-up key -> its position in warmups
+    warmups = {}  # _warmup_key -> its trained warm-up
     for cfg in cfgs:
-        k = keys.setdefault(_warmup_key(cfg), len(keys))
-        if k == len(warmups):
-            warmups.append(_Trainer(ds, cfg))
-            warmups[k].train(cfg.schedule.warmup_epochs)
-        indexed.append((k, cfg))
+        key = _warmup_key(cfg)
+        if key not in warmups:
+            warmups[key] = _Trainer(ds, cfg)
+            warmups[key].train(cfg.schedule.warmup_epochs)
     workers = _pool_size(len(cfgs))
-    tasks = _tasks(indexed, workers)
-    jobs = [[indexed[i] for i in task] for task in tasks]
+    tasks = _tasks(cfgs, workers)
+    jobs = [[cfgs[i] for i in task] for task in tasks]
     pool = None
     if workers <= 1 or "fork" not in mp.get_all_start_methods():
         outs = (_finish_group(job, warmups) for job in jobs)

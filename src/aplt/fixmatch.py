@@ -76,11 +76,10 @@ def _masked_ce(m: nn.EncoderModel, x: np.ndarray, targets: np.ndarray,
 
 def supervised_loss(m: nn.EncoderModel, x: np.ndarray, y: np.ndarray) -> BatchLoss:
     """Mean cross-entropy of a labeled batch's weak view x against its labels y."""
-    x = nn.as_rows(x)
     B = x.shape[0]
     if B == 0:
         raise EmptyBatchError("supervised_loss on empty batch")
-    value, grad = _masked_ce(m, x, np.asarray(y, dtype=np.int64), None)
+    value, grad = _masked_ce(m, x, y, None)
     return BatchLoss(value=value, pass_count=B, grad=grad)
 
 
@@ -91,7 +90,6 @@ def unlabeled_loss(m: nn.EncoderModel, x: np.ndarray, x_strong: np.ndarray,
     p(x_strong) through cross-entropy with argmax(q). The sum is averaged
     over the full batch size, masked-out rows included.
     """
-    x = nn.as_rows(x)
     if x.shape[0] == 0:
         raise EmptyBatchError("unlabeled_loss on empty batch")
     q = nn.forward_logits(m, x)  # label source, no grad

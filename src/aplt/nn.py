@@ -100,19 +100,9 @@ class OptimizerState:
     step_count: int = 0
 
 
-def as_rows(x) -> np.ndarray:
-    """``np.atleast_2d(np.asarray(x, dtype=np.float64))``, with no call for an x it would return."""
-    if type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64:
-        return x
-    return np.atleast_2d(np.asarray(x, dtype=np.float64))
-
-
-def _check_input(m: EncoderModel, x: np.ndarray) -> np.ndarray:
-    x = as_rows(x)
-    if x.shape[1] != m._views["w1"].shape[0]:
-        raise DimensionMismatchError(
-            f"input dim {x.shape[1]} != model dim {m.input_dim}")
-    return x
+def _check_input(m: EncoderModel, x: np.ndarray) -> None:
+    if x.ndim != 2 or x.shape[1] != m._views["w1"].shape[0]:
+        raise DimensionMismatchError(f"input shape {x.shape} != (n, {m.input_dim})")
 
 
 class Activations(NamedTuple):
@@ -141,8 +131,8 @@ def head_probs(m: EncoderModel, feats: np.ndarray) -> np.ndarray:
 
 
 def forward(m: EncoderModel, x: np.ndarray) -> Activations:
-    """One encoder pass over x."""
-    x = _check_input(m, x)
+    """One encoder pass over the rows of x, a 2-D float64 array."""
+    _check_input(m, x)
     w = m._views
     z1 = x @ w["w1"] + w["b1"]
     a1 = np.maximum(z1, 0.0)
@@ -206,7 +196,7 @@ def backward(m: EncoderModel, x: np.ndarray, acts: Activations,
     ``forward(m, x)`` of this same model and x. Returns one flat gradient laid
     out like ``m.theta``.
     """
-    x = _check_input(m, x)
+    _check_input(m, x)
     if d_logits is None and d_feats is None:
         raise ApltError("backward needs at least one upstream gradient")
     z1, a1, norms, feats = acts
@@ -215,13 +205,11 @@ def backward(m: EncoderModel, x: np.ndarray, acts: Activations,
     # the scalar 0.0 stands for a zero array: 0.0 + a term has its bits
     dF, head = 0.0, (np.zeros(w["hw"].size + w["hb"].size),)
     if d_logits is not None:
-        d_logits = np.asarray(d_logits, dtype=np.float64)
         if d_logits.shape != (x.shape[0], w["hb"].size):
             raise DimensionMismatchError("d_logits shape mismatch")
         head = (feats.T @ d_logits, np.add.reduce(d_logits, axis=0))
         dF += d_logits @ w["hw"].T
     if d_feats is not None:
-        d_feats = np.asarray(d_feats, dtype=np.float64)
         if d_feats.shape != feats.shape:
             raise DimensionMismatchError("d_feats shape mismatch")
         dF += d_feats

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cluster import PrototypeBank
 from .errors import DimensionMismatchError, EmptyBatchError, InvalidParameterError
-from .nn import _P_FLOOR, as_rows, softmax
+from .nn import _P_FLOOR, softmax
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,8 @@ class MarginLoss:
 
 
 def _scores(bank: PrototypeBank, F: np.ndarray) -> np.ndarray:
-    F = as_rows(F)
-    if F.shape[1] != bank.rho.shape[1]:
-        raise DimensionMismatchError(
-            f"feature dim {F.shape[1]} != prototype dim {bank.rho.shape[1]}")
+    if F.ndim != 2 or F.shape[1] != bank.rho.shape[1]:
+        raise DimensionMismatchError(f"feature shape {F.shape} != (n, {bank.rho.shape[1]})")
     return F @ bank.rho.T
 
 
@@ -75,17 +73,15 @@ def _margin(bank: PrototypeBank, F: np.ndarray, targets: np.ndarray,
 def margin_loss_labeled(bank: PrototypeBank, F: np.ndarray, labels: np.ndarray,
                         cfg: MarginConfig) -> MarginLoss:
     """Margin cross-entropy against ground-truth targets, every row kept."""
-    F = as_rows(F)
     if F.shape[0] == 0:
         raise EmptyBatchError("margin_loss_labeled on empty batch")
-    return _margin(bank, F, np.asarray(labels, dtype=np.int64), None, cfg)
+    return _margin(bank, F, labels, None, cfg)
 
 
 def margin_loss_unlabeled(bank: PrototypeBank, F: np.ndarray, targets: np.ndarray,
                           cfg: MarginConfig) -> MarginLoss:
     """Same form against each row's offline pseudo-label (int64), -1 where
     the offline event discarded it; those rows are masked out."""
-    F = as_rows(F)
     kept = targets >= 0
     if not np.count_nonzero(kept):  # also an empty batch
         return MarginLoss(value=0.0, pass_count=0, d_feats=np.zeros(F.shape))

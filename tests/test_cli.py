@@ -173,6 +173,36 @@ class TestTrain:
         assert rc == 0
         assert (tmp_path / "root" / "nested" / "run" / "metrics.ndjson").exists()
 
+    def test_split_labels_its_share_of_a_fully_labeled_csv(self, tmp_path):
+        """The run on a fully labeled CSV with split.labeled_ratio=0.5 is the
+        run on the CSV that gen splits at 0.5 (split seed 0 in both)."""
+        full, half = tmp_path / "full.csv", tmp_path / "half.csv"
+        assert cli.main(gen_args(full)[:-2]) == 0  # without --labeled-ratio 0.3
+        assert cli.main(gen_args(half, ["--labeled-ratio", "0.5"])) == 0
+        logs = []
+        for csv_path, sets in ((full, ["--set", "split.labeled_ratio=0.5"]), (half, [])):
+            out = tmp_path / csv_path.stem
+            rc = cli.main(["train", "--data", str(csv_path), "--out", str(out), *FAST, *sets])
+            assert rc == 0
+            logs.append((out / "metrics.ndjson").read_text())
+        events = [r for r in map(json.loads, logs[0].splitlines())
+                  if r["kind"] == "offline_event"]
+        # 30 of 60 rows unlabeled, less the 12 held out for the test split
+        assert [e["n_unlabeled"] for e in events] == [18, 18]
+        assert logs[0] == logs[1]
+
+    @pytest.mark.parametrize("command", ["train", "compare", "ablate"])
+    def test_split_of_an_already_split_csv_exits_one_without_outputs(
+            self, tmp_path, dataset_csv, capsys, command):
+        """The CSV's own split would be used and the setting only recorded."""
+        out = tmp_path / "run"
+        rc = cli.main([command, "--data", str(dataset_csv), "--out", str(out), *FAST,
+                       "--set", "split.labeled_ratio=0.5"])
+        assert rc == 1
+        assert not out.exists()
+        assert (f"config error: {dataset_csv} is already split; split.* applies only "
+                "to a CSV whose rows are all labeled") in capsys.readouterr().err
+
 
 class TestFeatureNormGeometry:
     """Every run clusters unit-norm features against unit-norm centroids, so

@@ -728,16 +728,15 @@ class TestStreamGroups:
     ])
     def test_tasks_split_only_groups_above_a_workers_share(self, seeds, workers, sizes):
         cfg, _ = config.resolve(None, [])
-        cells = [(0, c) for seed in range(seeds) for c in
-                 (replace(engine._row_config(cfg, row), seed=seed)
-                  for row in engine.ABLATION_ROWS)]
+        cells = [replace(engine._row_config(cfg, row), seed=seed)
+                 for seed in range(seeds) for row in engine.ABLATION_ROWS]
         tasks = engine._tasks(cells, workers)
         assert [len(task) for task in tasks] == sizes
         assert sorted(i for task in tasks for i in task) == list(range(len(cells)))
 
     def test_aplt_tasks_go_before_fixmatch_tasks_of_their_size(self):
         cfg, _ = config.resolve(None, [])
-        cells = [(0, engine._row_config(cfg, row)) for row in engine.ABLATION_ROWS]
+        cells = [engine._row_config(cfg, row) for row in engine.ABLATION_ROWS]
         tasks = [[engine.ABLATION_ROWS[i] for i in task] for task in engine._tasks(cells, 2)]
         assert tasks == [["SSL+SSKM(S)+LA", "SSL+SSKM(S)+SAT", "SSL+SSKM(S)+LA+SAT"],
                          ["SSL+KM", "SSL+SSKM(S)"], ["SSL+SSKM(W)"], ["SSL"]]
@@ -780,8 +779,8 @@ class TestStreamGroups:
 
     def test_two_identical_cells_in_one_group_log_as_their_own_run(self):
         ds, cfg = small_dataset(), small_config()
-        cells = [(0, replace(cfg, mode="aplt"))] * 2
-        metrics, _ = engine._finish_group(cells, [warmed_up(ds, cfg)])
+        cells = [replace(cfg, mode="aplt")] * 2
+        metrics, _ = engine._finish_group(cells, {engine._warmup_key(cfg): warmed_up(ds, cfg)})
         logs = [m.to_ndjson() for m in metrics]
         assert logs[0] == logs[1] == engine.run(ds, cfg).metrics.to_ndjson()
 

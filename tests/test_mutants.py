@@ -13,8 +13,8 @@ def test_each_mutant_line_occurs_exactly_once_in_src():
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
     sources = {p.name: p.read_text() for p in (ROOT / "src" / "aplt").glob("*.py")}
-    assert len(mutants.MUTANTS) == 12
-    assert len({m.name for m in mutants.MUTANTS}) == 12
+    assert len(mutants.MUTANTS) == 13
+    assert len({m.name for m in mutants.MUTANTS}) == 13
     for m in mutants.MUTANTS:
         assert "\n" not in m.old + m.new and m.old != m.new, m.name
         assert sources[m.path].count(m.old) == 1, m.name

@@ -84,6 +84,9 @@ class TestForward:
         m = random_model(np.random.default_rng(1))
         with pytest.raises(DimensionMismatchError):
             nn.forward_features(m, np.zeros((2, 9)))
+        # one row must come as a (1, d) array, not a (d,) vector
+        with pytest.raises(DimensionMismatchError, match=r"input shape \(5,\) != \(n, 5\)"):
+            nn.forward(m, np.zeros(5))
 
 
 class TestForwardLogits:
@@ -203,6 +206,8 @@ class TestBackward:
             nn.backward(m, x, acts, d_logits=np.zeros((3, 4)))
         with pytest.raises(DimensionMismatchError, match="d_feats shape mismatch"):
             nn.backward(m, x, acts, d_feats=np.zeros((3, 3)))
+        with pytest.raises(DimensionMismatchError, match=r"input shape \(5,\)"):
+            nn.backward(m, x[0], acts, d_feats=np.zeros((3, 4)))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradient_check_both_paths(self, seed):

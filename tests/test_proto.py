@@ -46,6 +46,8 @@ class TestPredict:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             proto.predict(make_bank(np.eye(3)), np.zeros((2, 4)))
+        with pytest.raises(DimensionMismatchError, match=r"feature shape \(3,\)"):
+            proto.predict(make_bank(np.eye(3)), np.zeros(3))
 
 
 class TestMarginLossLabeled:

@@ -1,4 +1,4 @@
-"""Mutation check: does tier-1 catch each of twelve one-line semantic bugs?
+"""Mutation check: does tier-1 catch each of thirteen one-line semantic bugs?
 
     python tools/mutants.py [NAME ...]
 
@@ -12,7 +12,7 @@ tests alone. ``tests/test_mutants.py`` only checks that each original line
 is in place, so it would fail on every mutant. It prints one line per
 mutant, ``caught`` with the first failing test or ``survived``, and exits
 1 if any survived. NAME runs only the named mutants. It changes no file of
-the repo. All twelve took about 250 s on a 2-core machine with one
+the repo. All thirteen took about 265 s on a 2-core machine with one
 OpenBLAS thread, so it is not part of tier-1.
 """
 
@@ -76,6 +76,9 @@ MUTANTS = (
     Mutant("SAT filter compares with tau_local, not tau_adapt", "cluster.py",
            "keep = result.distances <= tau_adapt[result.assignments]",
            "keep = result.distances <= thresholds[1][result.assignments]"),
+    Mutant("a fully labeled CSV trained unsplit", "cli.py",
+           "return data_mod.apply_split(ds, cfg.split)",
+           "return ds"),
 )
 
 
