@@ -14,7 +14,6 @@ import csv
 import hashlib
 import json
 import logging
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -26,8 +25,6 @@ from . import data as data_mod
 from . import engine, nn
 from .errors import (ApltError, ConfigError, DataFormatError, DimensionMismatchError,
                      InvalidParameterError, MissingLabeledClassError)
-
-OUT_ROOT_ENV = "APLT_OUT_ROOT"
 
 # benchmark presets. At "hard12", a labeled-only run with the default
 # base_lr 0.002 lands midway between chance and separable (5-seed mean 0.48
@@ -78,14 +75,6 @@ def _seed_list(raw: str) -> list[int]:
     if min(seeds) < 0:
         raise argparse.ArgumentTypeError(f"seeds must be nonnegative, got {raw!r}")
     return seeds
-
-
-def _out_dir(raw: str) -> Path:
-    path = Path(raw)
-    root = os.environ.get(OUT_ROOT_ENV)
-    if root and not path.is_absolute():
-        path = Path(root) / path
-    return _check_out(path)
 
 
 def _check_out(out: Path) -> Path:
@@ -150,33 +139,6 @@ def _resolve_from_args(args) -> tuple[config_mod.RunConfig, dict]:
     return cfg, resolved
 
 
-def _changed_keys(old, new, path: str = "") -> list[str]:
-    """Dotted keys whose values differ between two resolved configs."""
-    if not (isinstance(old, dict) and isinstance(new, dict)):
-        return [] if old == new else [path.rstrip(".")]
-    return [key for name in sorted(set(old) | set(new))
-            for key in _changed_keys(old.get(name), new.get(name), f"{path}{name}.")]
-
-
-def _check_appendable(out: Path, resolved: dict) -> None:
-    """An ablation table grows only under the config stored next to it; the
-    seed may differ, since the table has a seed column. ``mode`` is ignored
-    too: ablate sets each row's mode, and a table stored before its dump
-    left ``mode`` out holds one."""
-    try:
-        stored = json.loads((out / "resolved_config.json").read_text())
-    except (OSError, ValueError):
-        stored = None
-    if not isinstance(stored, dict):
-        raise ConfigError(f"{out / 'ablation.csv'} has no readable resolved_config.json "
-                          "to append under; pass --force to start a new table")
-    changed = [k for k in _changed_keys(stored, resolved) if k not in ("seed", "mode")]
-    if changed:
-        raise ConfigError(f"{out / 'ablation.csv'} was written under another config "
-                          f"(differs in {', '.join(changed)}); pass --force to start "
-                          "a new table")
-
-
 def _write_resolved(out: Path, resolved: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.json").write_text(
@@ -233,7 +195,7 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, resolved = _resolve_from_args(args)
-    out = _out_dir(args.out)
+    out = _check_out(Path(args.out))
     ds = _load_dataset(cfg)
     result = engine.run(ds, cfg)
     _write_run_outputs(out, resolved, result)
@@ -259,7 +221,7 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg, resolved = _resolve_from_args(args)
-    out = _out_dir(args.out)
+    out = _check_out(Path(args.out))
     ds = _load_dataset(cfg)
 
     methods = ("fixmatch", "aplt")  # one warm-up key, so one warm-up
@@ -291,19 +253,19 @@ def cmd_compare(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg, resolved = _resolve_from_args(args)
-    out = _out_dir(args.out)
+    out = _check_out(Path(args.out))
+    if args.seeds is not None and cfg.seed != config_mod.RunConfig.seed:
+        raise ConfigError(f"--seeds sets ablate's seeds; drop seed={cfg.seed}")
     table = out / "ablation.csv"
-    fresh = args.force or not table.exists()
-    if not fresh:
-        _check_appendable(out, resolved)
+    if table.exists() and not args.force:
+        raise ConfigError(f"{table} exists; pass --force to replace it")
     ds = _load_dataset(cfg)
     records = engine.run_ablation_grid(ds, cfg, seeds=args.seeds)
     _write_resolved(out, resolved)
     fields = ["row", "seed", "accuracy", "coverage", "pseudo_label_acc"]
-    with open(table, "a" if not fresh else "w", newline="") as fh:
+    with open(table, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if fresh:
-            writer.writerow(fields)
+        writer.writerow(fields)
         writer.writerows([rec[k] for k in fields] for rec in records)
     for row in engine.ABLATION_ROWS:
         accs = [r["accuracy"] for r in records if r["row"] == row]
@@ -343,9 +305,9 @@ def build_parser() -> _Parser:
             p.add_argument("--mode", choices=["aplt", "fixmatch"])
         if name == "ablate":
             p.add_argument("--seeds", type=_seed_list,
-                           help="comma-separated training seeds")
+                           help="comma-separated training seeds, in place of --seed")
             p.add_argument("--force", action="store_true",
-                           help="overwrite the ablation table instead of appending")
+                           help="replace an existing ablation table")
         p.set_defaults(func=func)
 
     p = sub.add_parser("eval", help="score a checkpoint on a dataset CSV")

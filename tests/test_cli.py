@@ -166,13 +166,6 @@ class TestTrain:
         assert rc == 1
         assert not out.exists()
 
-    def test_output_root_env(self, tmp_path, dataset_csv, monkeypatch):
-        monkeypatch.setenv(cli.OUT_ROOT_ENV, str(tmp_path / "root"))
-        rc = cli.main(["train", "--data", str(dataset_csv), "--out", "nested/run",
-                       *FAST])
-        assert rc == 0
-        assert (tmp_path / "root" / "nested" / "run" / "metrics.ndjson").exists()
-
     def test_split_labels_its_share_of_a_fully_labeled_csv(self, tmp_path):
         """The run on a fully labeled CSV with split.labeled_ratio=0.5 is the
         run on the CSV that gen splits at 0.5 (split seed 0 in both)."""
@@ -393,12 +386,12 @@ class TestCompare:
 
 
 class TestAblate:
-    def test_seven_rows_with_seed_column_append_and_force(self, tmp_path,
-                                                          dataset_csv):
+    def test_seven_rows_with_seed_column_refuse_and_force(self, tmp_path, dataset_csv,
+                                                          capsys):
         out = tmp_path / "abl"
         args = ["ablate", "--data", str(dataset_csv), "--out", str(out), *FAST]
         assert cli.main(args) == 0
-        table = out / "ablation.csv"
+        table, stored = out / "ablation.csv", out / "resolved_config.json"
         with open(table) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["row", "seed", "accuracy", "coverage",
@@ -407,19 +400,34 @@ class TestAblate:
         names = [r[0] for r in rows[1:]]
         assert names == list(cli.engine.ABLATION_ROWS)
         assert all(r[1] == "0" for r in rows[1:])
+        assert "mode" not in json.loads(stored.read_text())
+        before = table.read_bytes(), stored.read_bytes()
 
-        # rerun appends without a second header
-        assert cli.main(args) == 0
-        with open(table) as fh:
-            rows = list(csv.reader(fh))
-        assert len(rows) == 1 + 14
-        assert all(r[0] != "row" for r in rows[1:])
+        # a rerun without --force is refused and leaves both files as they were
+        capsys.readouterr()
+        assert cli.main(args) == 1
+        assert (f"config error: {table} exists; pass --force to replace it"
+                in capsys.readouterr().err)
+        assert (table.read_bytes(), stored.read_bytes()) == before
 
-        # --force starts over
+        # --force replaces the table with the one a fresh directory gets
         assert cli.main(args + ["--force"]) == 0
-        with open(table) as fh:
-            rows = list(csv.reader(fh))
-        assert len(rows) == 1 + 7
+        assert (table.read_bytes(), stored.read_bytes()) == before
+        assert len(table.read_text().splitlines()) == 1 + 7
+
+    @pytest.mark.parametrize("seed", [["--seed", "5"], ["--set", "seed=5"]],
+                             ids=["flag", "set"])
+    def test_seed_with_seeds_exits_one_without_outputs(self, tmp_path, dataset_csv,
+                                                       capsys, seed):
+        """Every row runs a seed from --seeds, so another seed would only be
+        recorded."""
+        out = tmp_path / "abl"
+        rc = cli.main(["ablate", "--data", str(dataset_csv), "--out", str(out), *FAST,
+                       *seed, "--seeds", "0"])
+        assert rc == 1
+        assert ("config error: --seeds sets ablate's seeds; drop seed=5"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("seeds, message", [
         pytest.param(seeds, f"expected comma-separated integers, got {seeds!r}", id=seeds)
@@ -436,37 +444,6 @@ class TestAblate:
         assert "usage:" in err
         assert f"argument --seeds: {message}" in err
         assert not out.exists()
-
-    def test_append_only_under_the_stored_config(self, tmp_path, dataset_csv, capsys):
-        out = tmp_path / "abl"
-        args = ["ablate", "--data", str(dataset_csv), "--out", str(out), *FAST]
-        assert cli.main(args + ["--seeds", "0"]) == 0
-        table, stored = out / "ablation.csv", out / "resolved_config.json"
-        before = table.read_bytes(), stored.read_bytes()
-        capsys.readouterr()
-        # another value is refused and leaves both files as they were; another
-        # seed appends
-        rc = cli.main(args + ["--seeds", "1", "--set", "margin.lambda=0.5",
-                              "--set", "cluster.method=km"])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "config error: " in err and "cluster.method, margin.lambda" in err
-        assert "--force" in err
-        assert (table.read_bytes(), stored.read_bytes()) == before
-        assert cli.main(args + ["--seed", "5", "--seeds", "1"]) == 0
-        assert len(table.read_text().splitlines()) == 1 + 14
-        assert "mode" not in json.loads(stored.read_text())
-        # a table stored when ablate still recorded a mode appends too
-        stored.write_text(json.dumps({**json.loads(stored.read_text()), "mode": "aplt"}))
-        assert cli.main(args + ["--seeds", "2", "--set", "mode=fixmatch"]) == 0
-        assert len(table.read_text().splitlines()) == 1 + 21
-        assert "mode" not in json.loads(stored.read_text())
-        # a table with no stored config is refused too
-        stored.unlink()
-        grown = table.read_bytes()
-        assert cli.main(args + ["--seeds", "2"]) == 1
-        assert "no readable resolved_config.json" in capsys.readouterr().err
-        assert table.read_bytes() == grown and not stored.exists()
 
 
 # values whose JSON type does not match their key's default, floats that

@@ -1,4 +1,4 @@
-"""Mutation check: does tier-1 catch each of thirteen one-line semantic bugs?
+"""Mutation check: does tier-1 catch each of fifteen one-line semantic bugs?
 
     python tools/mutants.py [NAME ...]
 
@@ -12,8 +12,8 @@ tests alone. ``tests/test_mutants.py`` only checks that each original line
 is in place, so it would fail on every mutant. It prints one line per
 mutant, ``caught`` with the first failing test or ``survived``, and exits
 1 if any survived. NAME runs only the named mutants. It changes no file of
-the repo. All thirteen took about 265 s on a 2-core machine with one
-OpenBLAS thread, so it is not part of tier-1.
+the repo. It takes minutes (thirteen mutants took about 265 s on a 2-core
+machine with one OpenBLAS thread), so it is not part of tier-1.
 """
 
 from __future__ import annotations
@@ -79,6 +79,12 @@ MUTANTS = (
     Mutant("a fully labeled CSV trained unsplit", "cli.py",
            "return data_mod.apply_split(ds, cfg.split)",
            "return ds"),
+    Mutant("ablate replaces an existing table without --force", "cli.py",
+           "if table.exists() and not args.force:",
+           "if False:"),
+    Mutant("ablate accepts a non-default seed with --seeds", "cli.py",
+           "if args.seeds is not None and cfg.seed != config_mod.RunConfig.seed:",
+           "if False:"),
 )
 
 
