@@ -123,7 +123,8 @@ def _resolve_from_args(args) -> tuple[config_mod.RunConfig, dict]:
     """Config file <- --set <- --mode/--seed; --data replaces the dataset
     section, so the resolved dump names the CSV the run read. Only train
     has --mode: compare and ablate set each cell's mode themselves, so their
-    dump leaves ``mode`` out."""
+    dump leaves ``mode`` out. With --seeds, ablate's leaves ``seed`` out too:
+    the table's seed column names the seeds, and a list would not load back."""
     file_cfg = config_mod.load_file(args.config) if args.config else None
     overrides = list(args.set or [])
     if getattr(args, "mode", None):
@@ -136,6 +137,8 @@ def _resolve_from_args(args) -> tuple[config_mod.RunConfig, dict]:
         cfg = replace(cfg, dataset=resolved["dataset"])
     if "mode" not in args:
         del resolved["mode"]
+    if getattr(args, "seeds", None) is not None:
+        del resolved["seed"]
     return cfg, resolved
 
 

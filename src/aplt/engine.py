@@ -315,43 +315,43 @@ class _Trainer:
         order = self.rng_train.permutation(self.unl.size)
         return [order[i:i + B] for i in range(0, order.size, B)]
 
-    def _draw(self, chunk) -> list:
-        """Every ``rng_train`` draw of a step on ``chunk``, in order: the
-        labeled batch (positions in ``lab``) and its weak view; unless
-        labeled_only, the chunk's weak and strong views; once a bank exists,
-        both margin views. Read-only: a whole stream group steps on them."""
+    def _draw(self, chunk) -> dict:
+        """Every ``rng_train`` draw of a step on ``chunk``, by role and in order:
+        ``lidx`` (positions in ``lab``) and ``l_weak``; unless labeled_only,
+        ``u_weak`` and ``u_strong``; once a bank exists, ``margin_l`` and ``margin_u``.
+        A role not drawn has no key. Read-only: a whole stream group steps on them."""
         cfg, rng, n = self.cfg, self.rng_train, self.lab.size
         lidx = rng.choice(n, size=chunk.size, replace=n < chunk.size)
         x_l = self.X[self.lab[lidx]]
-        views = [lidx, aug_mod.weak(x_l, cfg.augment, rng)]
+        views = {"lidx": lidx, "l_weak": aug_mod.weak(x_l, cfg.augment, rng)}
         if cfg.mode != "labeled_only":
             x_u = self.X[self.unl[chunk]]
-            views += (aug_mod.weak(x_u, cfg.augment, rng), aug_mod.strong(x_u, cfg.augment, rng))
+            views["u_weak"] = aug_mod.weak(x_u, cfg.augment, rng)
+            views["u_strong"] = aug_mod.strong(x_u, cfg.augment, rng)
             if self.bank is not None:  # only aplt runs build one
                 view_fn = aug_mod.strong if cfg.margin.view == "strong" else aug_mod.weak
-                views += (view_fn(x_l, cfg.augment, rng), view_fn(x_u, cfg.augment, rng))
-        for a in views:
-            a.flags.writeable = False
+                views["margin_l"] = view_fn(x_l, cfg.augment, rng)
+                views["margin_u"] = view_fn(x_u, cfg.augment, rng)
+        for role in views:
+            views[role].flags.writeable = False
         return views
 
     def _train_step(self, chunk, views, lr, lam):
-        """One optimizer step on ``_draw(chunk)``'s views. Returns the
-        logit-path loss, the margin loss and the unlabeled consistency term
-        (None in labeled_only mode)."""
+        """One optimizer step with a term for each role ``_draw(chunk)`` drew. Returns
+        the logit-path loss, the margin loss and the consistency term (None if not drawn)."""
         m, cfg = self.model, self.cfg
-        y_l = self.y_l[views[0]]
-        sup = fm_mod.supervised_loss(m, views[1], y_l)
+        y_l = self.y_l[views["lidx"]]
+        sup = fm_mod.supervised_loss(m, views["l_weak"], y_l)
         value, grad, uns = sup.value, sup.grad, None
-        if cfg.mode != "labeled_only":
-            uns = fm_mod.unlabeled_loss(m, views[2], views[3], cfg.fixmatch)
+        if "u_weak" in views:
+            uns = fm_mod.unlabeled_loss(m, views["u_weak"], views["u_strong"], cfg.fixmatch)
             value += uns.value
             if uns.pass_count:  # else uns.grad is zero and grad keeps its bits
                 grad += uns.grad
         margin_value = 0.0
-        if self.bank is not None:
-            xl_v, xu_v = views[4:]
-            acts_l = nn.forward(m, xl_v)
-            acts_u = nn.forward(m, xu_v)
+        if "margin_l" in views:
+            xl_v, xu_v = views["margin_l"], views["margin_u"]
+            acts_l, acts_u = nn.forward(m, xl_v), nn.forward(m, xu_v)
             msup = proto_mod.margin_loss_labeled(self.bank, acts_l.feats, y_l, cfg.margin)
             munsup = proto_mod.margin_loss_unlabeled(self.bank, acts_u.feats,
                                                      self._targets[chunk], cfg.margin)

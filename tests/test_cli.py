@@ -415,6 +415,28 @@ class TestAblate:
         assert (table.read_bytes(), stored.read_bytes()) == before
         assert len(table.read_text().splitlines()) == 1 + 7
 
+    def test_seeds_dump_has_no_seed_and_reproduces_the_table(self, tmp_path, dataset_csv):
+        """The seed column names the seeds, so the dump leaves ``seed`` out,
+        and passing it back with the same --seeds rewrites the same table."""
+        out = tmp_path / "abl"
+        args = ["--out", str(out), "--seeds", "1"]
+        assert cli.main(["ablate", "--data", str(dataset_csv), *FAST, *args]) == 0
+        table, stored = out / "ablation.csv", out / "resolved_config.json"
+        assert "seed" not in json.loads(stored.read_text())
+        with open(table) as fh:
+            assert {r["seed"] for r in csv.DictReader(fh)} == {"1"}
+        dump = tmp_path / "dump.json"
+        dump.write_bytes(stored.read_bytes())
+        before = table.read_bytes(), stored.read_bytes()
+        assert cli.main(["ablate", "--config", str(dump), *args, "--force"]) == 0
+        assert (table.read_bytes(), stored.read_bytes()) == before
+
+    def test_seed_dump_records_the_seed(self, tmp_path, dataset_csv):
+        out = tmp_path / "abl"
+        assert cli.main(["ablate", "--data", str(dataset_csv), "--out", str(out), *FAST,
+                         "--seed", "1"]) == 0
+        assert json.loads((out / "resolved_config.json").read_text())["seed"] == 1
+
     @pytest.mark.parametrize("seed", [["--seed", "5"], ["--set", "seed=5"]],
                              ids=["flag", "set"])
     def test_seed_with_seeds_exits_one_without_outputs(self, tmp_path, dataset_csv,

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aplt import augment, cli, cluster, config, data, engine, nn, proto
+from aplt import augment, cli, cluster, config, data, engine, fixmatch, nn, proto
 from aplt.errors import InvalidParameterError
 from data_helpers import poison_eval_labels
 from model_helpers import count_encoder_passes, identity_encoder
@@ -585,8 +585,8 @@ class TestEncoderPassesPerStep:
 
 
 class TestStepTerms:
-    """Two terms of a step that no gated run tells apart: every gated run
-    has margin.lambda 1.0, and none has a row past tau."""
+    """What each term of a step reads and how it is scaled, checked on the
+    step itself: a gate hash shows that a step changed, not which term."""
 
     def test_lambda_scales_the_margin_gradient(self, monkeypatch):
         # steps from one state: the warm-up's, then the first offline event
@@ -619,10 +619,48 @@ class TestStepTerms:
         chunk = trainer._epoch_chunks()[0]
         views = trainer._draw(chunk)
         weak, strong = (np.tile(np.eye(d)[c], (chunk.size, 1)) for c in (0, 1))
-        _, _, uns = trainer._train_step(chunk, [*views[:2], weak, strong], 0.0, 0.0)
+        _, _, uns = trainer._train_step(chunk, {**views, "u_weak": weak, "u_strong": strong},
+                                        0.0, 0.0)
         assert uns.pass_count == chunk.size
         assert not uns.pseudo_labels.any()
         assert uns.value > 40.0  # -log p(class 0) on e_1 is log(e^50 + 2), about 50
+
+    def test_each_role_reaches_its_consumer(self, monkeypatch):
+        """One aplt step with a bank, with what each term is handed recorded
+        by identity: every view goes to the term its role names, and each
+        margin loss reads the features of the forward pass on its own view."""
+        trainer = engine._Trainer(small_dataset(), replace(small_config(), mode="aplt"))
+        trainer.offline_phase(0)
+        chunk = trainer._epoch_chunks()[0]
+        views = trainer._draw(chunk)
+        seen = {}
+        inputs = {}  # id of a forward's features -> the features (kept alive) and its input
+
+        def spy(module, name):
+            def record(*args, _fn=getattr(module, name)):
+                out = _fn(*args)
+                seen.setdefault(name, []).append(args)
+                if name == "forward":
+                    inputs[id(out.feats)] = out.feats, args[1]
+                return out
+            monkeypatch.setattr(module, name, record)
+
+        for module, name in ((fixmatch, "supervised_loss"), (fixmatch, "unlabeled_loss"),
+                             (nn, "forward"), (proto, "margin_loss_labeled"),
+                             (proto, "margin_loss_unlabeled")):
+            spy(module, name)
+        trainer._train_step(chunk, views, 0.01, 1.0)
+        [(_, x_sup, y_sup)] = seen["supervised_loss"]
+        assert x_sup is views["l_weak"]
+        assert np.array_equal(y_sup, trainer.y_l[views["lidx"]])
+        [(_, x_label, x_trained, _)] = seen["unlabeled_loss"]
+        assert x_label is views["u_weak"] and x_trained is views["u_strong"]
+        [(_, F_l, y_margin, _)] = seen["margin_loss_labeled"]
+        [(_, F_u, targets, _)] = seen["margin_loss_unlabeled"]
+        assert inputs[id(F_l)][1] is views["margin_l"]
+        assert inputs[id(F_u)][1] is views["margin_u"]
+        assert np.array_equal(y_margin, y_sup)
+        assert np.array_equal(targets, trainer._targets[chunk])
 
 
 class TestWarmupSharing:
@@ -768,14 +806,20 @@ class TestStreamGroups:
         assert len(calls) < warmup + sum(after_warmup.values())
 
     def test_draws_are_read_only(self):
+        """Each role ``_draw`` draws, in draw order, and only those."""
         ds, cfg = small_dataset(), small_config()
-        for mode, n in (("labeled_only", 2), ("fixmatch", 4), ("aplt", 6)):
+        fixmatch_roles = ["lidx", "l_weak", "u_weak", "u_strong"]
+        for mode, with_bank, roles in (
+                ("labeled_only", False, ["lidx", "l_weak"]),
+                ("fixmatch", False, fixmatch_roles),
+                ("aplt", False, fixmatch_roles),  # before its first offline event
+                ("aplt", True, [*fixmatch_roles, "margin_l", "margin_u"])):
             trainer = engine._Trainer(ds, replace(cfg, mode=mode))
-            if mode == "aplt":
+            if with_bank:
                 trainer.offline_phase(0)
             views = trainer._draw(trainer._epoch_chunks()[0])
-            assert len(views) == n
-            assert not any(view.flags.writeable for view in views)
+            assert list(views) == roles, (mode, with_bank)
+            assert not any(views[role].flags.writeable for role in views)
 
     def test_two_identical_cells_in_one_group_log_as_their_own_run(self):
         ds, cfg = small_dataset(), small_config()

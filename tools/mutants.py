@@ -1,4 +1,4 @@
-"""Mutation check: does tier-1 catch each of fifteen one-line semantic bugs?
+"""Mutation check: does tier-1 catch each of sixteen one-line semantic bugs?
 
     python tools/mutants.py [NAME ...]
 
@@ -12,8 +12,8 @@ tests alone. ``tests/test_mutants.py`` only checks that each original line
 is in place, so it would fail on every mutant. It prints one line per
 mutant, ``caught`` with the first failing test or ``survived``, and exits
 1 if any survived. NAME runs only the named mutants. It changes no file of
-the repo. It takes minutes (thirteen mutants took about 265 s on a 2-core
-machine with one OpenBLAS thread), so it is not part of tier-1.
+the repo. It takes minutes (sixteen mutants took 339 s on a 2-core machine
+with one OpenBLAS thread), so it is not part of tier-1.
 """
 
 from __future__ import annotations
@@ -65,8 +65,11 @@ MUTANTS = (
            "step = 1 if self.sync_mode else self.offline_every",
            "step = 1 if self.sync_mode else self.offline_every + 1"),
     Mutant("consistency labels from the strong view", "engine.py",
-           "uns = fm_mod.unlabeled_loss(m, views[2], views[3], cfg.fixmatch)",
-           "uns = fm_mod.unlabeled_loss(m, views[3], views[3], cfg.fixmatch)"),
+           'uns = fm_mod.unlabeled_loss(m, views["u_weak"], views["u_strong"], cfg.fixmatch)',
+           'uns = fm_mod.unlabeled_loss(m, views["u_strong"], views["u_strong"], cfg.fixmatch)'),
+    Mutant("unlabeled margin term reads the consistency strong view", "engine.py",
+           'xl_v, xu_v = views["margin_l"], views["margin_u"]',
+           'xl_v, xu_v = views["margin_l"], views["u_strong"]'),
     Mutant("margin gradients added without lambda", "engine.py",
            "grad += np.multiply(lam, g, out=g)",
            "grad += g"),
